@@ -38,7 +38,6 @@ from .ordering import (
     MinorSet,
     OwnDecomposition,
     config_leq,
-    minor_insert,
     minor_min,
     own_decompose,
     param_leq,

@@ -14,11 +14,12 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
+from typing import Callable
 
 from .dtso import DtsoConfig, dtso_successors, initial_dtso_config
 from .model import ConcurrentProgram
 from .ordering import MinorSet, Word, config_leq
-from .runs import Delete, Propagate, ResourceLimitError, Run, RunError, Step
+from .runs import Delete, Propagate, ResourceLimitError, Run, RunError, Step, _set
 
 
 @dataclass
@@ -30,10 +31,6 @@ class BackwardStats:
     frontier_peak: int
     minors: int
     chain: tuple | None = None  # minimal configs along the witness, oldest first
-
-
-def _set(tup: tuple, i: int, v) -> tuple:
-    return tup[:i] + (v,) + tup[i + 1 :]
 
 
 def _config_key(c: DtsoConfig):
@@ -67,67 +64,83 @@ def _splits_without_own(w: Word, var: str):
             return
 
 
+def rule_preds(t, buf: Word, mem: tuple[int, ...], program) -> list[tuple[Word, tuple[int, ...]]]:
+    """The (buffer, memory) pairs from which a process at t.src firing t
+    lands in the closure of that process at t.dst holding buf over mem.
+
+    This is the per-process rule kernel shared by the fixed-size and the
+    parameterized engines.  Memory-changing rules (write, atomic
+    read-write) rewind the written variable over every prior value; a
+    write additionally re-exposes a possibly hidden own-message on its
+    variable.  A pair whose buffer is buf itself (the same object) left
+    the buffer unchanged.
+    """
+    op = t.op
+    if op.kind == "nop":
+        return [(buf, mem)]
+    if op.kind == "w":
+        xi = program.var_index[op.var]
+        if mem[xi] != op.val or not buf or buf[0] != (op.var, op.val, True):
+            return []
+        w = buf[1:]
+        rest_variants = [w]
+        for w1, w2 in _splits_without_own(w, op.var):
+            for v2 in program.values:
+                rest_variants.append(w1 + ((op.var, v2, True),) + w2)
+        out = []
+        for prior in program.values:
+            prior_mem = _set(mem, xi, prior)
+            out.extend((rest, prior_mem) for rest in rest_variants)
+        return out
+    if op.kind == "r":
+        own = [m for m in buf if m[0] == op.var and m[2]]
+        if own:
+            return [(buf, mem)] if own[0][1] == op.val else []
+        if buf and buf[-1] == (op.var, op.val, False):
+            return [(buf, mem)]
+        return [(buf + ((op.var, op.val, False),), mem)]
+    if op.kind == "fence":
+        return [] if buf else [(buf, mem)]
+    if op.kind == "arw":
+        xi = program.var_index[op.var]
+        return [(buf, _set(mem, xi, op.val))] if not buf and mem[xi] == op.wval else []
+    raise ValueError(f"bad op kind {op.kind!r}")
+
+
+def buffer_preds(p: int, buf: Word, mem: tuple[int, ...], program) -> list[tuple[object, Word]]:
+    """Propagate and delete predecessors of process p's buffer, each as
+    (action, buffer before the action); a delete predecessor re-appends
+    an own-message on any variable that has none."""
+    out: list[tuple[object, Word]] = []
+    for x in program.vars:
+        if buf and buf[0] == (x, mem[program.var_index[x]], False):
+            out.append((Propagate(p, x), buf[1:]))
+    owned = {m[0] for m in buf if m[2]}
+    delete = Delete(p)
+    for x in program.vars:
+        if x not in owned:
+            out += [(delete, buf + ((x, v, True),)) for v in program.values]
+    return out
+
+
 def predecessor_candidates(c: DtsoConfig, program: ConcurrentProgram):
     """Minimal one-rule predecessors of the upward closure of c, each
-    paired with the action leading from it back into that closure.
-
-    Memory-changing rules (write, atomic read-write) rewind the written
-    variable over every prior value; a write additionally re-exposes a
-    possibly hidden own-message on its variable; a delete predecessor
-    re-appends an own-message on any variable that has none.
-    """
-    values = program.values
+    paired with the action leading from it back into that closure;
+    process by process, its transitions, then propagate and delete."""
     out: list[tuple[object, DtsoConfig]] = []
     for p, auto in enumerate(program.processes):
         buf = c.buffers[p]
         for t in auto.transitions:
             if t.dst != c.states[p]:
                 continue
-            op = t.op
             states = _set(c.states, p, t.src)
-            if op.kind == "nop":
-                out.append((Step(p, t), DtsoConfig(states, c.buffers, c.mem)))
-            elif op.kind == "w":
-                xi = program.var_index[op.var]
-                if c.mem[xi] != op.val or not buf or buf[0] != (op.var, op.val, True):
-                    continue
-                w = buf[1:]
-                rest_variants = [w]
-                for w1, w2 in _splits_without_own(w, op.var):
-                    for v2 in values:
-                        rest_variants.append(w1 + ((op.var, v2, True),) + w2)
-                for prior in values:
-                    mem = _set(c.mem, xi, prior)
-                    for rest in rest_variants:
-                        out.append((Step(p, t), DtsoConfig(states, _set(c.buffers, p, rest), mem)))
-            elif op.kind == "r":
-                own = [m for m in buf if m[0] == op.var and m[2]]
-                if own:
-                    if own[0][1] == op.val:
-                        out.append((Step(p, t), DtsoConfig(states, c.buffers, c.mem)))
-                elif buf and buf[-1] == (op.var, op.val, False):
-                    out.append((Step(p, t), DtsoConfig(states, c.buffers, c.mem)))
-                else:
-                    grown = buf + ((op.var, op.val, False),)
-                    out.append((Step(p, t), DtsoConfig(states, _set(c.buffers, p, grown), c.mem)))
-            elif op.kind == "fence":
-                if not buf:
-                    out.append((Step(p, t), DtsoConfig(states, c.buffers, c.mem)))
-            elif op.kind == "arw":
-                xi = program.var_index[op.var]
-                if not buf and c.mem[xi] == op.wval:
-                    out.append((Step(p, t), DtsoConfig(states, c.buffers, _set(c.mem, xi, op.val))))
-        for x in program.vars:
-            v = c.mem[program.var_index[x]]
-            if buf and buf[0] == (x, v, False):
-                out.append((Propagate(p, x), DtsoConfig(c.states, _set(c.buffers, p, buf[1:]), c.mem)))
-        owned = {m[0] for m in buf if m[2]}
-        for x in program.vars:
-            if x in owned:
-                continue
-            for v in values:
-                grown = buf + ((x, v, True),)
-                out.append((Delete(p), DtsoConfig(c.states, _set(c.buffers, p, grown), c.mem)))
+            action = Step(p, t)
+            for b, mem in rule_preds(t, buf, c.mem, program):
+                out.append((action, DtsoConfig(states, c.buffers if b is buf else _set(c.buffers, p, b), mem)))
+        out += [
+            (action, DtsoConfig(c.states, _set(c.buffers, p, b), c.mem))
+            for action, b in buffer_preds(p, buf, c.mem, program)
+        ]
     return out
 
 
@@ -212,28 +225,31 @@ def live_filter(program: ConcurrentProgram):
     return live
 
 
-def backward_reach(
-    program: ConcurrentProgram,
-    target: tuple[str, ...] | list[tuple[str, ...]],
-    max_nodes: int | None = 10**7,
+def fixpoint(
+    minors: MinorSet,
+    preds: Callable,
+    live: Callable,
+    covers: Callable,
+    weight: Callable,
+    canon: Callable,
+    max_nodes: int | None,
 ) -> BackwardStats:
-    """Backward fixpoint from the target minors, with early exit on the
+    """Backward fixpoint from the seed minors, with early exit on the
     first configuration covering initial.
 
-    The worklist is a priority queue on total buffered-message count
-    with generation index as the tie break, so smaller configurations
-    (closer to the empty-buffer initial configuration) expand first;
-    dead candidates per live_filter are dropped.  Both choices leave
+    The worklist is a priority queue on `weight` (smaller configurations,
+    closer to the empty-buffer initial one, expand first) with generation
+    index as the tie break; `preds(c)` yields (action, predecessor)
+    pairs, candidates failing `live` are dropped and the rest are put in
+    `canon` form before they enter the antichain.  These choices leave
     the verdict unchanged and are deterministic.
     """
-    live = live_filter(program)
-    minors = target_to_minors(program, target)
-    meta: dict[DtsoConfig, tuple[DtsoConfig | None, object]] = {}
+    meta: dict = {}
     generated = len(minors)
     iterations = 0
     peak = 0
 
-    def reachable(cover: DtsoConfig) -> BackwardStats:
+    def reachable(cover) -> BackwardStats:
         chain = [cover]
         actions = []
         cur = cover
@@ -248,13 +264,13 @@ def backward_reach(
             "Reachable", tuple(actions), generated, iterations, peak, len(minors), tuple(chain)
         )
 
-    work: list[tuple[int, int, DtsoConfig]] = []
+    work: list = []
     for seq, tc in enumerate(minors.elements()):
         meta[tc] = (None, None)
-        if covers_initial(tc, program):
+        if covers(tc):
             return reachable(tc)
         if live(tc):
-            work.append((0, seq, tc))
+            work.append((weight(tc), seq, tc))
     heapq.heapify(work)
     peak = len(work)
     seq = len(work)
@@ -264,19 +280,40 @@ def backward_reach(
         if c not in minors:
             continue  # subsumed after being queued
         iterations += 1
-        for action, pred in predecessor_candidates(c, program):
+        for action, pred in preds(c):
             generated += 1
             if max_nodes is not None and generated > max_nodes:
                 raise ResourceLimitError(f"backward search exceeded {max_nodes} configurations")
-            if not live(pred) or not minors.insert(pred).inserted:
+            if not live(pred):
+                continue
+            pred = canon(pred)
+            if not minors.insert(pred):
                 continue
             meta[pred] = (c, action)
-            if covers_initial(pred, program):
+            if covers(pred):
                 return reachable(pred)
             seq += 1
-            heapq.heappush(work, (sum(len(b) for b in pred.buffers), seq, pred))
+            heapq.heappush(work, (weight(pred), seq, pred))
             peak = max(peak, len(work))
     return BackwardStats("Unreachable", None, generated, iterations, peak, len(minors))
+
+
+def backward_reach(
+    program: ConcurrentProgram,
+    target: tuple[str, ...] | list[tuple[str, ...]],
+    max_nodes: int | None = 10**7,
+) -> BackwardStats:
+    """Backward fixpoint from the target minors, weighted by the total
+    buffered-message count; dead candidates per live_filter are dropped."""
+    return fixpoint(
+        target_to_minors(program, target),
+        lambda c: predecessor_candidates(c, program),
+        live_filter(program),
+        lambda c: covers_initial(c, program),
+        lambda c: sum(len(b) for b in c.buffers),
+        lambda c: c,
+        max_nodes,
+    )
 
 
 def concretize_witness(program: ConcurrentProgram, stats: BackwardStats) -> Run:

@@ -57,21 +57,27 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(mode)
         sp.add_argument("file")
         sp.add_argument("--format", choices=("text", "json"), default="text")
-        sp.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES)
+        sp.add_argument("--max-nodes", type=_non_negative, default=DEFAULT_MAX_NODES)
         sp.add_argument("--witness", action="store_true")
         if mode.startswith("explore"):
-            sp.add_argument("--buffer-bound", type=int, required=True)
+            sp.add_argument("--buffer-bound", type=_non_negative, required=True)
         if mode == "translate":
             sp.add_argument("--from", dest="source", choices=("tso", "dtso"), required=True)
     return parser
 
 
-def _load_program(path: str):
+def _non_negative(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _read_text(path) -> str:
+    """A program or run file's text; unreadable or non-UTF-8 files are input errors."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    return parse_program(text)
 
 
 def _witness_strings(actions, program) -> list[str]:
@@ -118,67 +124,46 @@ def _dispatch(args) -> int:
     if args.mode == "translate":
         return _translate(args)
 
-    program = _load_program(args.file)
+    program = parse_program(_read_text(args.file))
     if args.mode == "param":
         if not isinstance(program, ParamProgram):
             raise ParseError("param mode needs a ptarget program")
-        stats = param.param_backward_reach(program, max_nodes=args.max_nodes)
-        witness = None
-        if args.witness and stats.witness is not None:
-            witness = _param_witness_strings(stats.witness, program)
-        report = Report(
-            "reachable" if stats.verdict == "Reachable" else "unreachable",
-            args.mode,
-            stats.configs_generated,
-            stats.iterations,
-            elapsed_ms(),
-            witness,
-        )
-        print(emit_report(report, args.format))
-        return 1 if stats.verdict == "Reachable" else 0
-
-    if not isinstance(program, ConcurrentProgram):
+    elif not isinstance(program, ConcurrentProgram):
         raise ParseError(f"{args.mode} mode needs a fixed-mode (target) program")
 
-    if args.mode == "check":
-        stats = backward.backward_reach(program, program.target, max_nodes=args.max_nodes)
-        witness = None
-        if args.witness and stats.witness is not None:
-            witness = _witness_strings(stats.witness, program)
-        report = Report(
-            "reachable" if stats.verdict == "Reachable" else "unreachable",
-            args.mode,
-            stats.configs_generated,
-            stats.iterations,
-            elapsed_ms(),
-            witness,
-        )
-        print(emit_report(report, args.format))
-        return 1 if stats.verdict == "Reachable" else 0
-
-    reach = tso.tso_bounded_reach if args.mode == "explore-tso" else dtso.dtso_bounded_reach
-    result = reach(program, args.buffer_bound, program.target, max_nodes=args.max_nodes)
-    if result.reachable:
-        verdict = "reachable"
-    elif result.bound_exceeded:
-        verdict = "bound-exceeded"
+    render = _witness_strings
+    if args.mode in ("check", "param"):
+        if args.mode == "param":
+            stats = param.param_backward_reach(program, max_nodes=args.max_nodes)
+            render = _param_witness_strings
+        else:
+            stats = backward.backward_reach(program, program.target, max_nodes=args.max_nodes)
+        reachable = stats.verdict == "Reachable"
+        verdict = "reachable" if reachable else "unreachable"
+        counts = (stats.configs_generated, stats.iterations)
+        actions = stats.witness
     else:
-        verdict = "safe-within-bound"
-    witness = None
-    if args.witness and result.run is not None:
-        witness = _witness_strings(result.run.actions, program)
-    report = Report(verdict, args.mode, result.explored, result.explored, elapsed_ms(), witness)
-    print(emit_report(report, args.format))
-    return 1 if result.reachable else 0
+        reach = tso.tso_bounded_reach if args.mode == "explore-tso" else dtso.dtso_bounded_reach
+        result = reach(program, args.buffer_bound, program.target, max_nodes=args.max_nodes)
+        reachable = result.reachable
+        if reachable:
+            verdict = "reachable"
+        elif result.bound_exceeded:
+            verdict = "bound-exceeded"
+        else:
+            verdict = "safe-within-bound"
+        counts = (result.explored, result.explored)
+        actions = result.run.actions if result.run is not None else None
+    witness = render(actions, program) if args.witness and actions is not None else None
+    print(emit_report(Report(verdict, args.mode, *counts, elapsed_ms(), witness), args.format))
+    return 1 if reachable else 0
 
 
 def _translate(args) -> int:
-    text = Path(args.file).read_text()
-    label, semantics, action_lines = runs.parse_run_text(text)
+    label, semantics, action_lines = runs.parse_run_text(_read_text(args.file))
     if semantics != args.source:
         raise ParseError(f"run file is tagged {semantics}, --from says {args.source}")
-    program_path = Path(args.file).parent / label
-    program = _load_program(str(program_path))
+    program = parse_program(_read_text(Path(args.file).parent / label))
     if not isinstance(program, ConcurrentProgram):
         raise ParseError("translate mode needs a fixed-mode program")
 

@@ -9,12 +9,11 @@ quotient.
 """
 from __future__ import annotations
 
-from collections import deque
 from typing import NamedTuple
 
 from .model import ConcurrentProgram, Transition
 from .ordering import Word
-from .runs import Delete, Propagate, ResourceLimitError, Run, Step
+from .runs import BoundedResult, Delete, Propagate, Step, _set, bounded_bfs
 
 
 class DtsoConfig(NamedTuple):
@@ -29,10 +28,6 @@ def initial_dtso_config(program: ConcurrentProgram) -> DtsoConfig:
         tuple(() for _ in program.processes),
         tuple(0 for _ in program.vars),
     )
-
-
-def _set(tup: tuple, i: int, v) -> tuple:
-    return tup[:i] + (v,) + tup[i + 1 :]
 
 
 def dtso_successors(c: DtsoConfig, program: ConcurrentProgram) -> list[tuple[object, DtsoConfig]]:
@@ -85,67 +80,9 @@ def _fire(c: DtsoConfig, program: ConcurrentProgram, p: int, t: Transition) -> D
     raise ValueError(f"bad op kind {op.kind!r}")
 
 
-class BoundedResult(NamedTuple):
-    reachable: bool
-    run: Run | None
-    bound_exceeded: bool
-    explored: int
-
-
-class _Search(NamedTuple):
-    parents: dict
-    pruned: bool
-    hit: DtsoConfig | None
-
-
-def _bfs(program: ConcurrentProgram, bound: int, max_nodes: int | None, stop=None) -> _Search:
-    """Breadth-first search; writes and propagates that would overflow
-    the bound are pruned and flagged."""
-    init = initial_dtso_config(program)
-    parents: dict[DtsoConfig, tuple[DtsoConfig | None, object]] = {init: (None, None)}
-    if stop is not None and stop(init):
-        return _Search(parents, False, init)
-    queue = deque([init])
-    pruned = False
-    while queue:
-        c = queue.popleft()
-        for action, succ in dtso_successors(c, program):
-            grows = isinstance(action, Propagate) or (isinstance(action, Step) and action.t.op.kind == "w")
-            if grows and len(succ.buffers[action.proc]) > bound:
-                pruned = True
-                continue
-            if succ in parents:
-                continue
-            if max_nodes is not None and len(parents) >= max_nodes:
-                raise ResourceLimitError(f"bounded search exceeded {max_nodes} configurations")
-            parents[succ] = (c, action)
-            if stop is not None and stop(succ):
-                return _Search(parents, pruned, succ)
-            queue.append(succ)
-    return _Search(parents, pruned, None)
-
-
-def _rebuild_run(parents: dict, last: DtsoConfig) -> Run:
-    configs = [last]
-    actions: list = []
-    c = last
-    while True:
-        parent, action = parents[c]
-        if parent is None:
-            break
-        actions.insert(0, action)
-        configs.insert(0, parent)
-        c = parent
-    return Run("dtso", configs, actions)
-
-
-def _at_target(target: tuple[str, ...]):
-    target = tuple(target)
-
-    def stop(c: DtsoConfig) -> bool:
-        return c.states == target and all(not b for b in c.buffers)
-
-    return stop
+def _cut(_action, _succ, _program) -> None:
+    """Writes and propagates that would overflow the bound are pruned."""
+    return None
 
 
 def dtso_bounded_reach(
@@ -155,15 +92,13 @@ def dtso_bounded_reach(
     max_nodes: int | None = None,
 ) -> BoundedResult:
     """Bounded search for the target global state with empty buffers."""
-    search = _bfs(program, bound, max_nodes, stop=_at_target(target))
-    if search.hit is None:
-        return BoundedResult(False, None, search.pruned, len(search.parents))
-    return BoundedResult(True, _rebuild_run(search.parents, search.hit), search.pruned, len(search.parents))
+    init = initial_dtso_config(program)
+    return bounded_bfs("dtso", init, dtso_successors, _cut, program, bound, max_nodes, tuple(target))[0]
 
 
 def dtso_reachable_empty_buffer_states(
     program: ConcurrentProgram, bound: int, max_nodes: int | None = None
 ) -> frozenset[tuple[str, ...]]:
     """Global states reachable with all buffers empty, within the bound."""
-    search = _bfs(program, bound, max_nodes)
-    return frozenset(c.states for c in search.parents if all(not b for b in c.buffers))
+    _, seen = bounded_bfs("dtso", initial_dtso_config(program), dtso_successors, _cut, program, bound, max_nodes)
+    return frozenset(c.states for c in seen if not any(c.buffers))

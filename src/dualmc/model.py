@@ -76,9 +76,6 @@ class Automaton:
             mentioned.add(t.dst)
         return frozenset(mentioned)
 
-    def outgoing(self, state: str) -> tuple[Transition, ...]:
-        return tuple(t for t in self.transitions if t.src == state)
-
 
 @dataclass(frozen=True)
 class ConcurrentProgram:
@@ -158,7 +155,7 @@ def _tokenize(text: str) -> Iterator[tuple[int, list[tuple[int, str]]]]:
 
 
 def _parse_uint(tok: str, lineno: int, col: int) -> int:
-    if not tok.isdigit():
+    if not (tok.isascii() and tok.isdigit()):
         raise ParseError(f"expected a non-negative integer, got {tok!r}", lineno, col)
     return int(tok)
 

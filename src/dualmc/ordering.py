@@ -124,14 +124,6 @@ def _state_multiset_leq(counts, counts2) -> bool:
     return True
 
 
-class InsertResult(NamedTuple):
-    inserted: bool
-    removed: tuple
-
-
-SUBSUMED = InsertResult(False, ())
-
-
 class MinorSet:
     """An antichain of configurations representing an upward-closed set.
 
@@ -145,45 +137,43 @@ class MinorSet:
         self._leq = leq
         self._key = key if key is not None else (lambda c: None)
         self._buckets: dict = {}
-        self._order: list = []
-        self._gone: set[int] = set()
+        self._members: dict = {}  # insertion-ordered; values unused
 
     def __len__(self) -> int:
-        return sum(len(b) for b in self._buckets.values())
+        return len(self._members)
 
     def __iter__(self):
-        gone = self._gone
-        return (c for c in self._order if id(c) not in gone)
+        return iter(self._members)
 
     def __contains__(self, elem) -> bool:
-        return any(m == elem for m in self._buckets.get(self._key(elem), ()))
+        return elem in self._members
 
     def elements(self) -> list:
-        return list(self)
+        return list(self._members)
 
     def covers(self, elem) -> bool:
         """True iff elem is in the represented upward closure."""
         leq = self._leq
         return any(leq(m, elem) for m in self._buckets.get(self._key(elem), ()))
 
-    def insert(self, elem) -> InsertResult:
+    def insert(self, elem) -> bool:
+        """Add elem unless a member lies below it, evicting the members
+        above it; True iff elem went in."""
         bucket = self._buckets.setdefault(self._key(elem), [])
         leq = self._leq
         for m in bucket:
             if leq(m, elem):
-                return SUBSUMED
-        removed = tuple(m for m in bucket if leq(elem, m))
+                return False
+        removed = [m for m in bucket if leq(elem, m)]
         if removed:
+            members = self._members
+            for m in removed:
+                del members[m]
             gone = {id(m) for m in removed}
             bucket[:] = [m for m in bucket if id(m) not in gone]
-            self._gone.update(gone)
         bucket.append(elem)
-        self._order.append(elem)
-        return InsertResult(True, removed)
-
-
-def minor_insert(minors: MinorSet, elem) -> InsertResult:
-    return minors.insert(elem)
+        self._members[elem] = None
+        return True
 
 
 def minor_min(items: Iterable, leq: Callable, key: Callable | None = None) -> MinorSet:

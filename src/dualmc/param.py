@@ -4,7 +4,8 @@ A parameterized configuration is an ordered sequence of (local state,
 load buffer) pairs plus a memory valuation; the ordering embeds a
 smaller configuration into a larger one by an order-preserving
 injection.  One backward step computes the minimal same-size
-predecessors of every rule exactly as in the fixed-size engine, and
+predecessors of every rule with the fixed-size engine's per-process
+rule kernel (backward.rule_preds and backward.buffer_preds), and
 additionally predecessors that introduce one fresh process: a writer
 whose buffer is any sequence of own-messages over pairwise-distinct
 variables (every subset, value choice, order, and insertion position),
@@ -14,26 +15,23 @@ Fresh-process predecessors are enumerated for every write and atomic
 read-write with a matching memory value, not only when no existing
 process matches the rule pattern; the narrower variant misses minimal
 predecessors (the one-step oracle tests in the suite exhibit them).
+The search itself is the fixed-size engine's backward.fixpoint, run
+under the parameterized ordering with symmetry canonicalisation.
 """
 from __future__ import annotations
 
-import heapq
 import itertools
 from typing import NamedTuple
 
-from .backward import BackwardStats, removable_own, writable_values
+from .backward import BackwardStats, buffer_preds, fixpoint, removable_own, rule_preds, writable_values
 from .model import ParamProgram
 from .ordering import MinorSet, Word, param_leq
-from .runs import Delete, Propagate, ResourceLimitError, Step
+from .runs import Step, _set
 
 
 class ParamConfig(NamedTuple):
     procs: tuple[tuple[str, Word], ...]
     mem: tuple[int, ...]
-
-
-def _set(tup: tuple, i: int, v) -> tuple:
-    return tup[:i] + (v,) + tup[i + 1 :]
 
 
 def param_target_to_minors(program: ParamProgram, targets: tuple[str, ...] | None = None) -> MinorSet:
@@ -56,13 +54,6 @@ def param_covers_initial(alpha: ParamConfig, program: ParamProgram) -> bool:
         return False
     init = program.template.init
     return all(s == init and not b for s, b in alpha.procs)
-
-
-def _splits_without_own(w: Word, var: str):
-    for i in range(len(w) + 1):
-        yield w[:i], w[i:]
-        if i < len(w) and w[i][2] and w[i][0] == var:
-            return
 
 
 def _fresh_writer_buffers(program: ParamProgram, own_values=None):
@@ -99,39 +90,9 @@ def predecessor_candidates(
         for p, (state, buf) in enumerate(procs):
             if state != t.dst:
                 continue
-            rew = _set(procs, p, (t.src, buf))
-            if op.kind == "nop":
-                out.append((Step(p, t), ParamConfig(rew, alpha.mem)))
-            elif op.kind == "w":
-                xi = program.var_index[op.var]
-                if alpha.mem[xi] != op.val or not buf or buf[0] != (op.var, op.val, True):
-                    continue
-                w = buf[1:]
-                rest_variants = [w]
-                for w1, w2 in _splits_without_own(w, op.var):
-                    for v2 in values:
-                        rest_variants.append(w1 + ((op.var, v2, True),) + w2)
-                for prior in values:
-                    mem = _set(alpha.mem, xi, prior)
-                    for rest in rest_variants:
-                        out.append((Step(p, t), ParamConfig(_set(procs, p, (t.src, rest)), mem)))
-            elif op.kind == "r":
-                own = [m for m in buf if m[0] == op.var and m[2]]
-                if own:
-                    if own[0][1] == op.val:
-                        out.append((Step(p, t), ParamConfig(rew, alpha.mem)))
-                elif buf and buf[-1] == (op.var, op.val, False):
-                    out.append((Step(p, t), ParamConfig(rew, alpha.mem)))
-                else:
-                    grown = buf + ((op.var, op.val, False),)
-                    out.append((Step(p, t), ParamConfig(_set(procs, p, (t.src, grown)), alpha.mem)))
-            elif op.kind == "fence":
-                if not buf:
-                    out.append((Step(p, t), ParamConfig(rew, alpha.mem)))
-            elif op.kind == "arw":
-                xi = program.var_index[op.var]
-                if not buf and alpha.mem[xi] == op.wval:
-                    out.append((Step(p, t), ParamConfig(rew, _set(alpha.mem, xi, op.val))))
+            action = Step(p, t)
+            for b, mem in rule_preds(t, buf, alpha.mem, program):
+                out.append((action, ParamConfig(_set(procs, p, (t.src, b)), mem)))
         # fresh-process predecessors
         positions = range(len(procs) + 1) if all_positions else (len(procs),)
         if op.kind == "w":
@@ -155,17 +116,10 @@ def predecessor_candidates(
                 out.append((Step(pos, t), ParamConfig(grown, mem)))
 
     for p, (state, buf) in enumerate(procs):
-        for x in program.vars:
-            v = alpha.mem[program.var_index[x]]
-            if buf and buf[0] == (x, v, False):
-                out.append((Propagate(p, x), ParamConfig(_set(procs, p, (state, buf[1:])), alpha.mem)))
-        owned = {m[0] for m in buf if m[2]}
-        for x in program.vars:
-            if x in owned:
-                continue
-            for v in values:
-                grown = buf + ((x, v, True),)
-                out.append((Delete(p), ParamConfig(_set(procs, p, (state, grown)), alpha.mem)))
+        out += [
+            (action, ParamConfig(_set(procs, p, (state, b)), alpha.mem))
+            for action, b in buffer_preds(p, buf, alpha.mem, program)
+        ]
     return out
 
 
@@ -230,67 +184,19 @@ def param_backward_reach(
     targets: tuple[str, ...] | None = None,
     max_nodes: int | None = 10**7,
 ) -> BackwardStats:
-    """Backward fixpoint under the parameterized ordering; worklist is
-    a priority queue on (process count plus buffered messages), with
-    generation index as tie break; dead candidates are dropped and
-    minors are kept in canonical process order."""
-    live = live_filter(program)
+    """Backward fixpoint under the parameterized ordering, weighted by
+    process count plus buffered messages; dead candidates are dropped
+    and minors are kept in canonical process order."""
     own_vals = _own_values_by_state(program)
     minors = MinorSet(param_leq, key=lambda a: a.mem)
     for tc in param_target_to_minors(program, targets).elements():
         minors.insert(canonical(tc))
-    meta: dict[ParamConfig, tuple[ParamConfig | None, object]] = {}
-    generated = len(minors)
-    iterations = 0
-    peak = 0
-
-    def reachable(cover: ParamConfig) -> BackwardStats:
-        chain = [cover]
-        actions = []
-        cur = cover
-        while True:
-            parent, action = meta[cur]
-            if parent is None:
-                break
-            actions.append(action)
-            chain.append(parent)
-            cur = parent
-        return BackwardStats(
-            "Reachable", tuple(actions), generated, iterations, peak, len(minors), tuple(chain)
-        )
-
-    def weight(alpha: ParamConfig) -> int:
-        return len(alpha.procs) + sum(len(b) for _s, b in alpha.procs)
-
-    work: list[tuple[int, int, ParamConfig]] = []
-    for seq, tc in enumerate(minors.elements()):
-        meta[tc] = (None, None)
-        if param_covers_initial(tc, program):
-            return reachable(tc)
-        if live(tc):
-            work.append((weight(tc), seq, tc))
-    heapq.heapify(work)
-    peak = len(work)
-    seq = len(work)
-
-    while work:
-        _, _, alpha = heapq.heappop(work)
-        if alpha not in minors:
-            continue
-        iterations += 1
-        for action, pred in predecessor_candidates(alpha, program, all_positions=False, own_values=own_vals):
-            generated += 1
-            if max_nodes is not None and generated > max_nodes:
-                raise ResourceLimitError(f"backward search exceeded {max_nodes} configurations")
-            if not live(pred):
-                continue
-            pred = canonical(pred)
-            if not minors.insert(pred).inserted:
-                continue
-            meta[pred] = (alpha, action)
-            if param_covers_initial(pred, program):
-                return reachable(pred)
-            seq += 1
-            heapq.heappush(work, (weight(pred), seq, pred))
-            peak = max(peak, len(work))
-    return BackwardStats("Unreachable", None, generated, iterations, peak, len(minors))
+    return fixpoint(
+        minors,
+        lambda a: predecessor_candidates(a, program, all_positions=False, own_values=own_vals),
+        live_filter(program),
+        lambda a: param_covers_initial(a, program),
+        lambda a: len(a.procs) + sum(len(b) for _s, b in a.procs),
+        canonical,
+        max_nodes,
+    )

@@ -1,4 +1,5 @@
-"""Run objects shared by the explorers, engines, and translators.
+"""Run objects shared by the explorers, engines, and translators, and
+the bounded breadth-first search both explorers run.
 
 A run is a sequence of configurations joined by actions under one of
 the two semantics.  Actions name the acting process by index; program
@@ -7,14 +8,19 @@ against the rule set that produced it.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from .model import ConcurrentProgram, Op, ParseError, Transition
+from .model import ConcurrentProgram, Op, ParseError, Transition, _parse_uint
 
 
 class ResourceLimitError(Exception):
     """An explicit node or iteration cap was exceeded."""
+
+
+def _set(tup: tuple, i: int, v) -> tuple:
+    return tup[:i] + (v,) + tup[i + 1 :]
 
 
 class Step(NamedTuple):
@@ -68,6 +74,79 @@ class Run:
 
     def __len__(self) -> int:
         return len(self.actions)
+
+
+class BoundedResult(NamedTuple):
+    reachable: bool
+    run: Run | None
+    bound_exceeded: bool
+    explored: int
+
+
+def bounded_bfs(
+    semantics: str,
+    init,
+    successors: Callable,
+    overflow: Callable,
+    program: ConcurrentProgram,
+    bound: int,
+    max_nodes: int | None,
+    target: tuple[str, ...] | None = None,
+) -> tuple[BoundedResult, dict]:
+    """Deterministic breadth-first search of the configurations whose
+    buffers never exceed `bound`, stopping at the first one at `target`
+    with empty buffers.
+
+    A step is over the bound iff it leaves the acting process's buffer
+    longer than `bound` (only appends grow a buffer, and every explored
+    configuration is within the bound).  Such a step is handed to
+    `overflow(action, succ, program)`, which returns None to cut it or
+    (actions, config) to replace it by a composite step; either way the
+    result is flagged bound_exceeded.  Returns the result, with a
+    shortest witness run rebuilt by replay, and the explored
+    configurations mapped to their parent links.
+    """
+    if bound < 0:
+        raise ValueError(f"buffer bound must be non-negative, got {bound}")
+    parents: dict = {init: None}
+    pruned = False
+    hit = init if _at_target(init, target) else None
+    queue = deque([init])
+    while queue and hit is None:
+        c = queue.popleft()
+        for action, succ in successors(c, program):
+            composite = None
+            if len(succ.buffers[action.proc]) > bound:
+                pruned = True
+                replaced = overflow(action, succ, program)
+                if replaced is None:
+                    continue
+                composite, succ = replaced
+            if succ in parents:
+                continue
+            if max_nodes is not None and len(parents) >= max_nodes:
+                raise ResourceLimitError(f"bounded search exceeded {max_nodes} configurations")
+            parents[succ] = (c, action) if composite is None else (c, *composite)
+            if _at_target(succ, target):
+                hit = succ
+                break
+            queue.append(succ)
+    run = None
+    if hit is not None:
+        actions: list = []
+        c = hit
+        while parents[c] is not None:
+            c, *acts = parents[c]
+            actions[:0] = acts
+        configs = [init]
+        for action in actions:
+            configs.append(dict(successors(configs[-1], program))[action])
+        run = Run(semantics, configs, actions)
+    return BoundedResult(hit is not None, run, pruned, len(parents)), parents
+
+
+def _at_target(c, target: tuple[str, ...] | None) -> bool:
+    return target is not None and c.states == target and not any(c.buffers)
 
 
 def replay(run: Run, program: ConcurrentProgram, successors: Callable) -> None:
@@ -125,11 +204,11 @@ def parse_action(line: str, program: ConcurrentProgram, state_of: Callable[[int]
     elif kind in ("r", "w"):
         if len(op_toks) != 3:
             raise ParseError(f"bad action line {line!r}")
-        op = Op(kind, op_toks[1], int(op_toks[2]))
+        op = Op(kind, op_toks[1], _parse_uint(op_toks[2], None, None))
     elif kind == "arw":
         if len(op_toks) != 4:
             raise ParseError(f"bad action line {line!r}")
-        op = Op(kind, op_toks[1], int(op_toks[2]), int(op_toks[3]))
+        op = Op(kind, op_toks[1], _parse_uint(op_toks[2], None, None), _parse_uint(op_toks[3], None, None))
     else:
         raise ParseError(f"unknown action {kind!r}")
     t = Transition(state_of(p), op, dst)

@@ -8,11 +8,10 @@ and witness validator for the exact engines.
 """
 from __future__ import annotations
 
-from collections import deque
 from typing import NamedTuple
 
 from .model import ConcurrentProgram, Transition
-from .runs import ResourceLimitError, Run, Step, Update
+from .runs import BoundedResult, Step, Update, _set, bounded_bfs
 
 
 class TsoConfig(NamedTuple):
@@ -29,10 +28,6 @@ def initial_tso_config(program: ConcurrentProgram) -> TsoConfig:
     )
 
 
-def _set(tup: tuple, i: int, v) -> tuple:
-    return tup[:i] + (v,) + tup[i + 1 :]
-
-
 def tso_successors(c: TsoConfig, program: ConcurrentProgram) -> list[tuple[object, TsoConfig]]:
     """All one-step successors, ordered by process, transition, update."""
     out: list[tuple[object, TsoConfig]] = []
@@ -45,18 +40,15 @@ def tso_successors(c: TsoConfig, program: ConcurrentProgram) -> list[tuple[objec
             if succ is not None:
                 out.append((Step(p, t), succ))
         if buf:
-            x, v = buf[-1]
-            out.append(
-                (
-                    Update(p),
-                    TsoConfig(
-                        c.states,
-                        _set(c.buffers, p, buf[:-1]),
-                        _set(c.mem, program.var_index[x], v),
-                    ),
-                )
-            )
+            out.append((Update(p), _update(c, program, p)))
     return out
+
+
+def _update(c: TsoConfig, program: ConcurrentProgram, p: int) -> TsoConfig:
+    """The oldest pending write of process p hits memory."""
+    buf = c.buffers[p]
+    x, v = buf[-1]
+    return TsoConfig(c.states, _set(c.buffers, p, buf[:-1]), _set(c.mem, program.var_index[x], v))
 
 
 def _fire(c: TsoConfig, program: ConcurrentProgram, p: int, t: Transition) -> TsoConfig | None:
@@ -87,92 +79,12 @@ def _fire(c: TsoConfig, program: ConcurrentProgram, p: int, t: Transition) -> Ts
     raise ValueError(f"bad op kind {op.kind!r}")
 
 
-class BoundedResult(NamedTuple):
-    reachable: bool
-    run: Run | None
-    bound_exceeded: bool
-    explored: int
-
-
-def _bounded_steps(c: TsoConfig, program: ConcurrentProgram, bound: int):
-    """Successors within the buffer bound, as (actions, config, limited).
-
-    A write that would overflow the bound is replaced by the composite
-    write-then-update of the same process (still a genuine behavior);
-    `limited` flags that the plain write was bound-limited.  With bound
-    0 this yields exactly the interleaving semantics where every write
-    is immediately followed by its update.
-    """
-    out = []
-    for action, succ in tso_successors(c, program):
-        if isinstance(action, Step) and action.t.op.kind == "w" and len(succ.buffers[action.proc]) > bound:
-            p = action.proc
-            buf = succ.buffers[p]
-            x, v = buf[-1]
-            drained = TsoConfig(
-                succ.states,
-                _set(succ.buffers, p, buf[:-1]),
-                _set(succ.mem, program.var_index[x], v),
-            )
-            out.append(((action, Update(p)), drained, True))
-        else:
-            out.append(((action,), succ, False))
-    return out
-
-
-class _Search(NamedTuple):
-    parents: dict
-    pruned: bool
-    hit: TsoConfig | None
-
-
-def _bfs(program: ConcurrentProgram, bound: int, max_nodes: int | None, stop=None) -> _Search:
-    """Deterministic breadth-first exploration of the bounded space."""
-    init = initial_tso_config(program)
-    parents: dict[TsoConfig, tuple[TsoConfig | None, tuple]] = {init: (None, ())}
-    if stop is not None and stop(init):
-        return _Search(parents, False, init)
-    queue = deque([init])
-    pruned = False
-    while queue:
-        c = queue.popleft()
-        for actions, succ, limited in _bounded_steps(c, program, bound):
-            pruned = pruned or limited
-            if succ in parents:
-                continue
-            if max_nodes is not None and len(parents) >= max_nodes:
-                raise ResourceLimitError(f"bounded search exceeded {max_nodes} configurations")
-            parents[succ] = (c, actions)
-            if stop is not None and stop(succ):
-                return _Search(parents, pruned, succ)
-            queue.append(succ)
-    return _Search(parents, pruned, None)
-
-
-def _rebuild_run(program: ConcurrentProgram, parents: dict, last: TsoConfig) -> Run:
-    actions: list = []
-    c = last
-    while True:
-        parent, acts = parents[c]
-        if parent is None:
-            break
-        actions[:0] = acts
-        c = parent
-    # replay to recover the configurations between composite steps
-    configs = [c]
-    for action in actions:
-        succ = dict(tso_successors(configs[-1], program))[action]
-        configs.append(succ)
-    return Run("tso", configs, actions)
-
-
-def _at_target(target: tuple[str, ...]):
-    target = tuple(target)
-
-    def stop(c: TsoConfig) -> bool:
-        return c.states == target and all(not b for b in c.buffers)
-
-    return stop
+def _write_then_update(action: Step, succ: TsoConfig, program: ConcurrentProgram):
+    """Replace a write that would overflow the bound by the composite
+    write-then-update of the same process, still a genuine behavior.
+    With bound 0 this yields exactly the interleaving semantics where
+    every write is immediately followed by its update."""
+    return (action, Update(action.proc)), _update(succ, program, action.proc)
 
 
 def tso_bounded_reach(
@@ -187,16 +99,16 @@ def tso_bounded_reach(
     A reachable verdict carries a shortest witness run.  A safe verdict
     is only bound-relative when bound_exceeded is set.
     """
-    search = _bfs(program, bound, max_nodes, stop=_at_target(target))
-    if search.hit is None:
-        return BoundedResult(False, None, search.pruned, len(search.parents))
-    run = _rebuild_run(program, search.parents, search.hit)
-    return BoundedResult(True, run, search.pruned, len(search.parents))
+    init = initial_tso_config(program)
+    return bounded_bfs(
+        "tso", init, tso_successors, _write_then_update, program, bound, max_nodes, tuple(target)
+    )[0]
 
 
 def tso_reachable_empty_buffer_states(
     program: ConcurrentProgram, bound: int, max_nodes: int | None = None
 ) -> frozenset[tuple[str, ...]]:
     """Global states reachable with all buffers empty, within the bound."""
-    search = _bfs(program, bound, max_nodes)
-    return frozenset(c.states for c in search.parents if all(not b for b in c.buffers))
+    init = initial_tso_config(program)
+    _, seen = bounded_bfs("tso", init, tso_successors, _write_then_update, program, bound, max_nodes)
+    return frozenset(c.states for c in seen if not any(c.buffers))

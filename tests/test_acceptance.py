@@ -91,6 +91,11 @@ def fixed_stats():
             for name in FIXED_EXPECTED}
 
 
+@pytest.fixture(scope="module")
+def param_stats():
+    return {name: param_backward_reach(corpus_program(name)) for name in PARAM_EXPECTED}
+
+
 def test_criterion_1_fixed_verdicts(fixed_stats):
     for name, safe in FIXED_EXPECTED.items():
         verdict = fixed_stats[name].verdict
@@ -98,11 +103,48 @@ def test_criterion_1_fixed_verdicts(fixed_stats):
     announce(1, f"{len(FIXED_EXPECTED)} fixed-size benchmark verdicts reproduced")
 
 
-def test_criterion_2_param_verdicts():
+def test_criterion_2_param_verdicts(param_stats):
     for name, safe in PARAM_EXPECTED.items():
-        verdict = param_backward_reach(corpus_program(name)).verdict
+        verdict = param_stats[name].verdict
         assert verdict == ("Unreachable" if safe else "Reachable"), name
     announce(2, f"{len(PARAM_EXPECTED)} parameterized benchmark verdicts reproduced")
+
+
+# (verdict, configs_generated, iterations, frontier_peak, minors, witness
+# length) per corpus file.  The candidate order and the worklist keys fix
+# every one of these, so an exact refactor or optimisation of the engines
+# leaves them unchanged; a change that moves them must say why it is sound.
+PINNED_COUNTERS = {
+    "sb.lit": ("Reachable", 1_349_387, 26_411, 32_300, 56_060, 20),
+    "lb.lit": ("Unreachable", 11_937, 613, 244, 514, 0),
+    "wrc.lit": ("Unreachable", 35_139, 1_352, 703, 1_154, 0),
+    "isa2.lit": ("Unreachable", 16_244, 860, 404, 769, 0),
+    "rwc.lit": ("Reachable", 26_305, 1_173, 811, 1_186, 18),
+    "wrwc.lit": ("Reachable", 157_669, 4_732, 3_281, 6_340, 16),
+    "iriw.lit": ("Unreachable", 6_584, 365, 182, 325, 0),
+    "mp.lit": ("Unreachable", 226_680, 6_797, 3_228, 6_146, 0),
+    "dekker-simple.lit": ("Reachable", 1_888, 258, 178, 330, 8),
+    "dekker.lit": ("Reachable", 45_745, 4_150, 5_335, 9_288, 8),
+    "peterson.lit": ("Reachable", 9_026, 770, 614, 1_250, 12),
+    "peterson-repeat.lit": ("Reachable", 23_268, 2_170, 2_454, 4_564, 12),
+    "sb-param.lit": ("Reachable", 1_352, 134, 59, 154, 10),
+    "lb-param.lit": ("Unreachable", 1_386, 121, 51, 104, 0),
+    "mp-param.lit": ("Unreachable", 1_756, 151, 61, 144, 0),
+    "wrc-param.lit": ("Unreachable", 5_670, 357, 144, 328, 0),
+    "isa2-param.lit": ("Unreachable", 35_424, 1_527, 637, 1_448, 0),
+    "rwc-param.lit": ("Reachable", 5_185, 343, 139, 380, 13),
+    "wrwc-param.lit": ("Reachable", 26_249, 1_152, 561, 1_510, 15),
+    "iriw-param.lit": ("Unreachable", 22_243, 1_086, 332, 1_048, 0),
+}
+
+
+def test_pinned_counters(fixed_stats, param_stats):
+    stats = {**fixed_stats, **param_stats}
+    for name, expected in PINNED_COUNTERS.items():
+        s = stats[name]
+        got = (s.verdict, s.configs_generated, s.iterations, s.frontier_peak, s.minors,
+               len(s.witness or ()))
+        assert got == expected, name
 
 
 @pytest.mark.xfail(

@@ -214,7 +214,7 @@ def _full_fixpoint(prog):
         if c not in minors:
             continue
         for _a, pred in predecessor_candidates(c, prog):
-            if live(pred) and minors.insert(pred).inserted:
+            if live(pred) and minors.insert(pred):
                 work.append(pred)
     return minors
 

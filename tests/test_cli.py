@@ -1,6 +1,7 @@
 import json
 import shutil
 
+import pytest
 
 from dualmc import Run, Step, Update, initial_tso_config, tso_successors
 from dualmc.cli import Report, emit_report, run
@@ -78,6 +79,54 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     assert "domain must contain 0" in err
     code, _out, err = invoke(capsys, "param", str(CORPUS / "sb.lit"))
     assert code == 2
+
+
+def _bad_input(tmp_path, case):
+    """argv for one bad-input case; files are written under tmp_path."""
+    shutil.copy(CORPUS / "dekker-simple.lit", tmp_path / "dekker-simple.lit")
+    header = "program dekker-simple.lit\nsemantics tso\n"
+    latin1 = "# caf\xe9\n".encode("latin-1")
+    if case == "missing-run-file":
+        return ["translate", str(tmp_path / "absent.run"), "--from", "tso"]
+    if case == "non-utf8-program":
+        (tmp_path / "bad.lit").write_bytes(latin1 + (CORPUS / "lb.lit").read_bytes())
+        return ["check", str(tmp_path / "bad.lit")]
+    if case == "non-utf8-run-file":
+        (tmp_path / "bad.run").write_bytes(header.encode() + latin1)
+        return ["translate", str(tmp_path / "bad.run"), "--from", "tso"]
+    if case == "non-integer-action-value":
+        (tmp_path / "bad.run").write_text(header + "p0 w f0 one L1\n")
+        return ["translate", str(tmp_path / "bad.run"), "--from", "tso"]
+    if case == "non-ascii-digit-value":
+        (tmp_path / "bad.lit").write_text("vars x\nvalues 0 \u00b2\nprocess P\n init q0\nend\ntarget P=q0\n")
+        return ["check", str(tmp_path / "bad.lit")]
+    if case == "negative-bound-tso":
+        return ["explore-tso", str(CORPUS / "lb.lit"), "--buffer-bound", "-1"]
+    if case == "negative-bound-dtso":
+        return ["explore-dtso", str(CORPUS / "lb.lit"), "--buffer-bound", "-1"]
+    if case == "negative-max-nodes":
+        return ["check", str(CORPUS / "lb.lit"), "--max-nodes", "-5"]
+    raise ValueError(case)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "missing-run-file",
+        "non-utf8-program",
+        "non-utf8-run-file",
+        "non-integer-action-value",
+        "non-ascii-digit-value",
+        "negative-bound-tso",
+        "negative-bound-dtso",
+        "negative-max-nodes",
+    ],
+)
+def test_bad_input_exits_2(capsys, tmp_path, case):
+    code, out, err = invoke(capsys, *_bad_input(tmp_path, case))
+    assert code == 2, err
+    assert out == ""
+    assert "dualmc" in err and "Traceback" not in err
 
 
 def test_resource_limit_exit_3(capsys):

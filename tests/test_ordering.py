@@ -9,7 +9,6 @@ from dualmc import (
     MinorSet,
     ParamConfig,
     config_leq,
-    minor_insert,
     minor_min,
     own_decompose,
     param_leq,
@@ -164,12 +163,12 @@ def _word_minors(items):
 def test_minor_insert_basics():
     m = MinorSet(word_leq)
     w = (own("x", 1), plain("y", 0))
-    assert minor_insert(m, w).inserted
-    assert minor_insert(m, w) == (False, ())
+    assert m.insert(w) is True
+    assert m.insert(w) is False
     smaller = (own("x", 1),)
-    res = minor_insert(m, smaller)
-    assert res.inserted and res.removed == (w,)
+    assert m.insert(smaller) is True
     assert m.elements() == [smaller]
+    assert w not in m and smaller in m and len(m) == 1
 
 
 def test_minor_min_idempotent_and_order_free():
