@@ -18,7 +18,7 @@ from typing import Callable
 
 from .dtso import DtsoConfig, dtso_successors, initial_dtso_config
 from .model import ConcurrentProgram
-from .ordering import MinorSet, Word, config_leq
+from .ordering import MinorSet, Word, config_leq, delimiter_signature
 from .runs import Delete, Propagate, ResourceLimitError, Run, RunError, Step, _set
 
 
@@ -44,7 +44,7 @@ def target_to_minors(
     memory valuation; pairwise incomparable by construction."""
     if targets and isinstance(targets[0], str):
         targets = [tuple(targets)]  # type: ignore[list-item]
-    minors = MinorSet(config_leq, key=_config_key)
+    minors = MinorSet(config_leq, key=_config_key, sig=delimiter_signature)
     buffers = tuple(() for _ in program.processes)
     for states in targets:
         for mem in itertools.product(program.values, repeat=len(program.vars)):
@@ -107,10 +107,17 @@ def rule_preds(t, buf: Word, mem: tuple[int, ...], program) -> list[tuple[Word, 
     raise ValueError(f"bad op kind {op.kind!r}")
 
 
-def buffer_preds(p: int, buf: Word, mem: tuple[int, ...], program) -> list[tuple[object, Word]]:
+def buffer_preds(
+    p: int, buf: Word, mem: tuple[int, ...], program, removable: set | None = None
+) -> list[tuple[object, Word]]:
     """Propagate and delete predecessors of process p's buffer, each as
     (action, buffer before the action); a delete predecessor re-appends
-    an own-message on any variable that has none."""
+    an own-message on any variable that has none.
+
+    With `removable`, the removable_own set of p's current state, a
+    delete re-appends only own-messages in it: a delete keeps the state,
+    so any other own-message makes the predecessor dead per live_filter.
+    """
     out: list[tuple[object, Word]] = []
     for x in program.vars:
         if buf and buf[0] == (x, mem[program.var_index[x]], False):
@@ -119,16 +126,26 @@ def buffer_preds(p: int, buf: Word, mem: tuple[int, ...], program) -> list[tuple
     delete = Delete(p)
     for x in program.vars:
         if x not in owned:
-            out += [(delete, buf + ((x, v, True),)) for v in program.values]
+            out += [
+                (delete, buf + ((x, v, True),))
+                for v in program.values
+                if removable is None or (x, v) in removable
+            ]
     return out
 
 
-def predecessor_candidates(c: DtsoConfig, program: ConcurrentProgram):
+def predecessor_candidates(c: DtsoConfig, program: ConcurrentProgram, removable=None):
     """Minimal one-rule predecessors of the upward closure of c, each
     paired with the action leading from it back into that closure;
-    process by process, its transitions, then propagate and delete."""
+    process by process, its transitions, then propagate and delete.
+
+    The backward engine passes `removable`, the per-process
+    removable_own tables, to enumerate only delete predecessors that
+    live_filter keeps; without it every delete predecessor is listed.
+    """
     out: list[tuple[object, DtsoConfig]] = []
     for p, auto in enumerate(program.processes):
+        allowed = removable[p][c.states[p]] if removable is not None else None
         buf = c.buffers[p]
         for t in auto.transitions:
             if t.dst != c.states[p]:
@@ -139,14 +156,14 @@ def predecessor_candidates(c: DtsoConfig, program: ConcurrentProgram):
                 out.append((action, DtsoConfig(states, c.buffers if b is buf else _set(c.buffers, p, b), mem)))
         out += [
             (action, DtsoConfig(c.states, _set(c.buffers, p, b), c.mem))
-            for action, b in buffer_preds(p, buf, c.mem, program)
+            for action, b in buffer_preds(p, buf, c.mem, program, allowed)
         ]
     return out
 
 
 def minpre_config(c: DtsoConfig, program: ConcurrentProgram) -> MinorSet:
     """Minimal elements of predecessors-plus-self of the closure of c."""
-    minors = MinorSet(config_leq, key=_config_key)
+    minors = MinorSet(config_leq, key=_config_key, sig=delimiter_signature)
     minors.insert(c)
     for _action, pred in predecessor_candidates(c, program):
         minors.insert(pred)
@@ -195,18 +212,20 @@ def removable_own(auto) -> dict[str, set[tuple[str, int]]]:
     return out
 
 
-def live_filter(program: ConcurrentProgram):
+def live_filter(program: ConcurrentProgram, own_ok=None):
     """Predicate for configurations that can still cover the initial one.
 
     Memory values and buffer messages must be producible: memory only
     ever holds 0 or a value some write or atomic read-write stores to
     that variable, and an own-message must be consumable per
-    removable_own.  A configuration violating this is dead weight in
+    removable_own (`own_ok`, one table per process, computed here
+    unless given).  A configuration violating this is dead weight in
     the fixpoint: no backward path from it reaches all-zero memory and
     empty buffers.
     """
     writable = writable_values(program.processes, program.vars)
-    own_ok = [removable_own(auto) for auto in program.processes]
+    if own_ok is None:
+        own_ok = [removable_own(auto) for auto in program.processes]
 
     def live(c: DtsoConfig) -> bool:
         for x, xi in program.var_index.items():
@@ -233,6 +252,7 @@ def fixpoint(
     weight: Callable,
     canon: Callable,
     max_nodes: int | None,
+    relabel: Callable | None = None,
 ) -> BackwardStats:
     """Backward fixpoint from the seed minors, with early exit on the
     first configuration covering initial.
@@ -242,7 +262,10 @@ def fixpoint(
     index as the tie break; `preds(c)` yields (action, predecessor)
     pairs, candidates failing `live` are dropped and the rest are put in
     `canon` form before they enter the antichain.  These choices leave
-    the verdict unchanged and are deterministic.
+    the verdict unchanged and are deterministic.  When `canon` moves
+    processes, `relabel(action, pred, canonical_pred)` renames the
+    action's process for the canonical form; it runs only for
+    predecessors that enter the antichain.
     """
     meta: dict = {}
     generated = len(minors)
@@ -286,9 +309,11 @@ def fixpoint(
                 raise ResourceLimitError(f"backward search exceeded {max_nodes} configurations")
             if not live(pred):
                 continue
-            pred = canon(pred)
+            raw, pred = pred, canon(pred)
             if not minors.insert(pred):
                 continue
+            if relabel is not None:
+                action = relabel(action, raw, pred)
             meta[pred] = (c, action)
             if covers(pred):
                 return reachable(pred)
@@ -304,11 +329,13 @@ def backward_reach(
     max_nodes: int | None = 10**7,
 ) -> BackwardStats:
     """Backward fixpoint from the target minors, weighted by the total
-    buffered-message count; dead candidates per live_filter are dropped."""
+    buffered-message count; dead candidates per live_filter are dropped,
+    and dead delete predecessors are not generated at all."""
+    own_ok = [removable_own(auto) for auto in program.processes]
     return fixpoint(
         target_to_minors(program, target),
-        lambda c: predecessor_candidates(c, program),
-        live_filter(program),
+        lambda c: predecessor_candidates(c, program, own_ok),
+        live_filter(program, own_ok),
         lambda c: covers_initial(c, program),
         lambda c: sum(len(b) for b in c.buffers),
         lambda c: c,

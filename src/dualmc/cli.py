@@ -50,8 +50,16 @@ def emit_report(report: Report, fmt: str = "text") -> str:
     return line
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ParseError, reported like every other
+    input error, instead of printing the usage block and exiting."""
+
+    def error(self, message: str):
+        raise ParseError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="dualmc", description=__doc__)
+    parser = _Parser(prog="dualmc", description=__doc__)
     sub = parser.add_subparsers(dest="mode", required=True)
     for mode in ("check", "param", "explore-tso", "explore-dtso", "translate"):
         sp = sub.add_parser(mode)
@@ -97,13 +105,10 @@ def _param_witness_strings(actions, program: ParamProgram) -> list[str]:
 
 
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        return _dispatch(_build_parser().parse_args(argv))
+    except SystemExit as exc:  # --help
         return 2 if exc.code else 0
-    try:
-        return _dispatch(args)
     except ParseError as exc:
         print(f"dualmc: {exc}", file=sys.stderr)
         return 2

@@ -87,6 +87,12 @@ def config_leq(c, c2) -> bool:
     return all(word_leq(b, b2) for b, b2 in zip(c.buffers, c2.buffers))
 
 
+def delimiter_signature(c) -> tuple:
+    """Per-buffer own-delimiters of a fixed-size configuration; by
+    word_leq, config_leq holds only between equal signatures."""
+    return tuple(own_decompose(b).delimiters for b in c.buffers)
+
+
 def param_leq(a, a2) -> bool:
     """Parameterized ordering: equal memory plus an order-preserving
     injection matching states exactly and buffers by word_leq.
@@ -129,14 +135,20 @@ class MinorSet:
 
     `leq` is the ordering; `key` maps an element to a bucket such that
     comparable elements always share a bucket (a pure pre-filter).
+    `sig`, if given, maps an element to a signature that comparable
+    elements share too; each member keeps its signature, interned so
+    that equal signatures are one object, beside it in its bucket, and
+    `leq` runs only against members whose signature is the element's.
     Iteration follows insertion order, deterministically; membership is
     by value.
     """
 
-    def __init__(self, leq: Callable, key: Callable | None = None):
+    def __init__(self, leq: Callable, key: Callable | None = None, sig: Callable | None = None):
         self._leq = leq
         self._key = key if key is not None else (lambda c: None)
-        self._buckets: dict = {}
+        self._sig = sig
+        self._sigs: dict = {}  # interned signatures
+        self._buckets: dict = {}  # key -> (members, their signatures)
         self._members: dict = {}  # insertion-ordered; values unused
 
     def __len__(self) -> int:
@@ -153,25 +165,35 @@ class MinorSet:
 
     def covers(self, elem) -> bool:
         """True iff elem is in the represented upward closure."""
+        bucket = self._buckets.get(self._key(elem))
+        if bucket is None:
+            return False
+        s = self._sigs.get(self._sig(elem)) if self._sig is not None else None
         leq = self._leq
-        return any(leq(m, elem) for m in self._buckets.get(self._key(elem), ()))
+        return any(ms is s and leq(m, elem) for m, ms in zip(*bucket))
 
     def insert(self, elem) -> bool:
         """Add elem unless a member lies below it, evicting the members
         above it; True iff elem went in."""
-        bucket = self._buckets.setdefault(self._key(elem), [])
+        s = None
+        if self._sig is not None:
+            s = self._sig(elem)
+            s = self._sigs.setdefault(s, s)
+        k = self._key(elem)
+        bucket = self._buckets.get(k)
+        if bucket is None:
+            bucket = self._buckets[k] = ([], [])
+        members, sigs = bucket
         leq = self._leq
-        for m in bucket:
-            if leq(m, elem):
+        for m, ms in zip(members, sigs):
+            if ms is s and leq(m, elem):
                 return False
-        removed = [m for m in bucket if leq(elem, m)]
-        if removed:
-            members = self._members
-            for m in removed:
-                del members[m]
-            gone = {id(m) for m in removed}
-            bucket[:] = [m for m in bucket if id(m) not in gone]
-        bucket.append(elem)
+        removed = [i for i, (m, ms) in enumerate(zip(members, sigs)) if ms is s and leq(elem, m)]
+        for i in reversed(removed):
+            del self._members[members[i]]
+            del members[i], sigs[i]
+        members.append(elem)
+        sigs.append(s)
         self._members[elem] = None
         return True
 

@@ -70,6 +70,7 @@ def predecessor_candidates(
     program: ParamProgram,
     all_positions: bool = True,
     own_values=None,
+    removable=None,
 ):
     """Minimal one-rule predecessors of the upward closure of alpha.
 
@@ -77,9 +78,10 @@ def predecessor_candidates(
     for fresh-process cases is the inserted position.  The backward
     engine, which canonicalizes minors by sorting, passes
     all_positions=False (one insertion position per fresh process
-    represents its whole permutation orbit) and restricts fresh
+    represents its whole permutation orbit), restricts fresh
     own-messages, per source state, to the consumable values of
-    removable_own.
+    removable_own, and passes that table as `removable` so that delete
+    predecessors re-append only consumable own-messages.
     """
     values = program.values
     procs = alpha.procs
@@ -116,9 +118,10 @@ def predecessor_candidates(
                 out.append((Step(pos, t), ParamConfig(grown, mem)))
 
     for p, (state, buf) in enumerate(procs):
+        allowed = removable[state] if removable is not None else None
         out += [
             (action, ParamConfig(_set(procs, p, (state, b)), alpha.mem))
-            for action, b in buffer_preds(p, buf, alpha.mem, program)
+            for action, b in buffer_preds(p, buf, alpha.mem, program, allowed)
         ]
     return out
 
@@ -132,9 +135,9 @@ def param_minpre(alpha: ParamConfig, program: ParamProgram) -> MinorSet:
     return minors
 
 
-def _own_values_by_state(program: ParamProgram) -> dict[str, dict[str, set[int]]]:
+def _own_values_by_state(program: ParamProgram, own_ok) -> dict[str, dict[str, set[int]]]:
     by_state: dict[str, dict[str, set[int]]] = {}
-    for state, pairs in removable_own(program.template).items():
+    for state, pairs in own_ok.items():
         vals: dict[str, set[int]] = {x: set() for x in program.vars}
         for x, v in pairs:
             vals[x].add(v)
@@ -142,13 +145,15 @@ def _own_values_by_state(program: ParamProgram) -> dict[str, dict[str, set[int]]
     return by_state
 
 
-def live_filter(program: ParamProgram):
+def live_filter(program: ParamProgram, own_ok=None):
     """Predicate mirroring the fixed-size engine's liveness cut: memory
     values and buffered messages must be producible, own-messages
-    consumable from the process's state, else no backward path covers
-    an initial configuration."""
+    consumable from the process's state (`own_ok`, the template's
+    removable_own table, computed here unless given), else no backward
+    path covers an initial configuration."""
     writable = writable_values([program.template], program.vars)
-    own_ok = removable_own(program.template)
+    if own_ok is None:
+        own_ok = removable_own(program.template)
 
     def live(alpha: ParamConfig) -> bool:
         for x, xi in program.var_index.items():
@@ -179,6 +184,13 @@ def canonical(alpha: ParamConfig) -> ParamConfig:
     return ParamConfig(tuple(sorted(alpha.procs)), alpha.mem)
 
 
+def _relabel(action, alpha: ParamConfig, canon: ParamConfig):
+    """action, naming a process of alpha by position, renamed to the
+    position of an equal (state, buffer) entry in canon, alpha's
+    canonical form."""
+    return action._replace(proc=canon.procs.index(alpha.procs[action.proc]))
+
+
 def param_backward_reach(
     program: ParamProgram,
     targets: tuple[str, ...] | None = None,
@@ -187,16 +199,20 @@ def param_backward_reach(
     """Backward fixpoint under the parameterized ordering, weighted by
     process count plus buffered messages; dead candidates are dropped
     and minors are kept in canonical process order."""
-    own_vals = _own_values_by_state(program)
+    own_ok = removable_own(program.template)
+    own_vals = _own_values_by_state(program, own_ok)
     minors = MinorSet(param_leq, key=lambda a: a.mem)
     for tc in param_target_to_minors(program, targets).elements():
         minors.insert(canonical(tc))
     return fixpoint(
         minors,
-        lambda a: predecessor_candidates(a, program, all_positions=False, own_values=own_vals),
-        live_filter(program),
+        lambda a: predecessor_candidates(
+            a, program, all_positions=False, own_values=own_vals, removable=own_ok
+        ),
+        live_filter(program, own_ok),
         lambda a: param_covers_initial(a, program),
         lambda a: len(a.procs) + sum(len(b) for _s, b in a.procs),
         canonical,
         max_nodes,
+        _relabel,
     )

@@ -26,7 +26,7 @@ from dualmc import (
     word_leq,
     replay,
 )
-from dualmc import Delete
+from dualmc import Delete, Step
 
 from conftest import (
     all_global_states,
@@ -115,26 +115,26 @@ def test_criterion_2_param_verdicts(param_stats):
 # every one of these, so an exact refactor or optimisation of the engines
 # leaves them unchanged; a change that moves them must say why it is sound.
 PINNED_COUNTERS = {
-    "sb.lit": ("Reachable", 1_349_387, 26_411, 32_300, 56_060, 20),
-    "lb.lit": ("Unreachable", 11_937, 613, 244, 514, 0),
-    "wrc.lit": ("Unreachable", 35_139, 1_352, 703, 1_154, 0),
-    "isa2.lit": ("Unreachable", 16_244, 860, 404, 769, 0),
-    "rwc.lit": ("Reachable", 26_305, 1_173, 811, 1_186, 18),
-    "wrwc.lit": ("Reachable", 157_669, 4_732, 3_281, 6_340, 16),
-    "iriw.lit": ("Unreachable", 6_584, 365, 182, 325, 0),
-    "mp.lit": ("Unreachable", 226_680, 6_797, 3_228, 6_146, 0),
-    "dekker-simple.lit": ("Reachable", 1_888, 258, 178, 330, 8),
-    "dekker.lit": ("Reachable", 45_745, 4_150, 5_335, 9_288, 8),
-    "peterson.lit": ("Reachable", 9_026, 770, 614, 1_250, 12),
-    "peterson-repeat.lit": ("Reachable", 23_268, 2_170, 2_454, 4_564, 12),
-    "sb-param.lit": ("Reachable", 1_352, 134, 59, 154, 10),
-    "lb-param.lit": ("Unreachable", 1_386, 121, 51, 104, 0),
-    "mp-param.lit": ("Unreachable", 1_756, 151, 61, 144, 0),
-    "wrc-param.lit": ("Unreachable", 5_670, 357, 144, 328, 0),
-    "isa2-param.lit": ("Unreachable", 35_424, 1_527, 637, 1_448, 0),
-    "rwc-param.lit": ("Reachable", 5_185, 343, 139, 380, 13),
-    "wrwc-param.lit": ("Reachable", 26_249, 1_152, 561, 1_510, 15),
-    "iriw-param.lit": ("Unreachable", 22_243, 1_086, 332, 1_048, 0),
+    "sb.lit": ("Reachable", 156_905, 26_411, 32_300, 56_060, 20),
+    "lb.lit": ("Unreachable", 2_115, 613, 244, 514, 0),
+    "wrc.lit": ("Unreachable", 5_733, 1_352, 703, 1_154, 0),
+    "isa2.lit": ("Unreachable", 3_263, 860, 404, 769, 0),
+    "rwc.lit": ("Reachable", 4_872, 1_173, 811, 1_186, 18),
+    "wrwc.lit": ("Reachable", 21_789, 4_732, 3_281, 6_340, 16),
+    "iriw.lit": ("Unreachable", 1_426, 365, 182, 325, 0),
+    "mp.lit": ("Unreachable", 33_849, 6_797, 3_228, 6_146, 0),
+    "dekker-simple.lit": ("Reachable", 860, 258, 178, 330, 8),
+    "dekker.lit": ("Reachable", 23_296, 4_150, 5_335, 9_288, 8),
+    "peterson.lit": ("Reachable", 3_304, 770, 614, 1_250, 12),
+    "peterson-repeat.lit": ("Reachable", 11_610, 2_170, 2_454, 4_564, 12),
+    "sb-param.lit": ("Reachable", 568, 134, 59, 154, 10),
+    "lb-param.lit": ("Unreachable", 530, 121, 51, 104, 0),
+    "mp-param.lit": ("Unreachable", 857, 151, 61, 144, 0),
+    "wrc-param.lit": ("Unreachable", 1_818, 357, 144, 328, 0),
+    "isa2-param.lit": ("Unreachable", 11_852, 1_527, 637, 1_448, 0),
+    "rwc-param.lit": ("Reachable", 1_566, 343, 139, 380, 13),
+    "wrwc-param.lit": ("Reachable", 8_317, 1_152, 561, 1_510, 15),
+    "iriw-param.lit": ("Unreachable", 6_420, 1_086, 332, 1_048, 0),
 }
 
 
@@ -145,6 +145,19 @@ def test_pinned_counters(fixed_stats, param_stats):
         got = (s.verdict, s.configs_generated, s.iterations, s.frontier_peak, s.minors,
                len(s.witness or ()))
         assert got == expected, name
+
+
+def test_param_witness_names_acting_process(param_stats):
+    """Each step of a parameterized witness names, by position in the
+    canonical predecessor the chain stores, a process at the step's
+    source state."""
+    steps = 0
+    for name, s in param_stats.items():
+        for i, a in enumerate(s.witness or ()):
+            if isinstance(a, Step):
+                assert s.chain[i].procs[a.proc][0] == a.t.src, (name, i)
+                steps += 1
+    assert steps > 0
 
 
 @pytest.mark.xfail(

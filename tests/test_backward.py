@@ -3,6 +3,7 @@ import random
 import pytest
 
 from dualmc import (
+    Delete,
     DtsoConfig,
     backward_reach,
     concretize_witness,
@@ -16,7 +17,7 @@ from dualmc import (
     target_to_minors,
     tso_bounded_reach,
 )
-from dualmc.backward import live_filter, predecessor_candidates
+from dualmc.backward import live_filter, predecessor_candidates, removable_own
 from dualmc.model import parse_program
 
 from conftest import config_down, pad_with_plains, random_dtso_config, random_program
@@ -230,6 +231,28 @@ def test_fixpoint_stability():
         for pred in minpre_config(c, prog).elements():
             if live(pred):
                 assert minors.covers(pred)
+
+
+def test_removable_table_drops_exactly_dead_deletes():
+    """With the removable_own tables, predecessor_candidates of a live
+    configuration lists the unrestricted candidates minus exactly the
+    delete predecessors live_filter rejects, in the same order."""
+    rng = random.Random(17)
+    checked = dropped = 0
+    while checked < 3000:
+        prog = random_program(rng, n_procs=2, max_states=3)
+        own_ok = [removable_own(auto) for auto in prog.processes]
+        live = live_filter(prog, own_ok)
+        for _ in range(20):
+            c = random_dtso_config(rng, prog, max_buf=2)
+            if not live(c):
+                continue
+            full = predecessor_candidates(c, prog)
+            kept = [(a, d) for a, d in full if not isinstance(a, Delete) or live(d)]
+            assert predecessor_candidates(c, prog, own_ok) == kept, c
+            checked += 1
+            dropped += len(full) - len(kept)
+    assert dropped > 0
 
 
 def test_witness_concretizes_and_replays(sb2):

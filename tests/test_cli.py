@@ -106,6 +106,10 @@ def _bad_input(tmp_path, case):
         return ["explore-dtso", str(CORPUS / "lb.lit"), "--buffer-bound", "-1"]
     if case == "negative-max-nodes":
         return ["check", str(CORPUS / "lb.lit"), "--max-nodes", "-5"]
+    if case == "unknown-mode":
+        return ["frob", str(CORPUS / "lb.lit")]
+    if case == "missing-buffer-bound":
+        return ["explore-tso", str(CORPUS / "lb.lit")]
     raise ValueError(case)
 
 
@@ -120,13 +124,22 @@ def _bad_input(tmp_path, case):
         "negative-bound-tso",
         "negative-bound-dtso",
         "negative-max-nodes",
+        "unknown-mode",
+        "missing-buffer-bound",
     ],
 )
 def test_bad_input_exits_2(capsys, tmp_path, case):
     code, out, err = invoke(capsys, *_bad_input(tmp_path, case))
     assert code == 2, err
     assert out == ""
-    assert "dualmc" in err and "Traceback" not in err
+    assert err.startswith("dualmc: ") and err.count("\n") == 1, err
+    assert "usage:" not in err and "Traceback" not in err
+
+
+def test_help_exits_0(capsys):
+    code, out, _err = invoke(capsys, "--help")
+    assert code == 0
+    assert out.startswith("usage: dualmc")
 
 
 def test_resource_limit_exit_3(capsys):

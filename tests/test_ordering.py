@@ -16,7 +16,9 @@ from dualmc import (
     word_leq,
 )
 
-from conftest import param_leq_oracle
+from dualmc.ordering import delimiter_signature
+
+from conftest import pad_with_plains, param_leq_oracle, random_dtso_config, random_program
 
 # small message alphabet for the property suites
 MSGS = [(x, v, own) for x in "xy" for v in (0, 1) for own in (False, True)]
@@ -187,6 +189,30 @@ def test_minor_min_idempotent_and_order_free():
         for _ in range(4):
             rng.shuffle(items)
             assert set(_word_minors(items)) == reference
+
+
+def test_signature_prefilter_is_exact():
+    """A MinorSet that compares only members with the same delimiter
+    signature answers insert and covers like the plain one, and ends
+    with the same members in the same order."""
+    rng = random.Random(23)
+    samples = 0
+    while samples < 3000:
+        prog = random_program(rng, n_procs=2, max_states=2, n_vals=1)
+        key = lambda c: (c.states, c.mem)
+        fast = MinorSet(config_leq, key=key, sig=delimiter_signature)
+        plain_set = MinorSet(config_leq, key=key)
+        seen = []
+        for _ in range(60):
+            if seen and rng.random() < 0.4:
+                c = pad_with_plains(rng, prog, rng.choice(seen), 1)
+            else:
+                c = random_dtso_config(rng, prog, max_buf=3)
+            seen.append(c)
+            assert fast.covers(c) == plain_set.covers(c)
+            assert fast.insert(c) == plain_set.insert(c)
+            samples += 1
+        assert fast.elements() == plain_set.elements()
 
 
 @settings(max_examples=300)

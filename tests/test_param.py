@@ -3,6 +3,7 @@ import random
 import pytest
 
 from dualmc import (
+    Delete,
     ParamConfig,
     backward_reach,
     instantiate,
@@ -15,7 +16,8 @@ from dualmc import (
     subword,
 )
 from dualmc.model import Automaton, Op, ParamProgram, Transition
-from dualmc.param import predecessor_candidates
+from dualmc.backward import removable_own
+from dualmc.param import _own_values_by_state, live_filter, predecessor_candidates
 
 from conftest import (
     corpus_program,
@@ -247,3 +249,29 @@ def test_insertion_candidates_cap_one_process():
         alpha = random_param_config(rng, prog, rng.randint(0, 2), 2)
         for _a, pred in predecessor_candidates(alpha, prog):
             assert len(pred.procs) <= len(alpha.procs) + 1
+
+
+def test_removable_table_drops_exactly_dead_deletes():
+    """As in fixed mode: with the removable_own table, the engine's
+    candidates for a live configuration are its unrestricted ones minus
+    exactly the delete predecessors live_filter rejects, in order."""
+    rng = random.Random(19)
+    checked = dropped = 0
+    while checked < 3000:
+        prog = random_param_program(rng)
+        own_ok = removable_own(prog.template)
+        own_vals = _own_values_by_state(prog, own_ok)
+        live = live_filter(prog, own_ok)
+        for _ in range(20):
+            alpha = random_param_config(rng, prog, rng.randint(0, 3), 2)
+            if not live(alpha):
+                continue
+            full = predecessor_candidates(alpha, prog, all_positions=False, own_values=own_vals)
+            kept = [(a, b) for a, b in full if not isinstance(a, Delete) or live(b)]
+            got = predecessor_candidates(
+                alpha, prog, all_positions=False, own_values=own_vals, removable=own_ok
+            )
+            assert got == kept, alpha
+            checked += 1
+            dropped += len(full) - len(kept)
+    assert dropped > 0
