@@ -2,6 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
+import hashlib
 import random
 
 import pytest
@@ -111,30 +112,31 @@ def test_criterion_2_param_verdicts(param_stats):
 
 
 # (verdict, configs_generated, iterations, frontier_peak, minors, witness
-# length) per corpus file.  The candidate order and the worklist keys fix
-# every one of these, so an exact refactor or optimisation of the engines
-# leaves them unchanged; a change that moves them must say why it is sound.
+# length, sha256 prefix of repr((witness, chain))) per corpus file.  The
+# candidate order and the worklist keys fix every one of these, so an
+# exact refactor or optimisation of the engines leaves them unchanged; a
+# change that moves them must say why it is sound.
 PINNED_COUNTERS = {
-    "sb.lit": ("Reachable", 156_905, 26_411, 32_300, 56_060, 20),
-    "lb.lit": ("Unreachable", 2_115, 613, 244, 514, 0),
-    "wrc.lit": ("Unreachable", 5_733, 1_352, 703, 1_154, 0),
-    "isa2.lit": ("Unreachable", 3_263, 860, 404, 769, 0),
-    "rwc.lit": ("Reachable", 4_872, 1_173, 811, 1_186, 18),
-    "wrwc.lit": ("Reachable", 21_789, 4_732, 3_281, 6_340, 16),
-    "iriw.lit": ("Unreachable", 1_426, 365, 182, 325, 0),
-    "mp.lit": ("Unreachable", 33_849, 6_797, 3_228, 6_146, 0),
-    "dekker-simple.lit": ("Reachable", 860, 258, 178, 330, 8),
-    "dekker.lit": ("Reachable", 23_296, 4_150, 5_335, 9_288, 8),
-    "peterson.lit": ("Reachable", 3_304, 770, 614, 1_250, 12),
-    "peterson-repeat.lit": ("Reachable", 11_610, 2_170, 2_454, 4_564, 12),
-    "sb-param.lit": ("Reachable", 568, 134, 59, 154, 10),
-    "lb-param.lit": ("Unreachable", 530, 121, 51, 104, 0),
-    "mp-param.lit": ("Unreachable", 857, 151, 61, 144, 0),
-    "wrc-param.lit": ("Unreachable", 1_818, 357, 144, 328, 0),
-    "isa2-param.lit": ("Unreachable", 11_852, 1_527, 637, 1_448, 0),
-    "rwc-param.lit": ("Reachable", 1_566, 343, 139, 380, 13),
-    "wrwc-param.lit": ("Reachable", 8_317, 1_152, 561, 1_510, 15),
-    "iriw-param.lit": ("Unreachable", 6_420, 1_086, 332, 1_048, 0),
+    "sb.lit": ("Reachable", 156_905, 26_411, 32_300, 56_060, 20, "2ee8f4ccea43"),
+    "lb.lit": ("Unreachable", 2_115, 613, 244, 514, 0, "67c79a8faf11"),
+    "wrc.lit": ("Unreachable", 5_733, 1_352, 703, 1_154, 0, "67c79a8faf11"),
+    "isa2.lit": ("Unreachable", 3_263, 860, 404, 769, 0, "67c79a8faf11"),
+    "rwc.lit": ("Reachable", 4_872, 1_173, 811, 1_186, 18, "404ba1e4d949"),
+    "wrwc.lit": ("Reachable", 21_789, 4_732, 3_281, 6_340, 16, "2e0599f0ec47"),
+    "iriw.lit": ("Unreachable", 1_426, 365, 182, 325, 0, "67c79a8faf11"),
+    "mp.lit": ("Unreachable", 33_849, 6_797, 3_228, 6_146, 0, "67c79a8faf11"),
+    "dekker-simple.lit": ("Reachable", 860, 258, 178, 330, 8, "60af625a9eaf"),
+    "dekker.lit": ("Reachable", 23_296, 4_150, 5_335, 9_288, 8, "a52b88049129"),
+    "peterson.lit": ("Reachable", 3_304, 770, 614, 1_250, 12, "9889036c2c0e"),
+    "peterson-repeat.lit": ("Reachable", 11_610, 2_170, 2_454, 4_564, 12, "9889036c2c0e"),
+    "sb-param.lit": ("Reachable", 568, 134, 59, 154, 10, "fd25eb00f06c"),
+    "lb-param.lit": ("Unreachable", 530, 121, 51, 104, 0, "67c79a8faf11"),
+    "mp-param.lit": ("Unreachable", 857, 151, 61, 144, 0, "67c79a8faf11"),
+    "wrc-param.lit": ("Unreachable", 1_818, 357, 144, 328, 0, "67c79a8faf11"),
+    "isa2-param.lit": ("Unreachable", 11_852, 1_527, 637, 1_448, 0, "67c79a8faf11"),
+    "rwc-param.lit": ("Reachable", 1_566, 343, 139, 380, 13, "2af03e7367b6"),
+    "wrwc-param.lit": ("Reachable", 8_317, 1_152, 561, 1_510, 15, "07c2a4c9c249"),
+    "iriw-param.lit": ("Unreachable", 6_420, 1_086, 332, 1_048, 0, "67c79a8faf11"),
 }
 
 
@@ -143,7 +145,7 @@ def test_pinned_counters(fixed_stats, param_stats):
     for name, expected in PINNED_COUNTERS.items():
         s = stats[name]
         got = (s.verdict, s.configs_generated, s.iterations, s.frontier_peak, s.minors,
-               len(s.witness or ()))
+               len(s.witness or ()), hashlib.sha256(repr((s.witness, s.chain)).encode()).hexdigest()[:12])
         assert got == expected, name
 
 
