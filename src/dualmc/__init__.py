@@ -11,7 +11,6 @@ from .backward import (
     BackwardStats,
     backward_reach,
     concretize_witness,
-    covers_initial,
     minpre_config,
     target_to_minors,
 )
@@ -38,7 +37,6 @@ from .ordering import (
     MinorSet,
     OwnDecomposition,
     config_leq,
-    minor_min,
     own_decompose,
     param_leq,
     subword,

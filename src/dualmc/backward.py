@@ -19,7 +19,7 @@ from typing import Callable
 from .dtso import DtsoConfig, dtso_successors, initial_dtso_config
 from .model import ConcurrentProgram
 from .ordering import MinorSet, Word, config_leq, delimiter_signature
-from .runs import Delete, Propagate, ResourceLimitError, Run, RunError, Step, _set
+from .runs import Delete, Propagate, ResourceLimitError, Run, RunError, Step, _set, fire
 
 
 @dataclass
@@ -37,23 +37,21 @@ def _config_key(c: DtsoConfig):
     return (c.states, c.mem)
 
 
-def target_to_minors(
-    program: ConcurrentProgram, targets: tuple[str, ...] | list[tuple[str, ...]]
-) -> MinorSet:
-    """Empty-buffer configurations at the target state(s), one per
-    memory valuation; pairwise incomparable by construction."""
-    if targets and isinstance(targets[0], str):
-        targets = [tuple(targets)]  # type: ignore[list-item]
+def target_to_minors(program: ConcurrentProgram, target: tuple[str, ...]) -> MinorSet:
+    """Empty-buffer configurations at the target state, one per memory
+    valuation; pairwise incomparable by construction."""
     minors = MinorSet(config_leq, key=_config_key, sig=delimiter_signature)
     buffers = tuple(() for _ in program.processes)
-    for states in targets:
-        for mem in itertools.product(program.values, repeat=len(program.vars)):
-            minors.insert(DtsoConfig(tuple(states), buffers, mem))
+    for mem in itertools.product(program.values, repeat=len(program.vars)):
+        minors.insert(DtsoConfig(tuple(target), buffers, mem))
     return minors
 
 
-def covers_initial(c: DtsoConfig, program: ConcurrentProgram) -> bool:
-    return config_leq(c, initial_dtso_config(program))
+def check_seed_count(program, max_nodes: int | None) -> None:
+    """Raise the search's resource limit before building the seeds when
+    they alone, one per memory valuation, exceed max_nodes."""
+    if max_nodes is not None and len(program.values) ** len(program.vars) > max_nodes:
+        raise ResourceLimitError(f"backward search exceeded {max_nodes} configurations")
 
 
 def _splits_without_own(w: Word, var: str):
@@ -212,27 +210,27 @@ def removable_own(auto) -> dict[str, set[tuple[str, int]]]:
     return out
 
 
-def live_filter(program: ConcurrentProgram, own_ok=None):
-    """Predicate for configurations that can still cover the initial one.
+def live_kernel(automata, program):
+    """The liveness check both engines share, as live(mem, procs, tables):
+    procs are (state, buffer) pairs and tables, in step with them, the
+    removable_own table of each pair's process.
 
     Memory values and buffer messages must be producible: memory only
-    ever holds 0 or a value some write or atomic read-write stores to
-    that variable, and an own-message must be consumable per
-    removable_own (`own_ok`, one table per process, computed here
-    unless given).  A configuration violating this is dead weight in
-    the fixpoint: no backward path from it reaches all-zero memory and
-    empty buffers.
+    ever holds 0 or a value some write or atomic read-write of
+    `automata` stores to that variable, and an own-message must be
+    consumable from its process's state per removable_own.  A
+    configuration violating this is dead weight in the fixpoint: no
+    backward path from it reaches all-zero memory and empty buffers.
     """
-    writable = writable_values(program.processes, program.vars)
-    if own_ok is None:
-        own_ok = [removable_own(auto) for auto in program.processes]
+    writable = writable_values(automata, program.vars)
+    var_index = program.var_index
 
-    def live(c: DtsoConfig) -> bool:
-        for x, xi in program.var_index.items():
-            if c.mem[xi] not in writable[x]:
+    def live(mem, procs, tables) -> bool:
+        for x, xi in var_index.items():
+            if mem[xi] not in writable[x]:
                 return False
-        for p, buf in enumerate(c.buffers):
-            allowed = own_ok[p][c.states[p]]
+        for (state, buf), table in zip(procs, tables):
+            allowed = table[state]
             for x, v, own in buf:
                 if own:
                     if (x, v) not in allowed:
@@ -242,6 +240,16 @@ def live_filter(program: ConcurrentProgram, own_ok=None):
         return True
 
     return live
+
+
+def live_filter(program: ConcurrentProgram, own_ok=None):
+    """Predicate for configurations that can still cover the initial
+    one, per live_kernel; `own_ok`, one removable_own table per
+    process, is computed here unless given."""
+    if own_ok is None:
+        own_ok = [removable_own(auto) for auto in program.processes]
+    live = live_kernel(program.processes, program)
+    return lambda c: live(c.mem, zip(c.states, c.buffers), own_ok)
 
 
 def fixpoint(
@@ -325,18 +333,20 @@ def fixpoint(
 
 def backward_reach(
     program: ConcurrentProgram,
-    target: tuple[str, ...] | list[tuple[str, ...]],
+    target: tuple[str, ...],
     max_nodes: int | None = 10**7,
 ) -> BackwardStats:
     """Backward fixpoint from the target minors, weighted by the total
     buffered-message count; dead candidates per live_filter are dropped,
     and dead delete predecessors are not generated at all."""
+    check_seed_count(program, max_nodes)
     own_ok = [removable_own(auto) for auto in program.processes]
+    init = initial_dtso_config(program)
     return fixpoint(
         target_to_minors(program, target),
         lambda c: predecessor_candidates(c, program, own_ok),
         live_filter(program, own_ok),
-        lambda c: covers_initial(c, program),
+        lambda c: config_leq(c, init),
         lambda c: sum(len(b) for b in c.buffers),
         lambda c: c,
         max_nodes,
@@ -366,7 +376,7 @@ def concretize_witness(program: ConcurrentProgram, stats: BackwardStats) -> Run:
             trail = []
             ok = True
             for _ in range(deletes):
-                step = _pick(probe, program, Delete(action.proc))
+                step = fire(probe, Delete(action.proc), program, dtso_successors)
                 if step is None:
                     ok = False
                     break
@@ -374,7 +384,7 @@ def concretize_witness(program: ConcurrentProgram, stats: BackwardStats) -> Run:
                 probe = step
             if not ok:
                 break
-            landed = _pick(probe, program, action)
+            landed = fire(probe, action, program, dtso_successors)
             if landed is not None and config_leq(nxt, landed):
                 for a, conf in trail:
                     emitted.append(a)
@@ -389,16 +399,9 @@ def concretize_witness(program: ConcurrentProgram, stats: BackwardStats) -> Run:
     # drain every buffer; the final configuration matches the target minor
     for p in range(program.n):
         while configs[-1].buffers[p]:
-            step = _pick(configs[-1], program, Delete(p))
+            step = fire(configs[-1], Delete(p), program, dtso_successors)
             emitted.append(Delete(p))
             configs.append(step)
     if configs[-1] != chain[-1]:
         raise RunError("drained final configuration does not match the target minor")
     return Run("dtso", configs, emitted)
-
-
-def _pick(c: DtsoConfig, program: ConcurrentProgram, action) -> DtsoConfig | None:
-    for a, succ in dtso_successors(c, program):
-        if a == action:
-            return succ
-    return None

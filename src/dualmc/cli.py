@@ -81,10 +81,11 @@ def _non_negative(text: str) -> int:
 
 
 def _read_text(path) -> str:
-    """A program or run file's text; unreadable or non-UTF-8 files are input errors."""
+    """A program or run file's text; unreadable or non-UTF-8 files and
+    paths with a NUL byte are input errors."""
     try:
         return Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError covers UnicodeDecodeError
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
@@ -178,7 +179,7 @@ def _translate(args) -> int:
     actions = []
     for line in action_lines:
         action = runs.parse_action(line, program, lambda p: configs[-1].states[p])
-        succ = next((s for a, s in successors(configs[-1], program) if a == action), None)
+        succ = runs.fire(configs[-1], action, program, successors)
         if succ is None:
             raise runs.RunError(f"action not enabled: {line!r}")
         actions.append(action)

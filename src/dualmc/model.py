@@ -42,18 +42,6 @@ NOP = Op("nop")
 FENCE = Op("fence")
 
 
-def read(var: str, val: int) -> Op:
-    return Op("r", var, val)
-
-
-def write(var: str, val: int) -> Op:
-    return Op("w", var, val)
-
-
-def arw(var: str, val: int, wval: int) -> Op:
-    return Op("arw", var, val, wval)
-
-
 class Transition(NamedTuple):
     src: str
     op: Op

@@ -10,9 +10,8 @@ backward fixpoint terminate.
 """
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 Msg = tuple[str, int, bool]
 Word = tuple[Msg, ...]
@@ -104,8 +103,6 @@ def param_leq(a, a2) -> bool:
         return False
     if len(a.procs) > len(a2.procs):
         return False
-    if a.procs and not _state_multiset_leq(_state_counts(a.procs), _state_counts(a2.procs)):
-        return False
     j = 0
     for state, buf in a.procs:
         while j < len(a2.procs):
@@ -114,18 +111,6 @@ def param_leq(a, a2) -> bool:
             if state == state2 and word_leq(buf, buf2):
                 break
         else:
-            return False
-    return True
-
-
-@lru_cache(maxsize=None)
-def _state_counts(procs) -> Counter:
-    return Counter(s for s, _ in procs)
-
-
-def _state_multiset_leq(counts, counts2) -> bool:
-    for s, k in counts.items():
-        if counts2.get(s, 0) < k:
             return False
     return True
 
@@ -196,11 +181,3 @@ class MinorSet:
         sigs.append(s)
         self._members[elem] = None
         return True
-
-
-def minor_min(items: Iterable, leq: Callable, key: Callable | None = None) -> MinorSet:
-    """Fold items into an antichain; result is order-independent as a set."""
-    minors = MinorSet(leq, key)
-    for elem in items:
-        minors.insert(elem)
-    return minors

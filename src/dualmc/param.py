@@ -23,7 +23,15 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from .backward import BackwardStats, buffer_preds, fixpoint, removable_own, rule_preds, writable_values
+from .backward import (
+    BackwardStats,
+    buffer_preds,
+    check_seed_count,
+    fixpoint,
+    live_kernel,
+    removable_own,
+    rule_preds,
+)
 from .model import ParamProgram
 from .ordering import MinorSet, Word, param_leq
 from .runs import Step, _set
@@ -56,11 +64,12 @@ def param_covers_initial(alpha: ParamConfig, program: ParamProgram) -> bool:
     return all(s == init and not b for s, b in alpha.procs)
 
 
-def _fresh_writer_buffers(program: ParamProgram, own_values=None):
-    """Own-message words over pairwise-distinct variables."""
+def _fresh_writer_buffers(program: ParamProgram, allowed=None):
+    """Own-message words over pairwise-distinct variables, using only
+    the (var, value) own-messages in `allowed` if given."""
     for k in range(len(program.vars) + 1):
         for xs in itertools.permutations(program.vars, k):
-            pools = [own_values[x] if own_values else program.values for x in xs]
+            pools = [[v for v in program.values if allowed is None or (x, v) in allowed] for x in xs]
             for vs in itertools.product(*pools):
                 yield tuple((x, v, True) for x, v in zip(xs, vs))
 
@@ -69,7 +78,6 @@ def predecessor_candidates(
     alpha: ParamConfig,
     program: ParamProgram,
     all_positions: bool = True,
-    own_values=None,
     removable=None,
 ):
     """Minimal one-rule predecessors of the upward closure of alpha.
@@ -78,10 +86,10 @@ def predecessor_candidates(
     for fresh-process cases is the inserted position.  The backward
     engine, which canonicalizes minors by sorting, passes
     all_positions=False (one insertion position per fresh process
-    represents its whole permutation orbit), restricts fresh
-    own-messages, per source state, to the consumable values of
-    removable_own, and passes that table as `removable` so that delete
-    predecessors re-append only consumable own-messages.
+    represents its whole permutation orbit) and passes the template's
+    removable_own table as `removable`, so that fresh writers hold and
+    delete predecessors re-append only own-messages consumable from
+    their state.
     """
     values = program.values
     procs = alpha.procs
@@ -101,10 +109,10 @@ def predecessor_candidates(
             xi = program.var_index[op.var]
             if alpha.mem[xi] != op.val:
                 continue
-            pools = own_values[t.src] if own_values is not None else None
+            allowed = removable[t.src] if removable is not None else None
             for prior in values:
                 mem = _set(alpha.mem, xi, prior)
-                for fresh_buf in _fresh_writer_buffers(program, pools):
+                for fresh_buf in _fresh_writer_buffers(program, allowed):
                     for pos in positions:
                         grown = procs[:pos] + ((t.src, fresh_buf),) + procs[pos:]
                         out.append((Step(pos, t), ParamConfig(grown, mem)))
@@ -135,41 +143,15 @@ def param_minpre(alpha: ParamConfig, program: ParamProgram) -> MinorSet:
     return minors
 
 
-def _own_values_by_state(program: ParamProgram, own_ok) -> dict[str, dict[str, set[int]]]:
-    by_state: dict[str, dict[str, set[int]]] = {}
-    for state, pairs in own_ok.items():
-        vals: dict[str, set[int]] = {x: set() for x in program.vars}
-        for x, v in pairs:
-            vals[x].add(v)
-        by_state[state] = vals
-    return by_state
-
-
 def live_filter(program: ParamProgram, own_ok=None):
-    """Predicate mirroring the fixed-size engine's liveness cut: memory
-    values and buffered messages must be producible, own-messages
-    consumable from the process's state (`own_ok`, the template's
-    removable_own table, computed here unless given), else no backward
-    path covers an initial configuration."""
-    writable = writable_values([program.template], program.vars)
+    """Predicate mirroring the fixed-size engine's liveness cut, per
+    backward.live_kernel; every process runs the template, whose
+    removable_own table `own_ok` is computed here unless given."""
     if own_ok is None:
         own_ok = removable_own(program.template)
-
-    def live(alpha: ParamConfig) -> bool:
-        for x, xi in program.var_index.items():
-            if alpha.mem[xi] not in writable[x]:
-                return False
-        for state, buf in alpha.procs:
-            allowed = own_ok[state]
-            for x, v, own in buf:
-                if own:
-                    if (x, v) not in allowed:
-                        return False
-                elif v not in writable[x]:
-                    return False
-        return True
-
-    return live
+    live = live_kernel([program.template], program)
+    tables = itertools.repeat(own_ok)  # endless: one table for every process
+    return lambda a: live(a.mem, a.procs, tables)
 
 
 def canonical(alpha: ParamConfig) -> ParamConfig:
@@ -199,16 +181,14 @@ def param_backward_reach(
     """Backward fixpoint under the parameterized ordering, weighted by
     process count plus buffered messages; dead candidates are dropped
     and minors are kept in canonical process order."""
+    if targets is None:
+        targets = program.target
+    check_seed_count(program, max_nodes)
     own_ok = removable_own(program.template)
-    own_vals = _own_values_by_state(program, own_ok)
-    minors = MinorSet(param_leq, key=lambda a: a.mem)
-    for tc in param_target_to_minors(program, targets).elements():
-        minors.insert(canonical(tc))
     return fixpoint(
-        minors,
-        lambda a: predecessor_candidates(
-            a, program, all_positions=False, own_values=own_vals, removable=own_ok
-        ),
+        # every seed buffer is empty, so sorted targets are canonical
+        param_target_to_minors(program, tuple(sorted(targets))),
+        lambda a: predecessor_candidates(a, program, all_positions=False, removable=own_ok),
         live_filter(program, own_ok),
         lambda a: param_covers_initial(a, program),
         lambda a: len(a.procs) + sum(len(b) for _s, b in a.procs),

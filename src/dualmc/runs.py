@@ -140,7 +140,7 @@ def bounded_bfs(
             actions[:0] = acts
         configs = [init]
         for action in actions:
-            configs.append(dict(successors(configs[-1], program))[action])
+            configs.append(fire(configs[-1], action, program, successors))
         run = Run(semantics, configs, actions)
     return BoundedResult(hit is not None, run, pruned, len(parents)), parents
 
@@ -149,14 +149,16 @@ def _at_target(c, target: tuple[str, ...] | None) -> bool:
     return target is not None and c.states == target and not any(c.buffers)
 
 
+def fire(c, action: Action, program: ConcurrentProgram, successors: Callable):
+    """The successor of c under action by the one-step relation
+    `successors`, or None if the action is not enabled at c."""
+    return next((succ for a, succ in successors(c, program) if a == action), None)
+
+
 def replay(run: Run, program: ConcurrentProgram, successors: Callable) -> None:
     """Check every step of the run against the one-step relation."""
     for i, action in enumerate(run.actions):
-        found = None
-        for a, succ in successors(run.configs[i], program):
-            if a == action:
-                found = succ
-                break
+        found = fire(run.configs[i], action, program, successors)
         if found is None:
             raise RunError(f"step {i + 1}: action {action_str(action, program)} not enabled")
         if found != run.configs[i + 1]:

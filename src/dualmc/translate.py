@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from .dtso import dtso_successors, initial_dtso_config
 from .model import ConcurrentProgram
 from .ordering import Msg
-from .runs import Delete, Propagate, Run, RunError, Step, Update, replay
+from .runs import Delete, Propagate, Run, RunError, Step, Update, fire, replay
 from .tso import TsoConfig, initial_tso_config, tso_successors
 
 
@@ -197,7 +197,7 @@ def _drive(semantics: str, program: ConcurrentProgram, actions: list) -> Run:
     successors = tso_successors if semantics == "tso" else dtso_successors
     configs = [initial_tso_config(program) if semantics == "tso" else initial_dtso_config(program)]
     for i, action in enumerate(actions):
-        succ = next((s for a, s in successors(configs[-1], program) if a == action), None)
+        succ = fire(configs[-1], action, program, successors)
         if succ is None:
             raise RunError(f"translated step {i + 1} is not enabled")
         configs.append(succ)

@@ -8,7 +8,6 @@ from dualmc import (
     backward_reach,
     concretize_witness,
     config_leq,
-    covers_initial,
     dtso_bounded_reach,
     dtso_successors,
     initial_dtso_config,
@@ -42,9 +41,9 @@ def test_target_minor_count_single_value():
 
 def test_covers_initial(sb2):
     init = initial_dtso_config(sb2)
-    assert covers_initial(init, sb2)
-    assert not covers_initial(DtsoConfig(init.states, ((plain("x", 0),), ()), init.mem), sb2)
-    assert not covers_initial(DtsoConfig(init.states, init.buffers, (1, 0)), sb2)
+    assert config_leq(init, init)
+    assert not config_leq(DtsoConfig(init.states, ((plain("x", 0),), ()), init.mem), init)
+    assert not config_leq(DtsoConfig(init.states, init.buffers, (1, 0)), init)
 
 
 def test_minpre_read_case_appends_at_head(sb2):

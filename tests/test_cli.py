@@ -3,7 +3,7 @@ import shutil
 
 import pytest
 
-from dualmc import Run, Step, Update, initial_tso_config, tso_successors
+from dualmc import MinorSet, Run, Step, Update, initial_tso_config, tso_successors
 from dualmc.cli import Report, emit_report, run
 from dualmc.runs import format_run, parse_action, parse_run_text
 
@@ -106,6 +106,9 @@ def _bad_input(tmp_path, case):
         return ["explore-dtso", str(CORPUS / "lb.lit"), "--buffer-bound", "-1"]
     if case == "negative-max-nodes":
         return ["check", str(CORPUS / "lb.lit"), "--max-nodes", "-5"]
+    if case == "nul-byte-program-label":
+        (tmp_path / "bad.run").write_text("program sb\x00.lit\nsemantics tso\n")
+        return ["translate", str(tmp_path / "bad.run"), "--from", "tso"]
     if case == "unknown-mode":
         return ["frob", str(CORPUS / "lb.lit")]
     if case == "missing-buffer-bound":
@@ -121,6 +124,7 @@ def _bad_input(tmp_path, case):
         "non-utf8-run-file",
         "non-integer-action-value",
         "non-ascii-digit-value",
+        "nul-byte-program-label",
         "negative-bound-tso",
         "negative-bound-dtso",
         "negative-max-nodes",
@@ -146,6 +150,29 @@ def test_resource_limit_exit_3(capsys):
     code, _out, err = invoke(capsys, "check", str(CORPUS / "sb.lit"), "--max-nodes", "10")
     assert code == 3
     assert "exceeded" in err
+
+
+@pytest.mark.parametrize("mode", ["check", "param"])
+def test_max_nodes_caps_the_seeds(capsys, monkeypatch, tmp_path, mode):
+    """The seeds, one per memory valuation (here 2**16), count against
+    --max-nodes before any of them is built."""
+    inserts = 0
+    insert = MinorSet.insert
+
+    def counting_insert(minors, elem):
+        nonlocal inserts
+        inserts += 1
+        return insert(minors, elem)
+
+    monkeypatch.setattr(MinorSet, "insert", counting_insert)
+    names = " ".join(f"x{i}" for i in range(16))
+    target = "target P=q1" if mode == "check" else "ptarget q1"
+    (tmp_path / "wide.lit").write_text(
+        f"vars {names}\nvalues 0 1\nprocess P\n init q0\n trans q0 q1 nop\nend\n{target}\n"
+    )
+    code, _out, err = invoke(capsys, mode, str(tmp_path / "wide.lit"), "--max-nodes", "10")
+    assert code == 3 and "exceeded" in err
+    assert inserts <= 11
 
 
 def test_reports_deterministic_except_time(capsys):

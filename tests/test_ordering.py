@@ -9,7 +9,6 @@ from dualmc import (
     MinorSet,
     ParamConfig,
     config_leq,
-    minor_min,
     own_decompose,
     param_leq,
     subword,
@@ -159,7 +158,10 @@ def test_param_leq_matches_exhaustive_oracle(seed):
 
 
 def _word_minors(items):
-    return minor_min(items, word_leq)
+    minors = MinorSet(word_leq)
+    for w in items:
+        minors.insert(w)
+    return minors
 
 
 def test_minor_insert_basics():

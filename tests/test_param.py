@@ -5,6 +5,7 @@ import pytest
 from dualmc import (
     Delete,
     ParamConfig,
+    Step,
     backward_reach,
     instantiate,
     param_backward_reach,
@@ -17,7 +18,7 @@ from dualmc import (
 )
 from dualmc.model import Automaton, Op, ParamProgram, Transition
 from dualmc.backward import removable_own
-from dualmc.param import _own_values_by_state, live_filter, predecessor_candidates
+from dualmc.param import live_filter, predecessor_candidates
 
 from conftest import (
     corpus_program,
@@ -254,24 +255,32 @@ def test_insertion_candidates_cap_one_process():
 def test_removable_table_drops_exactly_dead_deletes():
     """As in fixed mode: with the removable_own table, the engine's
     candidates for a live configuration are its unrestricted ones minus
-    exactly the delete predecessors live_filter rejects, in order."""
+    exactly the delete and fresh-writer predecessors whose acting
+    process holds an own-message its state cannot consume, in order."""
     rng = random.Random(19)
-    checked = dropped = 0
+    checked = 0
+    dropped = {"delete": 0, "fresh": 0}
     while checked < 3000:
         prog = random_param_program(rng)
         own_ok = removable_own(prog.template)
-        own_vals = _own_values_by_state(prog, own_ok)
         live = live_filter(prog, own_ok)
         for _ in range(20):
             alpha = random_param_config(rng, prog, rng.randint(0, 3), 2)
             if not live(alpha):
                 continue
-            full = predecessor_candidates(alpha, prog, all_positions=False, own_values=own_vals)
-            kept = [(a, b) for a, b in full if not isinstance(a, Delete) or live(b)]
-            got = predecessor_candidates(
-                alpha, prog, all_positions=False, own_values=own_vals, removable=own_ok
-            )
+            full = predecessor_candidates(alpha, prog, all_positions=False)
+            kept = []
+            for a, pred in full:
+                state, buf = pred.procs[a.proc]
+                if any(own and (x, v) not in own_ok[state] for x, v, own in buf):
+                    if isinstance(a, Delete):
+                        dropped["delete"] += 1
+                        continue
+                    if isinstance(a, Step) and a.t.op.kind == "w" and a.proc == len(alpha.procs):
+                        dropped["fresh"] += 1
+                        continue
+                kept.append((a, pred))
+            got = predecessor_candidates(alpha, prog, all_positions=False, removable=own_ok)
             assert got == kept, alpha
             checked += 1
-            dropped += len(full) - len(kept)
-    assert dropped > 0
+    assert dropped["delete"] > 0 and dropped["fresh"] > 0
