@@ -1,0 +1,132 @@
+"""A/B benchmark of the working tree against a base commit.
+
+Extracts the base commit into a temporary directory (`git archive`), then
+runs `perfbench/run.py --workload W --seed S --seconds T` of each tree in
+that tree, for N pairs, with T the `run_seconds` of BENCHMARK.json.  Pair
+i uses seed S + i on both sides; the base runs first in even pairs and
+the working tree first in odd ones, so a drift of the machine's speed
+does not favour one side.  Each run's end-to-end metrics are read from
+the last line perfbench prints.
+
+    python3 scripts/ab_bench.py --workload check-param --pairs 10 --out BENCH.json
+
+The output holds, per workload and per side, the value of every metric in
+every run, its median and quartiles, and, per metric, the number of pairs
+the working tree won (a strictly better value, in the direction
+BENCHMARK.json gives for it).  Standard library only; run it from the
+repository root on an otherwise idle machine.
+"""
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def git(*args: str) -> bytes:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True).stdout
+
+
+def extract(rev: str, dest: Path) -> None:
+    """The tree of `rev` written under dest, without touching the repository."""
+    with tarfile.open(fileobj=io.BytesIO(git("archive", rev)), mode="r:") as tar:
+        tar.extractall(dest, filter="data")
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One perfbench run in `tree`: its summary line, parsed."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    cmd = [
+        sys.executable, "perfbench/run.py",
+        "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
+    ]
+    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"ab_bench: {' '.join(cmd)} in {tree} exited {proc.returncode}:\n{proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def spread(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def compare(workload: str, trees: dict, pairs: int, seed: int, seconds: float, better: dict) -> dict:
+    runs: dict = {side: [] for side in trees}
+    for i in range(pairs):
+        order = ("base", "change") if i % 2 == 0 else ("change", "base")
+        for side in order:
+            summary = run_once(trees[side], workload, seed + i, seconds)
+            runs[side].append({
+                "seed": seed + i,
+                "first": side == order[0],
+                "attempted": summary["attempted"],
+                "failed": summary["failed"],
+                "metrics": {name: summary["metrics"][name]["value"] for name in better},
+            })
+            print(f"{workload} pair {i + 1}/{pairs} {side}: {runs[side][-1]['metrics']}", file=sys.stderr)
+    out: dict = {"sides": {}, "pairs_won": {}}
+    for side, rs in runs.items():
+        out["sides"][side] = {
+            "runs": rs,
+            "failed": sum(r["failed"] for r in rs),
+            "attempted": sum(r["attempted"] for r in rs),
+            "metrics": {name: spread([r["metrics"][name] for r in rs]) for name in better},
+        }
+    for name, direction in better.items():
+        sign = 1 if direction == "lower" else -1
+        out["pairs_won"][name] = sum(
+            sign * (c["metrics"][name] - b["metrics"][name]) < 0
+            for b, c in zip(runs["base"], runs["change"])
+        )
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--workload", action="append", required=True, help="repeat for several workloads")
+    ap.add_argument("--base", default="HEAD^", help="base commit (default HEAD^; HEAD compares uncommitted changes)")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seed", type=int, default=1, help="seed of the first pair; pair i uses seed + i")
+    ap.add_argument("--out", type=Path, required=True)
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
+    base = git("rev-parse", "--verify", args.base + "^{commit}").decode().strip()
+    head = git("rev-parse", "HEAD").decode().strip()
+    dirty = bool(git("status", "--porcelain", "--untracked-files=no").strip())
+    record = {
+        "base": base,
+        "change": {"head": head, "uncommitted_changes": dirty},
+        "command": f"perfbench/run.py --workload W --seed S --seconds {seconds}",
+        "pairs": args.pairs,
+        "seed": args.seed,
+        "workloads": {},
+    }
+    with tempfile.TemporaryDirectory(prefix="ab_bench-") as tmp:
+        extract(base, Path(tmp))
+        trees = {"base": Path(tmp), "change": ROOT}
+        for workload in args.workload:
+            record["workloads"][workload] = compare(workload, trees, args.pairs, args.seed, seconds, better)
+    args.out.write_text(json.dumps(record, indent=1) + "\n")
+    for workload, result in record["workloads"].items():
+        medians = {side: s["metrics"] for side, s in result["sides"].items()}
+        print(workload, json.dumps({"pairs_won": result["pairs_won"], "medians": medians}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -257,6 +257,8 @@ def parse_program(text: str) -> ConcurrentProgram | ParamProgram:
             if target is not None or ptarget is not None:
                 raise ParseError("duplicate target directive", lineno, col)
             ptarget = tuple(t for _, t in toks[1:])
+            if not ptarget:
+                raise ParseError("ptarget needs at least one entry", lineno, col)
         else:
             raise ParseError(f"unknown directive {head!r}", lineno, col)
 

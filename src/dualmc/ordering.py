@@ -115,6 +115,16 @@ def param_leq(a, a2) -> bool:
     return True
 
 
+class Dominance(NamedTuple):
+    """MinorSet's dominance hook.  `pack(elem)` is an int of unsigned
+    fixed-width fields, each with a guard bit above it, such that
+    leq(a, b) implies that every field of pack(a) is at most the same
+    field of pack(b); `guard` has exactly the guard bits set."""
+
+    pack: Callable
+    guard: int
+
+
 class MinorSet:
     """An antichain of configurations representing an upward-closed set.
 
@@ -124,16 +134,29 @@ class MinorSet:
     elements share too; each member keeps its signature, interned so
     that equal signatures are one object, beside it in its bucket, and
     `leq` runs only against members whose signature is the element's.
+    `dom`, a Dominance given instead of `sig`, keeps each member's
+    packed int in that place, and `leq(a, b)` runs only when every
+    field of a's int is at most b's, which one subtraction decides:
+    ((b | guard) - a) & guard == guard.
     Iteration follows insertion order, deterministically; membership is
     by value.
     """
 
-    def __init__(self, leq: Callable, key: Callable | None = None, sig: Callable | None = None):
+    def __init__(
+        self,
+        leq: Callable,
+        key: Callable | None = None,
+        sig: Callable | None = None,
+        dom: Dominance | None = None,
+    ):
+        if sig is not None and dom is not None:
+            raise ValueError("MinorSet takes sig or dom, not both")
         self._leq = leq
         self._key = key if key is not None else (lambda c: None)
         self._sig = sig
+        self._dom = dom
         self._sigs: dict = {}  # interned signatures
-        self._buckets: dict = {}  # key -> (members, their signatures)
+        self._buckets: dict = {}  # key -> (members, their signatures or packed ints)
         self._members: dict = {}  # insertion-ordered; values unused
 
     def __len__(self) -> int:
@@ -153,8 +176,12 @@ class MinorSet:
         bucket = self._buckets.get(self._key(elem))
         if bucket is None:
             return False
-        s = self._sigs.get(self._sig(elem)) if self._sig is not None else None
         leq = self._leq
+        if self._dom is not None:
+            g = self._dom.guard
+            up = self._dom.pack(elem) | g
+            return any((up - md) & g == g and leq(m, elem) for m, md in zip(*bucket))
+        s = self._sigs.get(self._sig(elem)) if self._sig is not None else None
         return any(ms is s and leq(m, elem) for m, ms in zip(*bucket))
 
     def insert(self, elem) -> bool:
@@ -164,20 +191,34 @@ class MinorSet:
         if self._sig is not None:
             s = self._sig(elem)
             s = self._sigs.setdefault(s, s)
+        elif self._dom is not None:
+            s = self._dom.pack(elem)
         k = self._key(elem)
         bucket = self._buckets.get(k)
         if bucket is None:
             bucket = self._buckets[k] = ([], [])
-        members, sigs = bucket
+        members, slots = bucket
         leq = self._leq
-        for m, ms in zip(members, sigs):
-            if ms is s and leq(m, elem):
-                return False
-        removed = [i for i, (m, ms) in enumerate(zip(members, sigs)) if ms is s and leq(elem, m)]
+        if self._dom is None:
+            for m, ms in zip(members, slots):
+                if ms is s and leq(m, elem):
+                    return False
+            removed = [i for i, (m, ms) in enumerate(zip(members, slots)) if ms is s and leq(elem, m)]
+        else:
+            g = self._dom.guard
+            up = s | g
+            for m, md in zip(members, slots):
+                if (up - md) & g == g and leq(m, elem):
+                    return False
+            removed = [
+                i
+                for i, (m, md) in enumerate(zip(members, slots))
+                if ((md | g) - s) & g == g and leq(elem, m)
+            ]
         for i in reversed(removed):
             del self._members[members[i]]
-            del members[i], sigs[i]
+            del members[i], slots[i]
         members.append(elem)
-        sigs.append(s)
+        slots.append(s)
         self._members[elem] = None
         return True

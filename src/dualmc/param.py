@@ -33,8 +33,10 @@ from .backward import (
     rule_preds,
 )
 from .model import ParamProgram
-from .ordering import MinorSet, Word, param_leq
-from .runs import Step, _set
+from .ordering import Dominance, MinorSet, Word, param_leq
+from .runs import ResourceLimitError, Step, _set
+
+FIELD_BITS = 32  # width of one dominance field, guard bit not counted
 
 
 class ParamConfig(NamedTuple):
@@ -42,12 +44,53 @@ class ParamConfig(NamedTuple):
     mem: tuple[int, ...]
 
 
+def param_dominance(states) -> Dominance:
+    """Dominance hook for param_leq over the given local states: per
+    state, the number of processes at it and their total buffer length.
+
+    param_leq(a, b) maps a's processes injectively to b's at equal
+    states with word_leq buffers, and word_leq embeds fragments as
+    subwords, so no buffer maps to a shorter one: every field of a is
+    at most b's.  Each field is part of the process count plus the
+    buffered messages, so packing checks that total against the field
+    width and raises ResourceLimitError rather than let a field carry
+    into its guard bit.
+    """
+    stride = FIELD_BITS + 1
+    count: dict = {}
+    length: dict = {}
+    for i, s in enumerate(sorted(states)):
+        count[s] = 1 << (2 * i * stride)
+        length[s] = 1 << ((2 * i + 1) * stride)
+    guard = sum(1 << (f * stride + FIELD_BITS) for f in range(2 * len(count)))
+    limit = 1 << FIELD_BITS
+
+    def pack(a: ParamConfig) -> int:
+        d = 0
+        size = len(a.procs)
+        for s, b in a.procs:
+            n = len(b)
+            d += count[s] + n * length[s]
+            size += n
+        if size >= limit:
+            raise ResourceLimitError(f"configuration size {size} overflows the dominance fields")
+        return d
+
+    return Dominance(pack, guard)
+
+
+def param_antichain(program: ParamProgram) -> MinorSet:
+    """An empty antichain under param_leq, bucketed by memory, with the
+    dominance pre-filter of the template's states."""
+    return MinorSet(param_leq, key=lambda a: a.mem, dom=param_dominance(program.template.states))
+
+
 def param_target_to_minors(program: ParamProgram, targets: tuple[str, ...] | None = None) -> MinorSet:
     """One empty-buffer configuration per memory valuation, with exactly
     the listed target states in the listed order."""
     if targets is None:
         targets = program.target
-    minors = MinorSet(param_leq, key=lambda a: a.mem)
+    minors = param_antichain(program)
     procs = tuple((s, ()) for s in targets)
     for mem in itertools.product(program.values, repeat=len(program.vars)):
         minors.insert(ParamConfig(procs, mem))
@@ -110,9 +153,10 @@ def predecessor_candidates(
             if alpha.mem[xi] != op.val:
                 continue
             allowed = removable[t.src] if removable is not None else None
+            fresh = list(_fresh_writer_buffers(program, allowed))
             for prior in values:
                 mem = _set(alpha.mem, xi, prior)
-                for fresh_buf in _fresh_writer_buffers(program, allowed):
+                for fresh_buf in fresh:
                     for pos in positions:
                         grown = procs[:pos] + ((t.src, fresh_buf),) + procs[pos:]
                         out.append((Step(pos, t), ParamConfig(grown, mem)))
@@ -136,7 +180,7 @@ def predecessor_candidates(
 
 def param_minpre(alpha: ParamConfig, program: ParamProgram) -> MinorSet:
     """Minimal elements of predecessors-plus-self of the closure of alpha."""
-    minors = MinorSet(param_leq, key=lambda a: a.mem)
+    minors = param_antichain(program)
     minors.insert(alpha)
     for _action, pred in predecessor_candidates(alpha, program):
         minors.insert(pred)

@@ -111,6 +111,9 @@ def _bad_input(tmp_path, case):
         return ["translate", str(tmp_path / "bad.run"), "--from", "tso"]
     if case == "unknown-mode":
         return ["frob", str(CORPUS / "lb.lit")]
+    if case == "empty-ptarget":
+        (tmp_path / "bad.lit").write_text("vars x\nvalues 0 1\nprocess P\n init q0\nend\nptarget\n")
+        return ["param", str(tmp_path / "bad.lit")]
     if case == "missing-buffer-bound":
         return ["explore-tso", str(CORPUS / "lb.lit")]
     raise ValueError(case)
@@ -130,6 +133,7 @@ def _bad_input(tmp_path, case):
         "negative-max-nodes",
         "unknown-mode",
         "missing-buffer-bound",
+        "empty-ptarget",
     ],
 )
 def test_bad_input_exits_2(capsys, tmp_path, case):

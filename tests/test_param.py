@@ -1,10 +1,14 @@
 import random
+from collections import Counter
 
 import pytest
 
+import dualmc.param
 from dualmc import (
     Delete,
+    MinorSet,
     ParamConfig,
+    ResourceLimitError,
     Step,
     backward_reach,
     instantiate,
@@ -18,7 +22,7 @@ from dualmc import (
 )
 from dualmc.model import Automaton, Op, ParamProgram, Transition
 from dualmc.backward import removable_own
-from dualmc.param import live_filter, predecessor_candidates
+from dualmc.param import FIELD_BITS, live_filter, param_dominance, predecessor_candidates
 
 from conftest import (
     corpus_program,
@@ -284,3 +288,128 @@ def test_removable_table_drops_exactly_dead_deletes():
             assert got == kept, alpha
             checked += 1
     assert dropped["delete"] > 0 and dropped["fresh"] > 0
+
+
+
+def _fields(c: ParamConfig) -> Counter:
+    """Per state, the process count and the buffered-message count."""
+    out: Counter = Counter()
+    for s, b in c.procs:
+        out[s, "procs"] += 1
+        out[s, "msgs"] += len(b)
+    return out
+
+
+def _grow(rng, prog, alpha: ParamConfig) -> ParamConfig:
+    """A configuration above alpha: plain messages padded in, and maybe
+    one more process."""
+    procs = list(_pad_param(rng, prog, alpha).procs)
+    if rng.random() < 0.5:
+        extra = random_param_config(rng, prog, 1, 2).procs[0]
+        procs.insert(rng.randint(0, len(procs)), extra)
+    return ParamConfig(tuple(procs), alpha.mem)
+
+
+def test_dominance_prefilter_is_exact():
+    """A MinorSet with the dominance hook answers insert and covers like
+    the plain one and ends with the same members in the same order; it
+    calls param_leq on exactly the plain set's pairs whose fields
+    dominate, so a dropped field or a broken guard shows."""
+    rng = random.Random(29)
+    samples = 0
+    while samples < 3000:
+        prog = random_param_program(rng)
+        fast_calls, plain_calls = [], []
+
+        def recording(calls):
+            def leq(a, b):
+                calls.append((a, b))
+                return param_leq(a, b)
+
+            return leq
+
+        key = lambda a: a.mem
+        fast = MinorSet(recording(fast_calls), key=key, dom=param_dominance(prog.template.states))
+        plain_set = MinorSet(recording(plain_calls), key=key)
+        seen = []
+        for _ in range(60):
+            if seen and rng.random() < 0.4:
+                alpha = _grow(rng, prog, rng.choice(seen))
+            else:
+                alpha = random_param_config(rng, prog, rng.randint(0, 3), 3)
+            seen.append(alpha)
+            assert fast.covers(alpha) == plain_set.covers(alpha)
+            assert fast.insert(alpha) == plain_set.insert(alpha)
+            samples += 1
+        assert fast.elements() == plain_set.elements()
+        assert fast_calls == [(a, b) for a, b in plain_calls if _fields(a) <= _fields(b)]
+
+
+class _Buffer:
+    """Stands in for a buffer of n messages; packing reads only len()."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __len__(self) -> int:
+        return self.n
+
+
+def test_dominance_fields_at_the_boundaries():
+    """The packed comparison on equal fields, on one field lower by one,
+    and on the largest length a field can hold (a configuration of total
+    size 2**FIELD_BITS - 1); a configuration one larger raises
+    ResourceLimitError (exit 3), not a wrong answer or AssertionError."""
+    dom = param_dominance({"q0", "q1"})
+    top = 2**FIELD_BITS - 2  # one process plus top messages: the largest size
+
+    def below(a, b):
+        """Whether the packed fields of a are all at most b's, through
+        a one-member MinorSet whose ordering always holds."""
+        minors = MinorSet(lambda _a, _b: True, dom=dom)
+        minors.insert(ParamConfig(a, ()))
+        return minors.covers(ParamConfig(b, ()))
+
+    for n in (0, 1, top):
+        a = (("q0", _Buffer(n)),)
+        assert below(a, a)
+        assert not below(a, (("q1", _Buffer(n)),))
+        if n:
+            shorter = (("q0", _Buffer(n - 1)),)
+            assert below(shorter, a) and not below(a, shorter)
+            # the borrow out of the q0 length field must not be absorbed
+            # by the q1 fields above it
+            assert not below(a, shorter + (("q1", ()),))
+    assert below((("q1", ()),), (("q1", ()), ("q1", ())))
+    assert not below((("q1", ()), ("q1", ())), (("q1", ()),))
+
+    oversized = ParamConfig((("q0", _Buffer(top + 1)),), ())
+    with pytest.raises(ResourceLimitError):
+        dom.pack(oversized)
+    with pytest.raises(ResourceLimitError):
+        MinorSet(param_leq, dom=dom).insert(oversized)
+
+
+def test_param_leq_calls_per_insert_on_wrwc_param(monkeypatch):
+    """The dominance pre-filter leaves at most 20 param_leq calls per
+    antichain insert on wrwc-param (about 114 without it)."""
+    calls = inserts = 0
+    leq = dualmc.param.param_leq
+    insert = MinorSet.insert
+
+    def counting_leq(a, b):
+        nonlocal calls
+        calls += 1
+        return leq(a, b)
+
+    def counting_insert(minors, elem):
+        nonlocal inserts
+        inserts += 1
+        return insert(minors, elem)
+
+    monkeypatch.setattr(dualmc.param, "param_leq", counting_leq)
+    monkeypatch.setattr(MinorSet, "insert", counting_insert)
+    stats = param_backward_reach(corpus_program("wrwc-param.lit"))
+    assert stats.verdict == "Reachable"
+    assert inserts > 1000
+    assert calls / inserts <= 20
