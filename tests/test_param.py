@@ -290,7 +290,6 @@ def test_removable_table_drops_exactly_dead_deletes():
     assert dropped["delete"] > 0 and dropped["fresh"] > 0
 
 
-
 def _fields(c: ParamConfig) -> Counter:
     """Per state, the process count and the buffered-message count."""
     out: Counter = Counter()
