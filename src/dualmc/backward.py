@@ -19,7 +19,7 @@ from typing import Callable
 from .dtso import DtsoConfig, dtso_successors, initial_dtso_config
 from .model import ConcurrentProgram
 from .ordering import MinorSet, Word, config_leq, delimiter_signature
-from .runs import Delete, Propagate, ResourceLimitError, Run, RunError, Step, _set, fire
+from .runs import Delete, Propagate, ResourceLimitError, Run, RunError, Step, _set, drive, fire
 
 
 @dataclass
@@ -364,44 +364,23 @@ def concretize_witness(program: ConcurrentProgram, stats: BackwardStats) -> Run:
     if stats.verdict != "Reachable" or stats.chain is None:
         raise ValueError("no witness to concretize")
     chain = stats.chain
-    actions = stats.witness or ()
-    configs = [initial_dtso_config(program)]
-    emitted: list = []
-    for i, action in enumerate(actions):
-        nxt = chain[i + 1]
-        cur = configs[-1]
-        done = False
-        for deletes in range(len(cur.buffers[action.proc]) + 1):
-            probe = cur
-            trail = []
-            ok = True
-            for _ in range(deletes):
-                step = fire(probe, Delete(action.proc), program, dtso_successors)
-                if step is None:
-                    ok = False
-                    break
-                trail.append((Delete(action.proc), step))
-                probe = step
-            if not ok:
-                break
-            landed = fire(probe, action, program, dtso_successors)
-            if landed is not None and config_leq(nxt, landed):
-                for a, conf in trail:
-                    emitted.append(a)
-                    configs.append(conf)
-                emitted.append(action)
-                configs.append(landed)
-                done = True
-                break
-        if done:
-            continue
-        raise RunError(f"witness step {i + 1} cannot be replayed concretely")
+    actions: list = []
+    cur = initial_dtso_config(program)
+    for i, action in enumerate(stats.witness or ()):
+        p = action.proc
+        landed = fire(cur, action, program, dtso_successors)
+        while landed is None or not config_leq(chain[i + 1], landed):
+            if not cur.buffers[p]:
+                raise RunError(f"witness step {i + 1} cannot be replayed concretely")
+            cur = fire(cur, Delete(p), program, dtso_successors)
+            actions.append(Delete(p))
+            landed = fire(cur, action, program, dtso_successors)
+        actions.append(action)
+        cur = landed
     # drain every buffer; the final configuration matches the target minor
     for p in range(program.n):
-        while configs[-1].buffers[p]:
-            step = fire(configs[-1], Delete(p), program, dtso_successors)
-            emitted.append(Delete(p))
-            configs.append(step)
-    if configs[-1] != chain[-1]:
+        actions += [Delete(p)] * len(cur.buffers[p])
+    run = drive("dtso", initial_dtso_config(program), actions, program, dtso_successors)
+    if run.final != chain[-1]:
         raise RunError("drained final configuration does not match the target minor")
-    return Run("dtso", configs, emitted)
+    return run

@@ -64,13 +64,14 @@ def _build_parser() -> argparse.ArgumentParser:
     for mode in ("check", "param", "explore-tso", "explore-dtso", "translate"):
         sp = sub.add_parser(mode)
         sp.add_argument("file")
+        if mode == "translate":
+            sp.add_argument("--from", dest="source", choices=("tso", "dtso"), required=True)
+            continue
         sp.add_argument("--format", choices=("text", "json"), default="text")
         sp.add_argument("--max-nodes", type=_non_negative, default=DEFAULT_MAX_NODES)
         sp.add_argument("--witness", action="store_true")
         if mode.startswith("explore"):
             sp.add_argument("--buffer-bound", type=_non_negative, required=True)
-        if mode == "translate":
-            sp.add_argument("--from", dest="source", choices=("tso", "dtso"), required=True)
     return parser
 
 
@@ -87,22 +88,6 @@ def _read_text(path) -> str:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, ValueError) as exc:  # ValueError covers UnicodeDecodeError
         raise ParseError(f"cannot read {path}: {exc}") from exc
-
-
-def _witness_strings(actions, program) -> list[str]:
-    return [runs.action_str(a, program) for a in actions]
-
-
-def _param_witness_strings(actions, program: ParamProgram) -> list[str]:
-    out = []
-    for a in actions:
-        if isinstance(a, runs.Step):
-            out.append(f"#{a.proc + 1} {a.t.op} {a.t.dst}")
-        elif isinstance(a, runs.Propagate):
-            out.append(f"#{a.proc + 1} propagate {a.var}")
-        else:
-            out.append(f"#{a.proc + 1} delete")
-    return out
 
 
 def run(argv: list[str]) -> int:
@@ -137,11 +122,9 @@ def _dispatch(args) -> int:
     elif not isinstance(program, ConcurrentProgram):
         raise ParseError(f"{args.mode} mode needs a fixed-mode (target) program")
 
-    render = _witness_strings
     if args.mode in ("check", "param"):
         if args.mode == "param":
             stats = param.param_backward_reach(program, max_nodes=args.max_nodes)
-            render = _param_witness_strings
         else:
             stats = backward.backward_reach(program, program.target, max_nodes=args.max_nodes)
         reachable = stats.verdict == "Reachable"
@@ -160,7 +143,13 @@ def _dispatch(args) -> int:
             verdict = "safe-within-bound"
         counts = (result.explored, result.explored)
         actions = result.run.actions if result.run is not None else None
-    witness = render(actions, program) if args.witness and actions is not None else None
+    witness = None
+    if args.witness and actions is not None:
+        # a parameterized witness names each process by its position
+        witness = [
+            runs.action_str(a, f"#{a.proc + 1}" if args.mode == "param" else program.processes[a.proc].name)
+            for a in actions
+        ]
     print(emit_report(Report(verdict, args.mode, *counts, elapsed_ms(), witness), args.format))
     return 1 if reachable else 0
 
@@ -173,18 +162,16 @@ def _translate(args) -> int:
     if not isinstance(program, ConcurrentProgram):
         raise ParseError("translate mode needs a fixed-mode program")
 
-    successors = tso.tso_successors if semantics == "tso" else dtso.dtso_successors
-    initial = tso.initial_tso_config(program) if semantics == "tso" else dtso.initial_dtso_config(program)
-    configs = [initial]
+    initial, successors = translate.SEMANTICS[semantics]
+    # only a program step moves a process's local state
+    states = list(initial(program).states)
     actions = []
     for line in action_lines:
-        action = runs.parse_action(line, program, lambda p: configs[-1].states[p])
-        succ = runs.fire(configs[-1], action, program, successors)
-        if succ is None:
-            raise runs.RunError(f"action not enabled: {line!r}")
+        action = runs.parse_action(line, program, states.__getitem__)
+        if isinstance(action, runs.Step):
+            states[action.proc] = action.t.dst
         actions.append(action)
-        configs.append(succ)
-    source_run = runs.Run(semantics, configs, actions)
+    source_run = runs.drive(semantics, initial(program), actions, program, successors)
     if semantics == "tso":
         out = translate.tso_to_dtso(source_run, program)
     else:

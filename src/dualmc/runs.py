@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from .model import ConcurrentProgram, Op, ParseError, Transition, _parse_uint
+from .model import ConcurrentProgram, ParseError, Transition, _parse_op
 
 
 class ResourceLimitError(Exception):
@@ -103,7 +103,7 @@ def bounded_bfs(
     `overflow(action, succ, program)`, which returns None to cut it or
     (actions, config) to replace it by a composite step; either way the
     result is flagged bound_exceeded.  Returns the result, with a
-    shortest witness run rebuilt by replay, and the explored
+    shortest witness run rebuilt by `drive`, and the explored
     configurations mapped to their parent links.
     """
     if bound < 0:
@@ -138,10 +138,7 @@ def bounded_bfs(
         while parents[c] is not None:
             c, *acts = parents[c]
             actions[:0] = acts
-        configs = [init]
-        for action in actions:
-            configs.append(fire(configs[-1], action, program, successors))
-        run = Run(semantics, configs, actions)
+        run = drive(semantics, init, actions, program, successors)
     return BoundedResult(hit is not None, run, pruned, len(parents)), parents
 
 
@@ -155,18 +152,37 @@ def fire(c, action: Action, program: ConcurrentProgram, successors: Callable):
     return next((succ for a, succ in successors(c, program) if a == action), None)
 
 
+def drive(semantics: str, init, actions, program: ConcurrentProgram, successors: Callable) -> Run:
+    """The run from init that fires each action in turn under the
+    one-step relation `successors`; raises RunError at the first action
+    that is not enabled."""
+    configs = [init]
+    for i, action in enumerate(actions):
+        succ = fire(configs[-1], action, program, successors)
+        if succ is None:
+            raise RunError(f"step {i + 1}: action {_named(action, program)} not enabled")
+        configs.append(succ)
+    return Run(semantics, configs, list(actions))
+
+
 def replay(run: Run, program: ConcurrentProgram, successors: Callable) -> None:
     """Check every step of the run against the one-step relation."""
     for i, action in enumerate(run.actions):
         found = fire(run.configs[i], action, program, successors)
         if found is None:
-            raise RunError(f"step {i + 1}: action {action_str(action, program)} not enabled")
+            raise RunError(f"step {i + 1}: action {_named(action, program)} not enabled")
         if found != run.configs[i + 1]:
-            raise RunError(f"step {i + 1}: configuration mismatch after {action_str(action, program)}")
+            raise RunError(f"step {i + 1}: configuration mismatch after {_named(action, program)}")
 
 
-def action_str(action: Action, program: ConcurrentProgram) -> str:
-    name = program.processes[action.proc].name
+def _named(action: Action, program: ConcurrentProgram) -> str:
+    return action_str(action, program.processes[action.proc].name)
+
+
+def action_str(action: Action, name: str) -> str:
+    """One action as a run-file line, with `name` labelling the acting
+    process: its name in a fixed program, `#k` in a parameterized
+    witness."""
     if isinstance(action, Step):
         return f"{name} {action.t.op} {action.t.dst}"
     if isinstance(action, Update):
@@ -197,23 +213,13 @@ def parse_action(line: str, program: ConcurrentProgram, state_of: Callable[[int]
         if len(toks) != 3:
             raise ParseError(f"bad propagate line {line!r}")
         return Propagate(p, toks[2])
-    dst = toks[-1]
-    op_toks = toks[1:-1]
-    if kind in ("nop", "fence"):
-        if len(op_toks) != 1:
-            raise ParseError(f"bad action line {line!r}")
-        op = Op(kind)
-    elif kind in ("r", "w"):
-        if len(op_toks) != 3:
-            raise ParseError(f"bad action line {line!r}")
-        op = Op(kind, op_toks[1], _parse_uint(op_toks[2], None, None))
-    elif kind == "arw":
-        if len(op_toks) != 4:
-            raise ParseError(f"bad action line {line!r}")
-        op = Op(kind, op_toks[1], _parse_uint(op_toks[2], None, None), _parse_uint(op_toks[3], None, None))
-    else:
-        raise ParseError(f"unknown action {kind!r}")
-    t = Transition(state_of(p), op, dst)
+    if len(toks) < 3:
+        raise ParseError(f"bad action line {line!r}")
+    try:
+        op = _parse_op([(None, tok) for tok in toks[1:-1]], None)
+    except ParseError as exc:
+        raise ParseError(f"{exc.message} in action line {line!r}") from None
+    t = Transition(state_of(p), op, toks[-1])
     if t not in program.processes[p].transitions:
         raise ParseError(f"no such transition: {line!r} from state {t.src!r}")
     return Step(p, t)
@@ -221,7 +227,7 @@ def parse_action(line: str, program: ConcurrentProgram, state_of: Callable[[int]
 
 def format_run(run: Run, program: ConcurrentProgram, program_label: str) -> str:
     lines = [f"program {program_label}", f"semantics {run.semantics}"]
-    lines.extend(action_str(a, program) for a in run.actions)
+    lines.extend(_named(a, program) for a in run.actions)
     return "\n".join(lines) + "\n"
 
 

@@ -19,8 +19,14 @@ from dataclasses import dataclass, field
 from .dtso import dtso_successors, initial_dtso_config
 from .model import ConcurrentProgram
 from .ordering import Msg
-from .runs import Delete, Propagate, Run, RunError, Step, Update, fire, replay
+from .runs import Delete, Propagate, Run, RunError, Step, Update, drive, replay
 from .tso import TsoConfig, initial_tso_config, tso_successors
+
+# semantics tag -> (initial configuration, one-step relation)
+SEMANTICS = {
+    "tso": (initial_tso_config, tso_successors),
+    "dtso": (initial_dtso_config, dtso_successors),
+}
 
 
 @dataclass
@@ -52,12 +58,12 @@ class PhaseTables:
 def _check_complete(run: Run, program: ConcurrentProgram, semantics: str) -> None:
     if run.semantics != semantics:
         raise RunError(f"expected a {semantics} run")
-    initial = initial_tso_config(program) if semantics == "tso" else initial_dtso_config(program)
-    if run.configs[0] != initial:
+    initial, successors = SEMANTICS[semantics]
+    if run.configs[0] != initial(program):
         raise RunError("run must start at the initial configuration")
     if any(run.final.buffers):
         raise RunError("run must end with empty buffers")
-    replay(run, program, tso_successors if semantics == "tso" else dtso_successors)
+    replay(run, program, successors)
 
 
 def compute_index_view(run: Run, program: ConcurrentProgram) -> PhaseTables:
@@ -108,32 +114,22 @@ def compute_scheduling(run: Run, program: ConcurrentProgram) -> PhaseTables:
     n_procs = len(program.processes)
     alpha: dict[tuple[int, int, int], int] = {}
     sharp: dict[tuple[int, int], int] = {}
-    for r in range(k + 1):
-        for p in range(n_procs):
-            phase = [j for j in range(len(run.configs)) if view[j][p] == r]
-            if phase:
-                alpha[(r, p, 0)] = phase[0]
-            else:
-                alpha[(r, p, 0)] = alpha[(r - 1, p, sharp[(r - 1, p)])]
-            ell = 0
-            j = alpha[(r, p, 0)]
-            while True:
-                nxt = next(
-                    (
-                        j2
-                        for j2 in range(j + 1, len(run.configs))
-                        if view[j2][p] == r
-                        and isinstance(run.actions[j2 - 1], Step)
-                        and run.actions[j2 - 1].proc == p
-                    ),
-                    None,
-                )
-                if nxt is None:
-                    break
-                ell += 1
-                j = nxt
+    # stepper[j]: the process whose program step reached configuration j
+    stepper = [None] + [a.proc if isinstance(a, Step) else None for a in run.actions]
+    for p in range(n_procs):
+        phases: list[list[int]] = [[] for _ in range(k + 1)]
+        for j, row in enumerate(view):
+            phases[row[p]].append(j)
+        last = 0
+        for r, phase in enumerate(phases):
+            # a phase opens at its first configuration (or where the last
+            # one closed), then takes p's own steps within it
+            sched = phase[:1] or [last]
+            sched += [j for j in phase[1:] if stepper[j] == p]
+            for ell, j in enumerate(sched):
                 alpha[(r, p, ell)] = j
-            sharp[(r, p)] = ell
+            sharp[(r, p)] = len(sched) - 1
+            last = sched[-1]
     tables.alpha = alpha
     tables.sharp = sharp
 
@@ -187,21 +183,10 @@ def dtso_to_tso(run: Run, program: ConcurrentProgram) -> Run:
                 actions.append(Update(boundary.proc))
             else:
                 actions.append(Update(boundary.proc))
-    out = _drive("tso", program, actions)
+    out = drive("tso", initial_tso_config(program), actions, program, tso_successors)
     if out.final.states != run.final.states or any(out.final.buffers):
         raise RunError("store-buffer simulation missed the final global state")
     return out
-
-
-def _drive(semantics: str, program: ConcurrentProgram, actions: list) -> Run:
-    successors = tso_successors if semantics == "tso" else dtso_successors
-    configs = [initial_tso_config(program) if semantics == "tso" else initial_dtso_config(program)]
-    for i, action in enumerate(actions):
-        succ = fire(configs[-1], action, program, successors)
-        if succ is None:
-            raise RunError(f"translated step {i + 1} is not enabled")
-        configs.append(succ)
-    return Run(semantics, configs, list(actions))
 
 
 def _arwized_kind(action) -> str:
@@ -300,7 +285,7 @@ def tso_to_dtso(run: Run, program: ConcurrentProgram) -> Run:
     for p in range(n_procs):
         simulate(p, pos[(m - 1, p)], n)
 
-    out = _drive("dtso", program, actions)
+    out = drive("dtso", initial_dtso_config(program), actions, program, dtso_successors)
     if out.final.states != run.final.states or any(out.final.buffers) or out.final.mem != run.final.mem:
         raise RunError("load-buffer simulation missed the final configuration")
     return out

@@ -149,6 +149,35 @@ def test_pinned_counters(fixed_stats, param_stats):
         assert got == expected, name
 
 
+# sha256 prefixes of repr((actions, configs)) of the concrete run
+# concretize_witness builds, of repr(actions) of its dtso_to_tso
+# translation, and of repr(actions) of tso_to_dtso of that translation,
+# per reachable fixed corpus file.  They pin the run layer the way
+# PINNED_COUNTERS pins the engines.
+PINNED_RUNS = {
+    "sb.lit": ("da00154ae1df", "d388fcb35e34", "ad21771db68e"),
+    "rwc.lit": ("91176ce47d13", "c8e87450c285", "9971410a9c01"),
+    "wrwc.lit": ("e068a00d0f03", "3a69795d1ef9", "5cbda12e1984"),
+    "dekker-simple.lit": ("c2bb4c301a94", "ba40bc397426", "a2931a936191"),
+    "dekker.lit": ("5bba794165a6", "ba40bc397426", "a2931a936191"),
+    "peterson.lit": ("c6a985f7571a", "8376b840ba13", "6b37fd2ef15f"),
+    "peterson-repeat.lit": ("c6a985f7571a", "8376b840ba13", "6b37fd2ef15f"),
+}
+
+
+def test_pinned_concrete_runs(fixed_stats):
+    def digest(x) -> str:
+        return hashlib.sha256(repr(x).encode()).hexdigest()[:12]
+
+    for name, expected in PINNED_RUNS.items():
+        prog = corpus_program(name)
+        dtso_run = concretize_witness(prog, fixed_stats[name])
+        tso_run = dtso_to_tso(dtso_run, prog)
+        back = tso_to_dtso(tso_run, prog)
+        got = (digest((dtso_run.actions, dtso_run.configs)), digest(tso_run.actions), digest(back.actions))
+        assert got == expected, name
+
+
 def test_param_witness_names_acting_process(param_stats):
     """Each step of a parameterized witness names, by position in the
     canonical predecessor the chain stores, a process at the step's

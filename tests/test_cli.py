@@ -116,6 +116,14 @@ def _bad_input(tmp_path, case):
         return ["param", str(tmp_path / "bad.lit")]
     if case == "missing-buffer-bound":
         return ["explore-tso", str(CORPUS / "lb.lit")]
+    if case == "translate-ignored-option":
+        (tmp_path / "c.run").write_text("program dekker-simple.lit\nsemantics dtso\n")
+        return ["translate", str(tmp_path / "c.run"), "--from", "dtso", "--witness", "--format", "json",
+                "--max-nodes", "1"]
+    action = {"action-wrong-arity": "p0 r f0 L1", "action-unknown-op": "p0 frob L1", "action-no-destination": "p0 nop"}
+    if case in action:
+        (tmp_path / "bad.run").write_text(header + action[case] + "\n")
+        return ["translate", str(tmp_path / "bad.run"), "--from", "tso"]
     raise ValueError(case)
 
 
@@ -134,6 +142,10 @@ def _bad_input(tmp_path, case):
         "unknown-mode",
         "missing-buffer-bound",
         "empty-ptarget",
+        "translate-ignored-option",
+        "action-wrong-arity",
+        "action-unknown-op",
+        "action-no-destination",
     ],
 )
 def test_bad_input_exits_2(capsys, tmp_path, case):
@@ -254,7 +266,7 @@ def test_action_parse_format_round_trip(sb2):
     from dualmc.runs import action_str
 
     step = Step(0, sb2.processes[0].transitions[0])
-    text = action_str(step, sb2)
+    text = action_str(step, sb2.processes[0].name)
     assert parse_action(text, sb2, lambda p: c.states[p]) == step
-    upd = action_str(Update(1), sb2)
+    upd = action_str(Update(1), sb2.processes[1].name)
     assert parse_action(upd, sb2, lambda p: c.states[p]) == Update(1)

@@ -272,3 +272,34 @@ def test_index_tables_satisfy_length_and_descent(seed):
         for p in range(len(prog.processes)):
             views = [tables.view[j][p] for j in range(len(run.configs))]
             assert all(a <= b for a, b in zip(views, views[1:]))
+
+
+def _schedule_by_definition(run, view, k, n_procs):
+    """alpha/sharp straight from their definition: phase r of p opens at
+    the first configuration at view r (or, if there is none, at the
+    previous phase's last scheduled index) and then takes, in order,
+    every later configuration at view r reached by a step of p."""
+    alpha, sharp = {}, {}
+    for r in range(k + 1):
+        for p in range(n_procs):
+            at_r = [j for j in range(len(run.configs)) if view[j][p] == r]
+            start = at_r[0] if at_r else alpha[(r - 1, p, sharp[(r - 1, p)])]
+            own = [
+                j for j in at_r
+                if j > start and isinstance(run.actions[j - 1], Step) and run.actions[j - 1].proc == p
+            ]
+            for ell, j in enumerate([start, *own]):
+                alpha[(r, p, ell)] = j
+            sharp[(r, p)] = len(own)
+    return alpha, sharp
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_scheduling_matches_its_definition(seed):
+    rng = random.Random(seed)
+    for _ in range(30):
+        prog = random_program(rng, n_procs=2, max_states=3)
+        run = _random_complete_dtso_run(rng, prog)
+        tables = compute_scheduling(run, prog)
+        expected = _schedule_by_definition(run, tables.view, len(tables.write_indices), len(prog.processes))
+        assert (tables.alpha, tables.sharp) == expected
