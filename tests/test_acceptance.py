@@ -12,6 +12,7 @@ from dualmc import (
     backward_reach,
     concretize_witness,
     config_leq,
+    dtso_bounded_reach,
     dtso_reachable_empty_buffer_states,
     dtso_successors,
     dtso_to_tso,
@@ -176,6 +177,74 @@ def test_pinned_concrete_runs(fixed_stats):
         back = tso_to_dtso(tso_run, prog)
         got = (digest((dtso_run.actions, dtso_run.configs)), digest(tso_run.actions), digest(back.actions))
         assert got == expected, name
+
+
+# (reachable, bound_exceeded, explored, sha256 prefix of repr(witness
+# actions), or of repr(None) without a witness) of both bounded explorers
+# on every fixed corpus file at buffer bounds 0 and 1.  The successor
+# order fixes every one of these, bound_exceeded included: a search that
+# stops at its target never looks at the steps after it.  sb.lit's
+# load-buffer space at bound 1 exceeds two million configurations and is
+# left out, as the benchmark leaves it out.
+PINNED_EXPLORERS = {
+    ("dekker-simple.lit", "dtso", 0): (False, True, 1, "dc937b598926"),
+    ("dekker-simple.lit", "dtso", 1): (False, True, 158, "dc937b598926"),
+    ("dekker-simple.lit", "tso", 0): (False, True, 8, "dc937b598926"),
+    ("dekker-simple.lit", "tso", 1): (True, True, 36, "55bdcf156e24"),
+    ("dekker.lit", "dtso", 0): (False, True, 1, "dc937b598926"),
+    ("dekker.lit", "dtso", 1): (False, True, 2_536, "dc937b598926"),
+    ("dekker.lit", "tso", 0): (False, True, 86, "dc937b598926"),
+    ("dekker.lit", "tso", 1): (True, True, 69, "55bdcf156e24"),
+    ("iriw.lit", "dtso", 0): (False, True, 1, "dc937b598926"),
+    ("iriw.lit", "dtso", 1): (False, True, 4_497, "dc937b598926"),
+    ("iriw.lit", "tso", 0): (False, True, 15, "dc937b598926"),
+    ("iriw.lit", "tso", 1): (False, False, 24, "dc937b598926"),
+    ("isa2.lit", "dtso", 0): (False, True, 1, "dc937b598926"),
+    ("isa2.lit", "dtso", 1): (False, True, 819, "dc937b598926"),
+    ("isa2.lit", "tso", 0): (False, True, 6, "dc937b598926"),
+    ("isa2.lit", "tso", 1): (False, True, 9, "dc937b598926"),
+    ("lb.lit", "dtso", 0): (False, True, 1, "dc937b598926"),
+    ("lb.lit", "dtso", 1): (False, True, 64, "dc937b598926"),
+    ("lb.lit", "tso", 0): (False, False, 1, "dc937b598926"),
+    ("lb.lit", "tso", 1): (False, False, 1, "dc937b598926"),
+    ("mp.lit", "dtso", 0): (False, True, 1, "dc937b598926"),
+    ("mp.lit", "dtso", 1): (False, True, 14_521, "dc937b598926"),
+    ("mp.lit", "tso", 0): (False, True, 8, "dc937b598926"),
+    ("mp.lit", "tso", 1): (False, True, 12, "dc937b598926"),
+    ("peterson-repeat.lit", "dtso", 0): (False, True, 1, "dc937b598926"),
+    ("peterson-repeat.lit", "dtso", 1): (False, True, 676, "dc937b598926"),
+    ("peterson-repeat.lit", "tso", 0): (False, True, 20, "dc937b598926"),
+    ("peterson-repeat.lit", "tso", 1): (True, True, 84, "e3be3c51e0dc"),
+    ("peterson.lit", "dtso", 0): (False, True, 1, "dc937b598926"),
+    ("peterson.lit", "dtso", 1): (False, True, 455, "dc937b598926"),
+    ("peterson.lit", "tso", 0): (False, True, 16, "dc937b598926"),
+    ("peterson.lit", "tso", 1): (True, True, 49, "e3be3c51e0dc"),
+    ("rwc.lit", "dtso", 0): (False, True, 1, "dc937b598926"),
+    ("rwc.lit", "dtso", 1): (False, True, 72_215, "dc937b598926"),
+    ("rwc.lit", "tso", 0): (False, True, 65, "dc937b598926"),
+    ("rwc.lit", "tso", 1): (True, False, 145, "615ff254ece5"),
+    ("sb.lit", "dtso", 0): (False, True, 1, "dc937b598926"),
+    ("sb.lit", "tso", 0): (False, True, 242, "dc937b598926"),
+    ("sb.lit", "tso", 1): (True, False, 3_125, "aa8fafac7e20"),
+    ("wrc.lit", "dtso", 0): (False, True, 1, "dc937b598926"),
+    ("wrc.lit", "dtso", 1): (False, True, 5_491, "dc937b598926"),
+    ("wrc.lit", "tso", 0): (False, True, 7, "dc937b598926"),
+    ("wrc.lit", "tso", 1): (False, False, 10, "dc937b598926"),
+    ("wrwc.lit", "dtso", 0): (False, True, 1, "dc937b598926"),
+    ("wrwc.lit", "dtso", 1): (False, True, 41_917, "dc937b598926"),
+    ("wrwc.lit", "tso", 0): (False, True, 20, "dc937b598926"),
+    ("wrwc.lit", "tso", 1): (True, True, 50, "71279bf1638e"),
+}
+
+
+def test_pinned_explorer_results():
+    explorers = {"tso": tso_bounded_reach, "dtso": dtso_bounded_reach}
+    for (name, semantics, bound), expected in PINNED_EXPLORERS.items():
+        prog = corpus_program(name)
+        r = explorers[semantics](prog, bound, prog.target)
+        witness = None if r.run is None else r.run.actions
+        got = (r.reachable, r.bound_exceeded, r.explored, hashlib.sha256(repr(witness).encode()).hexdigest()[:12])
+        assert got == expected, (name, semantics, bound)
 
 
 def test_param_witness_names_acting_process(param_stats):
