@@ -54,6 +54,7 @@ from .translate import (
     PhaseTables,
     compute_index_view,
     compute_match_label_pos,
+    compute_phase_configs,
     compute_scheduling,
     dtso_to_tso,
     tso_to_dtso,

@@ -30,23 +30,42 @@ def initial_dtso_config(program: ConcurrentProgram) -> DtsoConfig:
     )
 
 
-def dtso_successors(c: DtsoConfig, program: ConcurrentProgram) -> list[tuple[object, DtsoConfig]]:
+def dtso_successors(
+    c: DtsoConfig, program: ConcurrentProgram, bound: int | None = None
+) -> list[tuple[object, DtsoConfig | None]]:
     """All one-step successors: per process, its program transitions,
-    then one propagate per variable, then delete."""
-    out: list[tuple[object, DtsoConfig]] = []
+    then one propagate per variable, then delete.
+
+    With a bound, a process whose buffer already holds `bound` messages
+    builds none of its appends (writes and propagates).  The first append
+    left out is listed in its place as a cut entry (action, None); the
+    later ones are dropped without one.
+    """
+    out: list[tuple[object, DtsoConfig | None]] = []
+    cut = False
     for p, auto in enumerate(program.processes):
+        state = c.states[p]
         buf = c.buffers[p]
+        full = bound is not None and len(buf) >= bound
         for t in auto.transitions:
-            if t.src != c.states[p]:
+            if t.src != state:
+                continue
+            if full and t.op.kind == "w":
+                if not cut:
+                    cut = True
+                    out.append((Step(p, t), None))
                 continue
             succ = _fire(c, program, p, t)
             if succ is not None:
                 out.append((Step(p, t), succ))
-        for x in program.vars:
-            v = c.mem[program.var_index[x]]
-            out.append(
-                (Propagate(p, x), DtsoConfig(c.states, _set(c.buffers, p, ((x, v, False),) + buf), c.mem))
-            )
+        if not full:
+            for x, v in zip(program.vars, c.mem):
+                out.append(
+                    (Propagate(p, x), DtsoConfig(c.states, _set(c.buffers, p, ((x, v, False),) + buf), c.mem))
+                )
+        elif not cut and program.vars:
+            cut = True
+            out.append((Propagate(p, program.vars[0]), None))
         if buf:
             out.append((Delete(p), DtsoConfig(c.states, _set(c.buffers, p, buf[:-1]), c.mem)))
     return out
@@ -80,11 +99,6 @@ def _fire(c: DtsoConfig, program: ConcurrentProgram, p: int, t: Transition) -> D
     raise ValueError(f"bad op kind {op.kind!r}")
 
 
-def _cut(_action, _succ, _program) -> None:
-    """Writes and propagates that would overflow the bound are pruned."""
-    return None
-
-
 def dtso_bounded_reach(
     program: ConcurrentProgram,
     bound: int,
@@ -93,12 +107,12 @@ def dtso_bounded_reach(
 ) -> BoundedResult:
     """Bounded search for the target global state with empty buffers."""
     init = initial_dtso_config(program)
-    return bounded_bfs("dtso", init, dtso_successors, _cut, program, bound, max_nodes, tuple(target))[0]
+    return bounded_bfs("dtso", init, dtso_successors, None, program, bound, max_nodes, tuple(target))[0]
 
 
 def dtso_reachable_empty_buffer_states(
     program: ConcurrentProgram, bound: int, max_nodes: int | None = None
 ) -> frozenset[tuple[str, ...]]:
     """Global states reachable with all buffers empty, within the bound."""
-    _, seen = bounded_bfs("dtso", initial_dtso_config(program), dtso_successors, _cut, program, bound, max_nodes)
+    _, seen = bounded_bfs("dtso", initial_dtso_config(program), dtso_successors, None, program, bound, max_nodes)
     return frozenset(c.states for c in seen if not any(c.buffers))

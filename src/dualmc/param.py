@@ -117,11 +117,22 @@ def _fresh_writer_buffers(program: ParamProgram, allowed=None):
                 yield tuple((x, v, True) for x, v in zip(xs, vs))
 
 
+def fresh_writer_table(program: ParamProgram, removable=None) -> dict[str, list[Word]]:
+    """Per source state of a template write, the buffers a fresh writer
+    may hold there: over the own-messages in that state's `removable`
+    set if given, over all own-messages if not."""
+    return {
+        s: list(_fresh_writer_buffers(program, None if removable is None else removable[s]))
+        for s in {t.src for t in program.template.transitions if t.op.kind == "w"}
+    }
+
+
 def predecessor_candidates(
     alpha: ParamConfig,
     program: ParamProgram,
     all_positions: bool = True,
     removable=None,
+    fresh=None,
 ):
     """Minimal one-rule predecessors of the upward closure of alpha.
 
@@ -132,11 +143,14 @@ def predecessor_candidates(
     represents its whole permutation orbit) and passes the template's
     removable_own table as `removable`, so that fresh writers hold and
     delete predecessors re-append only own-messages consumable from
-    their state.
+    their state.  `fresh` is the fresh_writer_table of `removable`,
+    built here unless given; the engine builds it once per search.
     """
     values = program.values
     procs = alpha.procs
     out: list[tuple[object, ParamConfig]] = []
+    if fresh is None:
+        fresh = fresh_writer_table(program, removable)
 
     for t in program.template.transitions:
         op = t.op
@@ -152,11 +166,9 @@ def predecessor_candidates(
             xi = program.var_index[op.var]
             if alpha.mem[xi] != op.val:
                 continue
-            allowed = removable[t.src] if removable is not None else None
-            fresh = list(_fresh_writer_buffers(program, allowed))
             for prior in values:
                 mem = _set(alpha.mem, xi, prior)
-                for fresh_buf in fresh:
+                for fresh_buf in fresh[t.src]:
                     for pos in positions:
                         grown = procs[:pos] + ((t.src, fresh_buf),) + procs[pos:]
                         out.append((Step(pos, t), ParamConfig(grown, mem)))
@@ -229,10 +241,11 @@ def param_backward_reach(
         targets = program.target
     check_seed_count(program, max_nodes)
     own_ok = removable_own(program.template)
+    fresh = fresh_writer_table(program, own_ok)
     return fixpoint(
         # every seed buffer is empty, so sorted targets are canonical
         param_target_to_minors(program, tuple(sorted(targets))),
-        lambda a: predecessor_candidates(a, program, all_positions=False, removable=own_ok),
+        lambda a: predecessor_candidates(a, program, all_positions=False, removable=own_ok, fresh=fresh),
         live_filter(program, own_ok),
         lambda a: param_covers_initial(a, program),
         lambda a: len(a.procs) + sum(len(b) for _s, b in a.procs),

@@ -87,7 +87,7 @@ def bounded_bfs(
     semantics: str,
     init,
     successors: Callable,
-    overflow: Callable,
+    overflow: Callable | None,
     program: ConcurrentProgram,
     bound: int,
     max_nodes: int | None,
@@ -99,12 +99,17 @@ def bounded_bfs(
 
     A step is over the bound iff it leaves the acting process's buffer
     longer than `bound` (only appends grow a buffer, and every explored
-    configuration is within the bound).  Such a step is handed to
-    `overflow(action, succ, program)`, which returns None to cut it or
-    (actions, config) to replace it by a composite step; either way the
-    result is flagged bound_exceeded.  Returns the result, with a
-    shortest witness run rebuilt by `drive`, and the explored
-    configurations mapped to their parent links.
+    configuration is within the bound).  The bound is passed on as
+    `successors(c, program, bound)`, which may leave such steps out; it
+    then lists a cut entry (action, None) where the first one was, so
+    the result is flagged bound_exceeded at the same point of the search
+    as if the step had been built.  A step over the bound that
+    `successors` does build (TSO's writes) goes to
+    `overflow(action, succ, program)`, which returns (actions, config) to
+    replace it by a composite step, also flagged; only the store-buffer
+    explorer has one, the load-buffer explorer passes None.  Returns the
+    result, with a shortest witness run rebuilt by `drive`, and the
+    explored configurations mapped to their parent links.
     """
     if bound < 0:
         raise ValueError(f"buffer bound must be non-negative, got {bound}")
@@ -114,14 +119,14 @@ def bounded_bfs(
     queue = deque([init])
     while queue and hit is None:
         c = queue.popleft()
-        for action, succ in successors(c, program):
+        for action, succ in successors(c, program, bound):
+            if succ is None:
+                pruned = True
+                continue
             composite = None
             if len(succ.buffers[action.proc]) > bound:
                 pruned = True
-                replaced = overflow(action, succ, program)
-                if replaced is None:
-                    continue
-                composite, succ = replaced
+                composite, succ = overflow(action, succ, program)
             if succ in parents:
                 continue
             if max_nodes is not None and len(parents) >= max_nodes:

@@ -37,7 +37,8 @@ class PhaseTables:
     rank of the latest write when the message was appended; `view[j][p]`
     is the process's memory view; `alpha[(r, p, l)]` schedules the l-th
     transition of p in phase r, `sharp[(r, p)]` counts them, and
-    `configs[(r, p, l)]` are the derived store-buffer configurations.
+    `configs[(r, p, l)]` are the derived store-buffer configurations
+    (filled by compute_phase_configs only).
     Store-buffer side: `match[j]` pairs update j with its write,
     `label[j - 1][p]` is the message a step becomes in a load buffer,
     and `pos[(r, p)]` is the last simulated index of p after phase r.
@@ -106,8 +107,7 @@ def compute_index_view(run: Run, program: ConcurrentProgram) -> PhaseTables:
 
 
 def compute_scheduling(run: Run, program: ConcurrentProgram) -> PhaseTables:
-    """Extend the index/view tables with the phase schedule and the
-    derived store-buffer configurations."""
+    """Extend the index/view tables with the phase schedule."""
     tables = compute_index_view(run, program)
     view = tables.view
     k = len(tables.write_indices)
@@ -132,6 +132,17 @@ def compute_scheduling(run: Run, program: ConcurrentProgram) -> PhaseTables:
             last = sched[-1]
     tables.alpha = alpha
     tables.sharp = sharp
+    return tables
+
+
+def compute_phase_configs(run: Run, program: ConcurrentProgram) -> PhaseTables:
+    """Extend the scheduling tables with the derived store-buffer
+    configurations; dtso_to_tso does not need them."""
+    tables = compute_scheduling(run, program)
+    alpha = tables.alpha
+    sharp = tables.sharp
+    k = len(tables.write_indices)
+    n_procs = len(program.processes)
 
     def to_store_buffer(word) -> tuple:
         if not word:

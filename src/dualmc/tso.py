@@ -28,8 +28,14 @@ def initial_tso_config(program: ConcurrentProgram) -> TsoConfig:
     )
 
 
-def tso_successors(c: TsoConfig, program: ConcurrentProgram) -> list[tuple[object, TsoConfig]]:
-    """All one-step successors, ordered by process, transition, update."""
+def tso_successors(
+    c: TsoConfig, program: ConcurrentProgram, bound: int | None = None
+) -> list[tuple[object, TsoConfig]]:
+    """All one-step successors, ordered by process, transition, update.
+
+    `bound` is not used: a write over the bound is built all the same,
+    and bounded_bfs hands it to the overflow hook, _write_then_update.
+    """
     out: list[tuple[object, TsoConfig]] = []
     for p, auto in enumerate(program.processes):
         buf = c.buffers[p]

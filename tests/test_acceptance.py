@@ -346,7 +346,7 @@ def test_criterion_5_monotonicity():
 
 
 def test_criterion_6_translation_tables(write_read):
-    from dualmc import compute_index_view, compute_match_label_pos, compute_scheduling
+    from dualmc import compute_index_view, compute_match_label_pos, compute_phase_configs
     from dualmc import Propagate, Step, TsoConfig, Update
     from dualmc.model import Op, Transition
 
@@ -355,7 +355,7 @@ def test_criterion_6_translation_tables(write_read):
     assert [row[0] for row in tables.index] == [(), (1,), (1, 1), (1,), (1,), ()]
     assert [row[0] for row in tables.view] == [0, 1, 1, 1, 1, 1]
 
-    sched = compute_scheduling(run, write_read)
+    sched = compute_phase_configs(run, write_read)
     assert sched.alpha[(0, 0, 0)] == 0
     assert sched.alpha[(1, 0, 0)] == 1
     assert sched.alpha[(1, 0, 1)] == 4

@@ -1,19 +1,50 @@
-"""Both bounded explorers: pinned results on random programs."""
+"""Both bounded explorers: the load-buffer rules under a bound, and
+pinned results on random programs."""
 import hashlib
 import random
 
 from dualmc import (
     dtso_bounded_reach,
     dtso_reachable_empty_buffer_states,
+    dtso_successors,
     tso_bounded_reach,
     tso_reachable_empty_buffer_states,
 )
 
-from conftest import random_program
+from conftest import random_dtso_config, random_program
 
 
 def digest(x) -> str:
     return hashlib.sha256(repr(x).encode()).hexdigest()[:12]
+
+
+def test_bounded_successors_cut_exactly_the_over_bound_appends():
+    """Under a bound, the load-buffer rules build the unbounded steps in
+    order, less exactly the appends that leave the acting buffer longer
+    than the bound; a cut entry is listed iff there is such an append,
+    at the place of the first one."""
+    rng = random.Random(10)
+    cuts = 0
+    for _ in range(3000):
+        prog = random_program(rng)
+        c = random_dtso_config(rng, prog, max_buf=3)
+        unbounded = dtso_successors(c, prog)
+        for bound in range(3):
+            over = [
+                i for i, (a, succ) in enumerate(unbounded)
+                if len(succ.buffers[a.proc]) > max(bound, len(c.buffers[a.proc]))
+            ]
+            bounded = dtso_successors(c, prog, bound)
+            built = [(a, succ) for a, succ in bounded if succ is not None]
+            assert built == [step for i, step in enumerate(unbounded) if i not in over]
+            cut_at = [i for i, (_a, succ) in enumerate(bounded) if succ is None]
+            assert bool(cut_at) == bool(over)
+            if over:
+                first = cut_at[0]
+                assert bounded[:first] == unbounded[: over[0]]
+                assert bounded[first][0] == unbounded[over[0]][0]
+                cuts += 1
+    assert cuts > 1000
 
 
 def test_pinned_random_explorer_results():

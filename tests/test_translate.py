@@ -13,6 +13,7 @@ from dualmc import (
     Update,
     compute_index_view,
     compute_match_label_pos,
+    compute_phase_configs,
     compute_scheduling,
     dtso_bounded_reach,
     dtso_successors,
@@ -105,7 +106,7 @@ def test_scheduling_matches_example(write_read):
 
 
 def test_phase_configurations_match_example(write_read):
-    tables = compute_scheduling(example_dtso_run(write_read), write_read)
+    tables = compute_phase_configs(example_dtso_run(write_read), write_read)
     assert tables.configs[(0, 0, 0)] == TsoConfig(("q0",), ((),), (0, 0))
     assert tables.configs[(1, 0, 0)] == TsoConfig(("q1",), ((),), (1, 0))
     assert tables.configs[(1, 0, 1)] == TsoConfig(("q2",), ((),), (1, 0))
