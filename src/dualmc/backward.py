@@ -14,11 +14,12 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from .dtso import DtsoConfig, dtso_successors, initial_dtso_config
 from .model import ConcurrentProgram
-from .ordering import MinorSet, Word, config_leq, delimiter_signature
+from .ordering import MinorSet, Word, config_leq, delimiter_signature, word_table
 from .runs import Delete, Propagate, ResourceLimitError, Run, RunError, Step, _set, drive, fire
 
 
@@ -37,10 +38,11 @@ def _config_key(c: DtsoConfig):
     return (c.states, c.mem)
 
 
-def target_to_minors(program: ConcurrentProgram, target: tuple[str, ...]) -> MinorSet:
+def target_to_minors(program: ConcurrentProgram, target: tuple[str, ...], leq: Callable = config_leq) -> MinorSet:
     """Empty-buffer configurations at the target state, one per memory
-    valuation; pairwise incomparable by construction."""
-    minors = MinorSet(config_leq, key=_config_key, sig=delimiter_signature)
+    valuation, pairwise incomparable by construction, in an antichain
+    under `leq`: config_leq, or config_leq over a search's word_table."""
+    minors = MinorSet(leq, key=_config_key, sig=delimiter_signature)
     buffers = tuple(() for _ in program.processes)
     for mem in itertools.product(program.values, repeat=len(program.vars)):
         minors.insert(DtsoConfig(tuple(target), buffers, mem))
@@ -132,7 +134,7 @@ def buffer_preds(
     return out
 
 
-def predecessor_candidates(c: DtsoConfig, program: ConcurrentProgram, removable=None):
+def predecessor_candidates(c: DtsoConfig, program: ConcurrentProgram, removable=None, moves=None):
     """Minimal one-rule predecessors of the upward closure of c, each
     paired with the action leading from it back into that closure;
     process by process, its transitions, then propagate and delete.
@@ -140,22 +142,46 @@ def predecessor_candidates(c: DtsoConfig, program: ConcurrentProgram, removable=
     The backward engine passes `removable`, the per-process
     removable_own tables, to enumerate only delete predecessors that
     live_filter keeps; without it every delete predecessor is listed.
+
+    A process's backward moves depend only on its local state, its
+    buffer and the memory, so they are read from `moves`, a dict from
+    (p, state, buffer, memory) to a list of (action, source state or
+    None if kept, buffer or None if kept, memory), filled on a miss.
+    The same dict interns the moves' buffers, each word keyed by itself
+    (a word never equals a four-field key), so equal candidate buffers
+    are one object.  The engine shares one dict, for one `removable`,
+    across a search; without one a fresh dict is used.
     """
+    if moves is None:
+        moves = {}
     out: list[tuple[object, DtsoConfig]] = []
-    for p, auto in enumerate(program.processes):
-        allowed = removable[p][c.states[p]] if removable is not None else None
-        buf = c.buffers[p]
-        for t in auto.transitions:
-            if t.dst != c.states[p]:
-                continue
-            states = _set(c.states, p, t.src)
-            action = Step(p, t)
-            for b, mem in rule_preds(t, buf, c.mem, program):
-                out.append((action, DtsoConfig(states, c.buffers if b is buf else _set(c.buffers, p, b), mem)))
-        out += [
-            (action, DtsoConfig(c.states, _set(c.buffers, p, b), c.mem))
-            for action, b in buffer_preds(p, buf, c.mem, program, allowed)
-        ]
+    states, buffers, mem = c
+    for p, state in enumerate(states):
+        buf = buffers[p]
+        key = (p, state, buf, mem)
+        local = moves.get(key)
+        if local is None:
+            local = moves[key] = []
+            for t in program.processes[p].transitions:
+                if t.dst != state:
+                    continue
+                action = Step(p, t)
+                for b, m in rule_preds(t, buf, mem, program):
+                    local.append((action, t.src, None if b is buf else moves.setdefault(b, b), m))
+            allowed = removable[p][state] if removable is not None else None
+            local += [
+                (action, None, moves.setdefault(b, b), mem)
+                for action, b in buffer_preds(p, buf, mem, program, allowed)
+            ]
+        for action, src, b, m in local:
+            out.append((
+                action,
+                DtsoConfig(
+                    states if src is None else _set(states, p, src),
+                    buffers if b is None else _set(buffers, p, b),
+                    m,
+                ),
+            ))
     return out
 
 
@@ -338,15 +364,20 @@ def backward_reach(
 ) -> BackwardStats:
     """Backward fixpoint from the target minors, weighted by the total
     buffered-message count; dead candidates per live_filter are dropped,
-    and dead delete predecessors are not generated at all."""
+    and dead delete predecessors are not generated at all.
+
+    The search owns its tables: a word_table behind config_leq, and one
+    predecessor_candidates move table that also interns the buffers."""
     check_seed_count(program, max_nodes)
     own_ok = [removable_own(auto) for auto in program.processes]
     init = initial_dtso_config(program)
+    leq = partial(config_leq, wleq=word_table())
+    moves: dict = {}
     return fixpoint(
-        target_to_minors(program, target),
-        lambda c: predecessor_candidates(c, program, own_ok),
+        target_to_minors(program, target, leq),
+        lambda c: predecessor_candidates(c, program, own_ok, moves),
         live_filter(program, own_ok),
-        lambda c: config_leq(c, init),
+        lambda c: leq(c, init),
         lambda c: sum(len(b) for b in c.buffers),
         lambda c: c,
         max_nodes,

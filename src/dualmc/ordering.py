@@ -77,13 +77,35 @@ def word_leq(w: Word, w2: Word) -> bool:
     return all(subword(fa, fb) for fa, fb in zip(a.fragments, b.fragments))
 
 
-def config_leq(c, c2) -> bool:
-    """Configuration ordering: equal states and memory, word_leq per buffer."""
+def word_table() -> Callable[[Word, Word], bool]:
+    """word_leq memoised on (w, w2), for one search to own: buffer words
+    repeat heavily, so each distinct pair is decided once.  A word is
+    below itself without a lookup."""
+    memo: dict = {}
+
+    def leq(w: Word, w2: Word) -> bool:
+        if w is w2:
+            return True
+        key = (w, w2)
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = word_leq(w, w2)
+        return out
+
+    return leq
+
+
+def config_leq(c, c2, wleq=word_leq) -> bool:
+    """Configuration ordering: equal states and memory, `wleq` (the
+    buffer-word ordering, or a word_table of it) per buffer."""
     if len(c.states) != len(c2.states):
         raise ValueError("config_leq over different process sets")
     if c.states != c2.states or c.mem != c2.mem:
         return False
-    return all(word_leq(b, b2) for b, b2 in zip(c.buffers, c2.buffers))
+    for b, b2 in zip(c.buffers, c2.buffers):
+        if not (b is b2 or wleq(b, b2)):
+            return False
+    return True
 
 
 def delimiter_signature(c) -> tuple:

@@ -4,9 +4,11 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 import hashlib
 import random
+from collections.abc import Sized
 
 import pytest
 
+import dualmc
 from dualmc import (
     Run,
     backward_reach,
@@ -141,13 +143,45 @@ PINNED_COUNTERS = {
 }
 
 
+def _pinned(s) -> tuple:
+    return (s.verdict, s.configs_generated, s.iterations, s.frontier_peak, s.minors,
+            len(s.witness or ()), hashlib.sha256(repr((s.witness, s.chain)).encode()).hexdigest()[:12])
+
+
 def test_pinned_counters(fixed_stats, param_stats):
     stats = {**fixed_stats, **param_stats}
     for name, expected in PINNED_COUNTERS.items():
-        s = stats[name]
-        got = (s.verdict, s.configs_generated, s.iterations, s.frontier_peak, s.minors,
-               len(s.witness or ()), hashlib.sha256(repr((s.witness, s.chain)).encode()).hexdigest()[:12])
-        assert got == expected, name
+        assert _pinned(stats[name]) == expected, name
+
+
+def _module_sizes(module) -> dict:
+    """len() of every sized attribute of `module` and of the default
+    arguments of its functions, keyed by name."""
+    sizes = {}
+    for name, value in vars(module).items():
+        if isinstance(value, Sized):
+            sizes[name] = len(value)
+        for i, default in enumerate(getattr(value, "__defaults__", None) or ()):
+            if isinstance(default, Sized):
+                sizes[f"{name}.__defaults__[{i}]"] = len(default)
+    return sizes
+
+
+def test_searches_share_no_state():
+    """Each backward search owns its tables: lb.lit, mp.lit, then lb.lit
+    again in one process give the pinned lb.lit result twice, and no
+    module attribute of the engine or the orderings grows.  (The one
+    process-wide cache left, own_decompose's lru_cache, is not a sized
+    attribute; removing it waits for the stats record.)"""
+    modules = (dualmc.backward, dualmc.ordering)
+    before = [_module_sizes(m) for m in modules]
+    results = []
+    for name in ("lb.lit", "mp.lit", "lb.lit"):
+        prog = corpus_program(name)
+        results.append(_pinned(backward_reach(prog, prog.target)))
+        assert [_module_sizes(m) for m in modules] == before, name
+    assert results[0] == results[2] == PINNED_COUNTERS["lb.lit"]
+    assert results[1] == PINNED_COUNTERS["mp.lit"]
 
 
 # sha256 prefixes of repr((actions, configs)) of the concrete run

@@ -254,6 +254,35 @@ def test_removable_table_drops_exactly_dead_deletes():
     assert dropped > 0
 
 
+def test_shared_move_table_gives_fresh_table_candidates():
+    """One move table shared across the live configurations of a program
+    gives exactly the candidates a fresh table gives, in the same order,
+    and the buffers it builds are interned: equal ones are one object."""
+    rng = random.Random(23)
+    checked = hits = shared = 0
+    while checked < 3000:
+        prog = random_program(rng, n_procs=2, max_states=3)
+        own_ok = [removable_own(auto) for auto in prog.processes]
+        live = live_filter(prog, own_ok)
+        moves: dict = {}
+        built: dict = {}
+        for _ in range(40):
+            c = random_dtso_config(rng, prog, max_buf=2)
+            if not live(c):
+                continue
+            size = len(moves)
+            got = predecessor_candidates(c, prog, own_ok, moves)
+            hits += len(moves) == size
+            assert got == predecessor_candidates(c, prog, own_ok), c
+            for action, d in got:
+                b = d.buffers[action.proc]
+                if b is not c.buffers[action.proc]:
+                    shared += b in built
+                    assert built.setdefault(b, b) is b, (c, action)
+            checked += 1
+    assert hits > 0 and shared > 0
+
+
 def test_witness_concretizes_and_replays(sb2):
     stats = backward_reach(sb2, ("q2", "q3"))
     run = concretize_witness(sb2, stats)

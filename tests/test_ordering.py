@@ -15,9 +15,9 @@ from dualmc import (
     word_leq,
 )
 
-from dualmc.ordering import delimiter_signature
+from dualmc.ordering import delimiter_signature, word_table
 
-from conftest import pad_with_plains, param_leq_oracle, random_dtso_config, random_program
+from conftest import pad_with_plains, param_leq_oracle, random_dtso_config, random_program, random_word
 
 # small message alphabet for the property suites
 MSGS = [(x, v, own) for x in "xy" for v in (0, 1) for own in (False, True)]
@@ -122,6 +122,32 @@ def test_config_leq_rejects_mismatched_process_sets():
     b = _cfg(["q", "q"], [(), ()], [0])
     with pytest.raises(ValueError):
         config_leq(a, b)
+
+
+def test_word_table_agrees_with_word_leq():
+    """A word_table gives word_leq's answer on repeated pairs, on
+    identical objects and on equal words that are distinct objects, and
+    config_leq over it gives config_leq's answer."""
+    rng = random.Random(5)
+    for _ in range(20):
+        prog = random_program(rng, n_procs=2, max_states=2)
+        table = word_table()
+        pool = [random_word(rng, prog, 4) for _ in range(12)]
+        pool += [tuple(list(w)) for w in pool[:4]]  # equal, not identical
+        for _ in range(300):
+            w, w2 = rng.choice(pool), rng.choice(pool)
+            assert table(w, w2) == word_leq(w, w2), (w, w2)
+            assert table(w, w)
+        leq = lambda c, c2: config_leq(c, c2, wleq=table)
+        outcomes = set()
+        for _ in range(100):
+            c = random_dtso_config(rng, prog, max_buf=2)
+            for c2 in (c, random_dtso_config(rng, prog, max_buf=2), pad_with_plains(rng, prog, c, 2)):
+                outcomes.add(config_leq(c, c2))
+                assert leq(c, c2) == config_leq(c, c2), (c, c2)
+        assert outcomes == {True, False}
+        with pytest.raises(ValueError):
+            leq(_cfg(["q"], [()], [0]), _cfg(["q", "q"], [(), ()], [0]))
 
 
 def _pcfg(procs, mem=(0,)):
