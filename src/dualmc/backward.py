@@ -38,7 +38,9 @@ def _config_key(c: DtsoConfig):
     return (c.states, c.mem)
 
 
-def target_to_minors(program: ConcurrentProgram, target: tuple[str, ...], leq: Callable = config_leq) -> MinorSet:
+def target_to_minors(
+    program: ConcurrentProgram, target: tuple[str, ...], leq: Callable = config_leq
+) -> MinorSet:
     """Empty-buffer configurations at the target state, one per memory
     valuation, pairwise incomparable by construction, in an antichain
     under `leq`: config_leq, or config_leq over a search's word_table."""

@@ -143,15 +143,19 @@ PINNED_COUNTERS = {
 }
 
 
-def _pinned(s) -> tuple:
-    return (s.verdict, s.configs_generated, s.iterations, s.frontier_peak, s.minors,
-            len(s.witness or ()), hashlib.sha256(repr((s.witness, s.chain)).encode()).hexdigest()[:12])
-
-
 def test_pinned_counters(fixed_stats, param_stats):
     stats = {**fixed_stats, **param_stats}
     for name, expected in PINNED_COUNTERS.items():
-        assert _pinned(stats[name]) == expected, name
+        s = stats[name]
+        got = (s.verdict, s.configs_generated, s.iterations, s.frontier_peak, s.minors,
+               len(s.witness or ()), hashlib.sha256(repr((s.witness, s.chain)).encode()).hexdigest()[:12])
+        assert got == expected, name
+
+
+def _pinned(s) -> tuple:
+    """s in the form test_pinned_counters compares with PINNED_COUNTERS."""
+    return (s.verdict, s.configs_generated, s.iterations, s.frontier_peak, s.minors,
+            len(s.witness or ()), hashlib.sha256(repr((s.witness, s.chain)).encode()).hexdigest()[:12])
 
 
 def _module_sizes(module) -> dict:
