@@ -20,7 +20,7 @@ from typing import Callable
 from .dtso import DtsoConfig, dtso_successors, initial_dtso_config
 from .model import ConcurrentProgram
 from .ordering import MinorSet, Word, config_leq, delimiter_signature, word_table
-from .runs import Delete, Propagate, ResourceLimitError, Run, RunError, Step, _set, drive, fire
+from .runs import Delete, Propagate, ResourceLimitError, Run, RunError, Step, _set, drive, fire, unwind
 
 
 @dataclass
@@ -31,7 +31,9 @@ class BackwardStats:
     iterations: int
     frontier_peak: int
     minors: int
-    chain: tuple | None = None  # minimal configs along the witness, oldest first
+    # minors along the witness: chain[0] covers the initial configuration,
+    # chain[-1] is a target seed, and witness[i] leads chain[i] to chain[i + 1]
+    chain: tuple | None = None
 
 
 def _config_key(c: DtsoConfig):
@@ -301,41 +303,30 @@ def fixpoint(
     the verdict unchanged and are deterministic.  When `canon` moves
     processes, `relabel(action, pred, canonical_pred)` renames the
     action's process for the canonical form; it runs only for
-    predecessors that enter the antichain.
+    predecessors that enter the antichain.  Each queued minor carries
+    its provenance link (runs.unwind), which outlives its eviction.
     """
-    meta: dict = {}
     generated = len(minors)
     iterations = 0
     peak = 0
 
-    def reachable(cover) -> BackwardStats:
-        chain = [cover]
-        actions = []
-        cur = cover
-        while True:
-            parent, action = meta[cur]
-            if parent is None:
-                break
-            actions.append(action)
-            chain.append(parent)
-            cur = parent
-        return BackwardStats(
-            "Reachable", tuple(actions), generated, iterations, peak, len(minors), tuple(chain)
-        )
+    def reachable(link) -> BackwardStats:
+        chain, actions = unwind(link)
+        return BackwardStats("Reachable", actions, generated, iterations, peak, len(minors), chain)
 
     work: list = []
     for seq, tc in enumerate(minors.elements()):
-        meta[tc] = (None, None)
         if covers(tc):
-            return reachable(tc)
+            return reachable((tc, None, None))
         if live(tc):
-            work.append((weight(tc), seq, tc))
+            work.append((weight(tc), seq, (tc, None, None)))
     heapq.heapify(work)
     peak = len(work)
     seq = len(work)
 
     while work:
-        _, _, c = heapq.heappop(work)
+        link = heapq.heappop(work)[2]
+        c = link[0]
         if c not in minors:
             continue  # subsumed after being queued
         iterations += 1
@@ -350,11 +341,11 @@ def fixpoint(
                 continue
             if relabel is not None:
                 action = relabel(action, raw, pred)
-            meta[pred] = (c, action)
+            step = (pred, action, link)
             if covers(pred):
-                return reachable(pred)
+                return reachable(step)
             seq += 1
-            heapq.heappush(work, (weight(pred), seq, pred))
+            heapq.heappush(work, (weight(pred), seq, step))
             peak = max(peak, len(work))
     return BackwardStats("Unreachable", None, generated, iterations, peak, len(minors))
 

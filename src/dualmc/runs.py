@@ -92,7 +92,7 @@ def bounded_bfs(
     bound: int,
     max_nodes: int | None,
     target: tuple[str, ...] | None = None,
-) -> tuple[BoundedResult, dict]:
+) -> tuple[BoundedResult, set]:
     """Deterministic breadth-first search of the configurations whose
     buffers never exceed `bound`, stopping at the first one at `target`
     with empty buffers.
@@ -105,46 +105,55 @@ def bounded_bfs(
     the result is flagged bound_exceeded at the same point of the search
     as if the step had been built.  A step over the bound that
     `successors` does build (TSO's writes) goes to
-    `overflow(action, succ, program)`, which returns (actions, config) to
-    replace it by a composite step, also flagged; only the store-buffer
-    explorer has one, the load-buffer explorer passes None.  Returns the
-    result, with a shortest witness run rebuilt by `drive`, and the
-    explored configurations mapped to their parent links.
+    `overflow(action, succ, program)`, which returns the follow-up step
+    (action, config) back within the bound, also flagged; the over-bound
+    configuration is a link of the witness but is never explored.
+    Returns the result, with a shortest witness run unwound from the
+    hit's link and rebuilt by `drive`, and the explored configurations.
     """
     if bound < 0:
         raise ValueError(f"buffer bound must be non-negative, got {bound}")
-    parents: dict = {init: None}
+    seen = {init}
     pruned = False
-    hit = init if _at_target(init, target) else None
-    queue = deque([init])
+    queue = deque([(init, None, None)])
+    hit = queue[0] if _at_target(init, target) else None
     while queue and hit is None:
-        c = queue.popleft()
-        for action, succ in successors(c, program, bound):
+        link = queue.popleft()
+        for action, succ in successors(link[0], program, bound):
             if succ is None:
                 pruned = True
                 continue
-            composite = None
+            parent = link
             if len(succ.buffers[action.proc]) > bound:
                 pruned = True
-                composite, succ = overflow(action, succ, program)
-            if succ in parents:
+                parent = (succ, action, link)
+                action, succ = overflow(action, succ, program)
+            if succ in seen:
                 continue
-            if max_nodes is not None and len(parents) >= max_nodes:
+            if max_nodes is not None and len(seen) >= max_nodes:
                 raise ResourceLimitError(f"bounded search exceeded {max_nodes} configurations")
-            parents[succ] = (c, action) if composite is None else (c, *composite)
+            seen.add(succ)
+            step = (succ, action, parent)
             if _at_target(succ, target):
-                hit = succ
+                hit = step
                 break
-            queue.append(succ)
-    run = None
-    if hit is not None:
-        actions: list = []
-        c = hit
-        while parents[c] is not None:
-            c, *acts = parents[c]
-            actions[:0] = acts
-        run = drive(semantics, init, actions, program, successors)
-    return BoundedResult(hit is not None, run, pruned, len(parents)), parents
+            queue.append(step)
+    run = None if hit is None else drive(semantics, init, unwind(hit)[1][::-1], program, successors)
+    return BoundedResult(hit is not None, run, pruned, len(seen)), seen
+
+
+def unwind(link) -> tuple[tuple, tuple]:
+    """The configurations from a provenance link (config, action, parent
+    link) back to its root (config, None, None) and, in the same order,
+    every action but the root's: the step by which a search reached the
+    link from its parent, forward in the explorers and backward in the
+    fixpoint."""
+    configs, actions = [], []
+    while link is not None:
+        c, action, link = link
+        configs.append(c)
+        actions.append(action)
+    return tuple(configs), tuple(actions[:-1])
 
 
 def _at_target(c, target: tuple[str, ...] | None) -> bool:

@@ -86,11 +86,11 @@ def _fire(c: TsoConfig, program: ConcurrentProgram, p: int, t: Transition) -> Ts
 
 
 def _write_then_update(action: Step, succ: TsoConfig, program: ConcurrentProgram):
-    """Replace a write that would overflow the bound by the composite
-    write-then-update of the same process, still a genuine behavior.
+    """The step (Update(p), config) after a write of process p over the
+    bound: the pair is a genuine behavior that ends within the bound.
     With bound 0 this yields exactly the interleaving semantics where
     every write is immediately followed by its update."""
-    return (action, Update(action.proc)), _update(succ, program, action.proc)
+    return Update(action.proc), _update(succ, program, action.proc)
 
 
 def tso_bounded_reach(

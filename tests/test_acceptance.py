@@ -31,6 +31,7 @@ from dualmc import (
     replay,
 )
 from dualmc import Delete, Step
+from dualmc.param import _relabel, canonical
 
 from conftest import (
     all_global_states,
@@ -215,6 +216,54 @@ def test_pinned_concrete_runs(fixed_stats):
         back = tso_to_dtso(tso_run, prog)
         got = (digest((dtso_run.actions, dtso_run.configs)), digest(tso_run.actions), digest(back.actions))
         assert got == expected, name
+
+
+# Minors of each reachable corpus file's witness chain that are no
+# longer in the final antichain: evicted by a smaller minor after they
+# were queued, yet links of the witness all the same.
+EVICTED_CHAIN_MINORS = {
+    "sb.lit": (21, 5),
+    "rwc.lit": (19, 7),
+    "wrwc.lit": (17, 4),
+    "dekker-simple.lit": (9, 2),
+    "dekker.lit": (9, 2),
+    "peterson.lit": (13, 2),
+    "peterson-repeat.lit": (13, 2),
+    "sb-param.lit": (11, 2),
+    "rwc-param.lit": (14, 3),
+    "wrwc-param.lit": (16, 3),
+}
+
+
+def test_witness_provenance_survives_eviction(monkeypatch):
+    """Each reachable search's chain, of (length, minors gone from the
+    final antichain) as pinned, is still a witness: a fixed-size chain
+    replays concretely through concretize_witness, and every step of a
+    parameterized one is a canonical one-rule predecessor of the next
+    minor under the recorded action."""
+    antichains = []
+    real = dualmc.backward.fixpoint
+
+    def keep_antichain(minors, *args):
+        antichains.append(minors)
+        return real(minors, *args)
+
+    monkeypatch.setattr(dualmc.backward, "fixpoint", keep_antichain)
+    monkeypatch.setattr(dualmc.param, "fixpoint", keep_antichain)
+    for name, expected in EVICTED_CHAIN_MINORS.items():
+        prog = corpus_program(name)
+        param = name in PARAM_EXPECTED
+        s = param_backward_reach(prog) if param else backward_reach(prog, prog.target)
+        assert (len(s.chain), sum(c not in antichains[-1] for c in s.chain)) == expected, name
+        if not param:
+            replay(concretize_witness(prog, s), prog, dtso_successors)
+            continue
+        assert dualmc.param_covers_initial(s.chain[0], prog), name
+        for i, action in enumerate(s.witness):
+            assert any(
+                canonical(pred) == s.chain[i] and _relabel(a, pred, s.chain[i]) == action
+                for a, pred in dualmc.param.predecessor_candidates(s.chain[i + 1], prog)
+            ), (name, i)
 
 
 # (reachable, bound_exceeded, explored, sha256 prefix of repr(witness

@@ -7,9 +7,14 @@ from dualmc import (
     dtso_bounded_reach,
     dtso_reachable_empty_buffer_states,
     dtso_successors,
+    initial_dtso_config,
+    initial_tso_config,
     tso_bounded_reach,
     tso_reachable_empty_buffer_states,
+    tso_successors,
 )
+from dualmc.runs import bounded_bfs
+from dualmc.tso import _write_then_update
 
 from conftest import random_dtso_config, random_program
 
@@ -64,3 +69,27 @@ def test_pinned_random_explorer_results():
                 results.append(sorted(states(prog, k)))
     assert sum(1 for r in results if isinstance(r, tuple) and r[0]) == 139
     assert digest(results) == "019ab3c5bfcb"
+
+
+def test_explored_set_is_within_the_bound():
+    """On the pinned random programs, with and without a target, each
+    explorer's explored set has `explored` elements, holds the initial
+    configuration and no buffer longer than the bound: TSO's over-bound
+    write configuration is a witness link only, never explored."""
+    explorers = (
+        ("tso", initial_tso_config, tso_successors, _write_then_update),
+        ("dtso", initial_dtso_config, dtso_successors, None),
+    )
+    rng = random.Random(40)
+    overflows = 0
+    for _ in range(40):
+        prog = random_program(rng, n_procs=2, max_states=3)
+        for k in range(3):
+            for semantics, initial, successors, overflow in explorers:
+                init = initial(prog)
+                for target in (None, prog.target):
+                    r, seen = bounded_bfs(semantics, init, successors, overflow, prog, k, None, target)
+                    assert len(seen) == r.explored and init in seen
+                    assert all(len(b) <= k for c in seen for b in c.buffers)
+                    overflows += overflow is not None and r.bound_exceeded
+    assert overflows > 50
