@@ -218,9 +218,9 @@ def test_pinned_concrete_runs(fixed_stats):
         assert got == expected, name
 
 
-# Minors of each reachable corpus file's witness chain that are no
-# longer in the final antichain: evicted by a smaller minor after they
-# were queued, yet links of the witness all the same.
+# (chain length, minors of the chain no longer in the final antichain)
+# per reachable corpus file: those minors were evicted by a smaller one
+# after they were queued, yet are links of the witness all the same.
 EVICTED_CHAIN_MINORS = {
     "sb.lit": (21, 5),
     "rwc.lit": (19, 7),
