@@ -141,7 +141,7 @@ def _dispatch(args) -> int:
             verdict = "bound-exceeded"
         else:
             verdict = "safe-within-bound"
-        counts = (result.explored, result.explored)
+        counts = (result.generated, result.expanded)
         actions = result.run.actions if result.run is not None else None
     witness = None
     if args.witness and actions is not None:

@@ -114,9 +114,10 @@ def delimiter_signature(c) -> tuple:
     return tuple(own_decompose(b).delimiters for b in c.buffers)
 
 
-def param_leq(a, a2) -> bool:
+def param_leq(a, a2, wleq=word_leq) -> bool:
     """Parameterized ordering: equal memory plus an order-preserving
-    injection matching states exactly and buffers by word_leq.
+    injection matching states exactly and buffers by `wleq` (the
+    buffer-word ordering, or a word_table of it).
 
     Decided by greedy earliest-match, which is complete for
     order-preserving injections with per-element predicates.
@@ -130,7 +131,7 @@ def param_leq(a, a2) -> bool:
         while j < len(a2.procs):
             state2, buf2 = a2.procs[j]
             j += 1
-            if state == state2 and word_leq(buf, buf2):
+            if state == state2 and (buf is buf2 or wleq(buf, buf2)):
                 break
         else:
             return False

@@ -21,7 +21,8 @@ under the parameterized ordering with symmetry canonicalisation.
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple
+from functools import partial
+from typing import Callable, NamedTuple
 
 from .backward import (
     BackwardStats,
@@ -33,7 +34,7 @@ from .backward import (
     rule_preds,
 )
 from .model import ParamProgram
-from .ordering import Dominance, MinorSet, Word, param_leq
+from .ordering import Dominance, MinorSet, Word, param_leq, word_table
 from .runs import ResourceLimitError, Step, _set
 
 FIELD_BITS = 32  # width of one dominance field, guard bit not counted
@@ -79,18 +80,21 @@ def param_dominance(states) -> Dominance:
     return Dominance(pack, guard)
 
 
-def param_antichain(program: ParamProgram) -> MinorSet:
-    """An empty antichain under param_leq, bucketed by memory, with the
+def param_antichain(program: ParamProgram, leq: Callable = param_leq) -> MinorSet:
+    """An empty antichain under `leq`, bucketed by memory, with the
     dominance pre-filter of the template's states."""
-    return MinorSet(param_leq, key=lambda a: a.mem, dom=param_dominance(program.template.states))
+    return MinorSet(leq, key=lambda a: a.mem, dom=param_dominance(program.template.states))
 
 
-def param_target_to_minors(program: ParamProgram, targets: tuple[str, ...] | None = None) -> MinorSet:
+def param_target_to_minors(
+    program: ParamProgram, targets: tuple[str, ...] | None = None, leq: Callable = param_leq
+) -> MinorSet:
     """One empty-buffer configuration per memory valuation, with exactly
-    the listed target states in the listed order."""
+    the listed target states in the listed order, in a param_antichain
+    under `leq`: param_leq, or param_leq over a search's word_table."""
     if targets is None:
         targets = program.target
-    minors = param_antichain(program)
+    minors = param_antichain(program, leq)
     procs = tuple((s, ()) for s in targets)
     for mem in itertools.product(program.values, repeat=len(program.vars)):
         minors.insert(ParamConfig(procs, mem))
@@ -236,15 +240,17 @@ def param_backward_reach(
 ) -> BackwardStats:
     """Backward fixpoint under the parameterized ordering, weighted by
     process count plus buffered messages; dead candidates are dropped
-    and minors are kept in canonical process order."""
+    and minors are kept in canonical process order.  The search owns
+    its word_table behind param_leq and its fresh-writer table."""
     if targets is None:
         targets = program.target
     check_seed_count(program, max_nodes)
     own_ok = removable_own(program.template)
     fresh = fresh_writer_table(program, own_ok)
+    leq = partial(param_leq, wleq=word_table())
     return fixpoint(
         # every seed buffer is empty, so sorted targets are canonical
-        param_target_to_minors(program, tuple(sorted(targets))),
+        param_target_to_minors(program, tuple(sorted(targets)), leq),
         lambda a: predecessor_candidates(a, program, all_positions=False, removable=own_ok, fresh=fresh),
         live_filter(program, own_ok),
         lambda a: param_covers_initial(a, program),

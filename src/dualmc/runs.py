@@ -81,6 +81,8 @@ class BoundedResult(NamedTuple):
     run: Run | None
     bound_exceeded: bool
     explored: int
+    expanded: int  # configurations taken off the queue
+    generated: int  # successor configurations looked at, cut entries not counted
 
 
 def bounded_bfs(
@@ -110,6 +112,9 @@ def bounded_bfs(
     configuration is a link of the witness but is never explored.
     Returns the result, with a shortest witness run unwound from the
     hit's link and rebuilt by `drive`, and the explored configurations.
+    The result counts the configurations expanded and the successors
+    generated; a TSO write over the bound and its update count as one,
+    and the successors after a hit are not looked at.
     """
     if bound < 0:
         raise ValueError(f"buffer bound must be non-negative, got {bound}")
@@ -117,12 +122,15 @@ def bounded_bfs(
     pruned = False
     queue = deque([(init, None, None)])
     hit = queue[0] if _at_target(init, target) else None
+    expanded = generated = 0
     while queue and hit is None:
         link = queue.popleft()
+        expanded += 1
         for action, succ in successors(link[0], program, bound):
             if succ is None:
                 pruned = True
                 continue
+            generated += 1
             parent = link
             if len(succ.buffers[action.proc]) > bound:
                 pruned = True
@@ -139,7 +147,7 @@ def bounded_bfs(
                 break
             queue.append(step)
     run = None if hit is None else drive(semantics, init, unwind(hit)[1][::-1], program, successors)
-    return BoundedResult(hit is not None, run, pruned, len(seen)), seen
+    return BoundedResult(hit is not None, run, pruned, len(seen), expanded, generated), seen
 
 
 def unwind(link) -> tuple[tuple, tuple]:

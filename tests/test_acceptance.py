@@ -173,11 +173,13 @@ def _module_sizes(module) -> dict:
 
 
 def test_searches_share_no_state():
-    """Each backward search owns its tables: lb.lit, mp.lit, then lb.lit
-    again in one process give the pinned lb.lit result twice, and no
-    module attribute of the engine or the orderings grows.  (The one
-    process-wide cache left, own_decompose's lru_cache, is not a sized
-    attribute; removing it waits for the stats record.)"""
+    """Each search owns its tables: lb.lit, mp.lit, then lb.lit again in
+    one process give the pinned lb.lit result twice, and no module
+    attribute of the engine or the orderings grows; likewise for the
+    load-buffer explorer at bound 1 on wrwc.lit, mp.lit, wrwc.lit and
+    the modules of the explorer and its search.  (The one process-wide
+    cache left, own_decompose's lru_cache, is not a sized attribute;
+    removing it waits for the stats record.)"""
     modules = (dualmc.backward, dualmc.ordering)
     before = [_module_sizes(m) for m in modules]
     results = []
@@ -187,6 +189,16 @@ def test_searches_share_no_state():
         assert [_module_sizes(m) for m in modules] == before, name
     assert results[0] == results[2] == PINNED_COUNTERS["lb.lit"]
     assert results[1] == PINNED_COUNTERS["mp.lit"]
+
+    modules = (dualmc.dtso, dualmc.runs)
+    before = [_module_sizes(m) for m in modules]
+    results = []
+    for name in ("wrwc.lit", "mp.lit", "wrwc.lit"):
+        prog = corpus_program(name)
+        results.append(_explored(dtso_bounded_reach(prog, 1, prog.target)))
+        assert [_module_sizes(m) for m in modules] == before, name
+    assert results[0] == results[2] == PINNED_EXPLORERS[("wrwc.lit", "dtso", 1)]
+    assert results[1] == PINNED_EXPLORERS[("mp.lit", "dtso", 1)]
 
 
 # sha256 prefixes of repr((actions, configs)) of the concrete run
@@ -324,14 +336,54 @@ PINNED_EXPLORERS = {
 }
 
 
+def _explored(r) -> tuple:
+    """r in the form test_pinned_explorer_results compares with
+    PINNED_EXPLORERS."""
+    witness = None if r.run is None else r.run.actions
+    return (r.reachable, r.bound_exceeded, r.explored, hashlib.sha256(repr(witness).encode()).hexdigest()[:12])
+
+
+# (expanded, generated) of both bounded explorers on every fixed corpus
+# file at buffer bound 1, sb.lit's load-buffer search left out as above:
+# the configurations taken off the queue and the successors looked at,
+# cut entries not counted.  A search that runs out expands every
+# configuration it explores; one that stops at its target expands fewer.
+PINNED_EXPLORER_COUNTERS = {
+    ("dekker-simple.lit", "dtso"): (158, 450),
+    ("dekker-simple.lit", "tso"): (28, 74),
+    ("dekker.lit", "dtso"): (2_536, 8_086),
+    ("dekker.lit", "tso"): (40, 119),
+    ("iriw.lit", "dtso"): (4_497, 23_822),
+    ("iriw.lit", "tso"): (24, 34),
+    ("isa2.lit", "dtso"): (819, 3_536),
+    ("isa2.lit", "tso"): (9, 9),
+    ("lb.lit", "dtso"): (64, 288),
+    ("lb.lit", "tso"): (1, 0),
+    ("mp.lit", "dtso"): (14_521, 86_523),
+    ("mp.lit", "tso"): (12, 12),
+    ("peterson-repeat.lit", "dtso"): (676, 2_040),
+    ("peterson-repeat.lit", "tso"): (69, 181),
+    ("peterson.lit", "dtso"): (455, 1_373),
+    ("peterson.lit", "tso"): (46, 91),
+    ("rwc.lit", "dtso"): (72_215, 489_299),
+    ("rwc.lit", "tso"): (141, 317),
+    ("sb.lit", "tso"): (3_116, 13_121),
+    ("wrc.lit", "dtso"): (5_491, 31_044),
+    ("wrc.lit", "tso"): (10, 9),
+    ("wrwc.lit", "dtso"): (41_917, 250_431),
+    ("wrwc.lit", "tso"): (48, 82),
+}
+
+
 def test_pinned_explorer_results():
     explorers = {"tso": tso_bounded_reach, "dtso": dtso_bounded_reach}
     for (name, semantics, bound), expected in PINNED_EXPLORERS.items():
         prog = corpus_program(name)
         r = explorers[semantics](prog, bound, prog.target)
-        witness = None if r.run is None else r.run.actions
-        got = (r.reachable, r.bound_exceeded, r.explored, hashlib.sha256(repr(witness).encode()).hexdigest()[:12])
-        assert got == expected, (name, semantics, bound)
+        assert _explored(r) == expected, (name, semantics, bound)
+        assert r.expanded <= r.explored and (r.reachable or r.expanded == r.explored), (name, semantics, bound)
+        if bound == 1:
+            assert (r.expanded, r.generated) == PINNED_EXPLORER_COUNTERS[name, semantics], (name, semantics)
 
 
 def test_param_witness_names_acting_process(param_stats):

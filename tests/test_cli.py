@@ -57,6 +57,16 @@ def test_explore_modes(capsys, tmp_path):
     assert code == 0 and "verdict=" in out
 
 
+def test_explore_reports_real_counters(capsys):
+    """The explorers report the successors generated and the
+    configurations expanded, not the explored count twice."""
+    expected = {"explore-tso": (317, 141), "explore-dtso": (288, 64)}
+    for mode, name in (("explore-tso", "rwc.lit"), ("explore-dtso", "lb.lit")):
+        _c, out, _ = invoke(capsys, mode, str(CORPUS / name), "--buffer-bound", "1", "--format", "json")
+        payload = json.loads(out)
+        assert (payload["configs_generated"], payload["iterations"]) == expected[mode], mode
+
+
 def test_explore_bound_exceeded_label(capsys, tmp_path):
     # one process that can stack two writes; an impossible target at
     # bound 1 makes the pruning observable

@@ -396,10 +396,10 @@ def test_param_leq_calls_per_insert_on_wrwc_param(monkeypatch):
     leq = dualmc.param.param_leq
     insert = MinorSet.insert
 
-    def counting_leq(a, b):
+    def counting_leq(a, b, **kwargs):
         nonlocal calls
         calls += 1
-        return leq(a, b)
+        return leq(a, b, **kwargs)
 
     def counting_insert(minors, elem):
         nonlocal inserts
