@@ -10,9 +10,10 @@ the last line perfbench prints.
 
     python3 scripts/ab_bench.py --workload check-param --pairs 10 --out BENCH.json
 
-The output holds, per workload and per side, the value of every metric in
-every run, its median and quartiles, and, per metric, the number of pairs
-the working tree won (a strictly better value, in the direction
+The output records the ab_bench invocation that wrote it and holds, per
+workload and per side, the value of every metric in every run, its
+median and quartiles, and, per metric, the number of pairs the working
+tree won (a strictly better value, in the direction
 BENCHMARK.json gives for it).  Standard library only; run it from the
 repository root on an otherwise idle machine.
 """
@@ -22,6 +23,7 @@ import argparse
 import io
 import json
 import os
+import shlex
 import statistics
 import subprocess
 import sys
@@ -109,6 +111,7 @@ def main(argv=None) -> int:
     head = git("rev-parse", "HEAD").decode().strip()
     dirty = bool(git("status", "--porcelain", "--untracked-files=no").strip())
     record = {
+        "invocation": shlex.join(["python3", "scripts/ab_bench.py", *(sys.argv[1:] if argv is None else argv)]),
         "base": base,
         "change": {"head": head, "uncommitted_changes": dirty},
         "command": f"perfbench/run.py --workload W --seed S --seconds {seconds}",

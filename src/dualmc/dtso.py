@@ -50,21 +50,21 @@ def dtso_successors(
     return _assemble(c, [_local(c, program, p, bound) for p in range(len(c.states))])
 
 
-def tabled_successors(bound: int):
-    """dtso_successors at `bound` for one search to own.
+def tabled_successors(program: ConcurrentProgram, bound: int):
+    """dtso_successors of `program` at `bound`, for one search to own.
 
     Process p's moves depend only on (p, its state, its buffer, the
     memory), and a search meets few such keys, so each key's `_local`
     list is built once into a table the returned function closes over.
     The function lists the same steps in the same order, with the same
-    cut entry; called with another bound, or none (as `drive` and
-    `fire` call it), it is the literal dtso_successors.
+    cut entry; called with another program, another bound, or none (as
+    `drive` and `fire` call it), it is the literal dtso_successors.
     """
     table: dict = {}
 
-    def successors(c: DtsoConfig, program: ConcurrentProgram, b: int | None = None):
-        if b != bound:
-            return dtso_successors(c, program, b)
+    def successors(c: DtsoConfig, prog: ConcurrentProgram, b: int | None = None):
+        if prog is not program or b != bound:
+            return dtso_successors(c, prog, b)
         per_process = []
         for key in zip(count(), c.states, c.buffers, repeat(c.mem)):
             moves = table.get(key)
@@ -174,7 +174,7 @@ def dtso_bounded_reach(
     """Bounded search for the target global state with empty buffers."""
     init = initial_dtso_config(program)
     return bounded_bfs(
-        "dtso", init, tabled_successors(bound), None, program, bound, max_nodes, tuple(target)
+        "dtso", init, tabled_successors(program, bound), None, program, bound, max_nodes, tuple(target)
     )[0]
 
 
@@ -183,5 +183,5 @@ def dtso_reachable_empty_buffer_states(
 ) -> frozenset[tuple[str, ...]]:
     """Global states reachable with all buffers empty, within the bound."""
     init = initial_dtso_config(program)
-    _, seen = bounded_bfs("dtso", init, tabled_successors(bound), None, program, bound, max_nodes)
+    _, seen = bounded_bfs("dtso", init, tabled_successors(program, bound), None, program, bound, max_nodes)
     return frozenset(c.states for c in seen if not any(c.buffers))

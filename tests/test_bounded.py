@@ -29,16 +29,47 @@ def test_bounded_successors_cut_exactly_the_over_bound_appends():
     """Under a bound, the load-buffer rules build the unbounded steps in
     order, less exactly the appends that leave the acting buffer longer
     than the bound; a cut entry is listed iff there is such an append,
-    at the place of the first one.  A search's tabled_successors, one
-    table per program and bound shared by all its configurations, lists
-    exactly the same, cut entry and its place included; the
-    configurations mix a few processes' parts and memories, so each
-    table is read back under other processes' buffers and cuts."""
+    at the place of the first one.  A search's tabled_successors lists
+    exactly the same, cut entry and its place included."""
     rng = random.Random(10)
     cuts = 0
+    for _ in range(3000):
+        prog = random_program(rng)
+        c = random_dtso_config(rng, prog, max_buf=3)
+        unbounded = dtso_successors(c, prog)
+        for bound in range(3):
+            over = [
+                i for i, (a, succ) in enumerate(unbounded)
+                if len(succ.buffers[a.proc]) > max(bound, len(c.buffers[a.proc]))
+            ]
+            bounded = dtso_successors(c, prog, bound)
+            assert tabled_successors(prog, bound)(c, prog, bound) == bounded
+            built = [(a, succ) for a, succ in bounded if succ is not None]
+            assert built == [step for i, step in enumerate(unbounded) if i not in over]
+            cut_at = [i for i, (_a, succ) in enumerate(bounded) if succ is None]
+            assert bool(cut_at) == bool(over)
+            if over:
+                first = cut_at[0]
+                assert bounded[:first] == unbounded[: over[0]]
+                assert bounded[first][0] == unbounded[over[0]][0]
+                cuts += 1
+    assert cuts > 1000
+
+
+def test_shared_table_lists_the_rules_successors():
+    """One tabled_successors per program and bound 0..2, shared by all
+    its configurations, lists exactly dtso_successors, cut entry and its
+    place included.  The configurations mix a few random configurations'
+    per-process parts and memories, so each table entry is read back
+    beside other processes' buffers and cuts.  Called with another
+    program (the previous one, whose states share names), without a
+    bound or at another bound, it is the literal dtso_successors."""
+    rng = random.Random(13)
+    cuts = 0
+    previous = None
     for _ in range(300):
         prog = random_program(rng)
-        tabled = [tabled_successors(bound) for bound in range(3)]
+        tabled = [tabled_successors(prog, bound) for bound in range(3)]
         pool = [random_dtso_config(rng, prog, max_buf=3) for _ in range(4)]
         for _ in range(10):
             parts = [rng.choice(pool) for _ in prog.processes]
@@ -47,24 +78,16 @@ def test_bounded_successors_cut_exactly_the_over_bound_appends():
                 tuple(d.buffers[p] for p, d in enumerate(parts)),
                 rng.choice(pool).mem,
             )
-            unbounded = dtso_successors(c, prog)
-            assert tabled[0](c, prog) == unbounded
             for bound in range(3):
-                over = [
-                    i for i, (a, succ) in enumerate(unbounded)
-                    if len(succ.buffers[a.proc]) > max(bound, len(c.buffers[a.proc]))
-                ]
                 bounded = dtso_successors(c, prog, bound)
                 assert tabled[bound](c, prog, bound) == bounded
-                built = [(a, succ) for a, succ in bounded if succ is not None]
-                assert built == [step for i, step in enumerate(unbounded) if i not in over]
-                cut_at = [i for i, (_a, succ) in enumerate(bounded) if succ is None]
-                assert bool(cut_at) == bool(over)
-                if over:
-                    first = cut_at[0]
-                    assert bounded[:first] == unbounded[: over[0]]
-                    assert bounded[first][0] == unbounded[over[0]][0]
-                    cuts += 1
+                cuts += any(succ is None for _a, succ in bounded)
+            assert tabled[1](c, prog) == dtso_successors(c, prog)
+            assert tabled[1](c, prog, 2) == dtso_successors(c, prog, 2)
+        if previous is not None:
+            for bound in range(3):
+                assert previous[bound](c, prog, bound) == dtso_successors(c, prog, bound)
+        previous = tabled
     assert cuts > 1000
 
 

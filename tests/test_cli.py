@@ -8,6 +8,7 @@ from dualmc.cli import Report, emit_report, run
 from dualmc.runs import format_run, parse_action, parse_run_text
 
 from conftest import CORPUS, corpus_program
+from test_acceptance import PINNED_EXPLORER_COUNTERS
 
 
 def invoke(capsys, *argv):
@@ -60,11 +61,12 @@ def test_explore_modes(capsys, tmp_path):
 def test_explore_reports_real_counters(capsys):
     """The explorers report the successors generated and the
     configurations expanded, not the explored count twice."""
-    expected = {"explore-tso": (317, 141), "explore-dtso": (288, 64)}
-    for mode, name in (("explore-tso", "rwc.lit"), ("explore-dtso", "lb.lit")):
-        _c, out, _ = invoke(capsys, mode, str(CORPUS / name), "--buffer-bound", "1", "--format", "json")
+    for semantics, name in (("tso", "rwc.lit"), ("dtso", "lb.lit")):
+        argv = (f"explore-{semantics}", str(CORPUS / name), "--buffer-bound", "1", "--format", "json")
+        _c, out, _ = invoke(capsys, *argv)
         payload = json.loads(out)
-        assert (payload["configs_generated"], payload["iterations"]) == expected[mode], mode
+        expanded, generated = PINNED_EXPLORER_COUNTERS[name, semantics]
+        assert (payload["iterations"], payload["configs_generated"]) == (expanded, generated), semantics
 
 
 def test_explore_bound_exceeded_label(capsys, tmp_path):
