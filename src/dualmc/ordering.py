@@ -142,10 +142,13 @@ class Dominance(NamedTuple):
     """MinorSet's dominance hook.  `pack(elem)` is an int of unsigned
     fixed-width fields, each with a guard bit above it, such that
     leq(a, b) implies that every field of pack(a) is at most the same
-    field of pack(b); `guard` has exactly the guard bits set."""
+    field of pack(b); `guard` has exactly the guard bits set.
+    `support(elem)` is a bitmask such that leq(a, b) implies
+    support(a) & ~support(b) == 0: a's bits are a subset of b's."""
 
     pack: Callable
     guard: int
+    support: Callable
 
 
 class MinorSet:
@@ -157,12 +160,18 @@ class MinorSet:
     elements share too; each member keeps its signature, interned so
     that equal signatures are one object, beside it in its bucket, and
     `leq` runs only against members whose signature is the element's.
-    `dom`, a Dominance given instead of `sig`, keeps each member's
-    packed int in that place, and `leq(a, b)` runs only when every
+    `dom`, a Dominance given instead of `sig`, splits each bucket into
+    sub-buckets by support mask, the first level of a covering sharing
+    tree, and keeps each member's packed int beside it in its
+    sub-bucket.  An element is compared only with the sub-buckets whose
+    mask is a subset of its own (for members below it) or a superset
+    (for members above it), and there `leq(a, b)` runs only when every
     field of a's int is at most b's, which one subtraction decides:
     ((b | guard) - a) & guard == guard.
     Iteration follows insertion order, deterministically; membership is
-    by value.
+    by value.  Neither pre-filter changes an answer, the members or
+    their order: which members lie below or above an element does not
+    depend on the order they are scanned in.
     """
 
     def __init__(
@@ -179,7 +188,9 @@ class MinorSet:
         self._sig = sig
         self._dom = dom
         self._sigs: dict = {}  # interned signatures
-        self._buckets: dict = {}  # key -> (members, their signatures or packed ints)
+        # key -> (members, their signatures); with dom,
+        # key -> {support mask: (members, their packed ints)}
+        self._buckets: dict = {}
         self._members: dict = {}  # insertion-ordered; values unused
 
     def __len__(self) -> int:
@@ -199,49 +210,84 @@ class MinorSet:
         bucket = self._buckets.get(self._key(elem))
         if bucket is None:
             return False
-        leq = self._leq
         if self._dom is not None:
-            g = self._dom.guard
-            up = self._dom.pack(elem) | g
-            return any((up - md) & g == g and leq(m, elem) for m, md in zip(*bucket))
+            return self._below(bucket, elem, self._dom.pack(elem), self._dom.support(elem))
+        leq = self._leq
         s = self._sigs.get(self._sig(elem)) if self._sig is not None else None
         return any(ms is s and leq(m, elem) for m, ms in zip(*bucket))
+
+    def _below(self, subs: dict, elem, d: int, mask: int) -> bool:
+        """True iff a member of `subs`, one bucket's sub-buckets, lies
+        below elem, whose packed int is d and support mask `mask`."""
+        g = self._dom.guard
+        up = d | g
+        leq = self._leq
+        sm = mask
+        while True:  # every submask of mask, mask itself first and 0 last
+            bucket = subs.get(sm)
+            if bucket is not None:
+                for m, md in zip(*bucket):
+                    if (up - md) & g == g and leq(m, elem):
+                        return True
+            if not sm:
+                return False
+            sm = (sm - 1) & mask
 
     def insert(self, elem) -> bool:
         """Add elem unless a member lies below it, evicting the members
         above it; True iff elem went in."""
+        if self._dom is not None:
+            return self._insert_dominated(elem)
         s = None
         if self._sig is not None:
             s = self._sig(elem)
             s = self._sigs.setdefault(s, s)
-        elif self._dom is not None:
-            s = self._dom.pack(elem)
         k = self._key(elem)
         bucket = self._buckets.get(k)
         if bucket is None:
             bucket = self._buckets[k] = ([], [])
         members, slots = bucket
         leq = self._leq
-        if self._dom is None:
-            for m, ms in zip(members, slots):
-                if ms is s and leq(m, elem):
-                    return False
-            removed = [i for i, (m, ms) in enumerate(zip(members, slots)) if ms is s and leq(elem, m)]
-        else:
-            g = self._dom.guard
-            up = s | g
-            for m, md in zip(members, slots):
-                if (up - md) & g == g and leq(m, elem):
-                    return False
-            removed = [
-                i
-                for i, (m, md) in enumerate(zip(members, slots))
-                if ((md | g) - s) & g == g and leq(elem, m)
-            ]
+        for m, ms in zip(members, slots):
+            if ms is s and leq(m, elem):
+                return False
+        removed = [i for i, (m, ms) in enumerate(zip(members, slots)) if ms is s and leq(elem, m)]
         for i in reversed(removed):
             del self._members[members[i]]
             del members[i], slots[i]
         members.append(elem)
         slots.append(s)
+        self._members[elem] = None
+        return True
+
+    def _insert_dominated(self, elem) -> bool:
+        """insert for a MinorSet with dom."""
+        dom = self._dom
+        d = dom.pack(elem)
+        mask = dom.support(elem)
+        k = self._key(elem)
+        subs = self._buckets.get(k)
+        if subs is None:
+            subs = self._buckets[k] = {}
+        elif self._below(subs, elem, d, mask):
+            return False
+        g = dom.guard
+        leq = self._leq
+        for sm, (members, slots) in subs.items():
+            if mask & ~sm:
+                continue
+            removed = [
+                i
+                for i, (m, md) in enumerate(zip(members, slots))
+                if ((md | g) - d) & g == g and leq(elem, m)
+            ]
+            for i in reversed(removed):
+                del self._members[members[i]]
+                del members[i], slots[i]
+        bucket = subs.get(mask)
+        if bucket is None:
+            bucket = subs[mask] = ([], [])
+        bucket[0].append(elem)
+        bucket[1].append(d)
         self._members[elem] = None
         return True

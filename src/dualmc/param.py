@@ -47,22 +47,25 @@ class ParamConfig(NamedTuple):
 
 def param_dominance(states) -> Dominance:
     """Dominance hook for param_leq over the given local states: per
-    state, the number of processes at it and their total buffer length.
+    state, the number of processes at it and their total buffer length,
+    and as support one bit per occupied state.
 
     param_leq(a, b) maps a's processes injectively to b's at equal
     states with word_leq buffers, and word_leq embeds fragments as
     subwords, so no buffer maps to a shorter one: every field of a is
-    at most b's.  Each field is part of the process count plus the
-    buffered messages, so packing checks that total against the field
-    width and raises ResourceLimitError rather than let a field carry
-    into its guard bit.
+    at most b's, and every state a occupies b occupies too.  Each field
+    is part of the process count plus the buffered messages, so packing
+    checks that total against the field width and raises
+    ResourceLimitError rather than let a field carry into its guard bit.
     """
     stride = FIELD_BITS + 1
     count: dict = {}
     length: dict = {}
+    bit: dict = {}
     for i, s in enumerate(sorted(states)):
         count[s] = 1 << (2 * i * stride)
         length[s] = 1 << ((2 * i + 1) * stride)
+        bit[s] = 1 << i
     guard = sum(1 << (f * stride + FIELD_BITS) for f in range(2 * len(count)))
     limit = 1 << FIELD_BITS
 
@@ -77,7 +80,13 @@ def param_dominance(states) -> Dominance:
             raise ResourceLimitError(f"configuration size {size} overflows the dominance fields")
         return d
 
-    return Dominance(pack, guard)
+    def support(a: ParamConfig) -> int:
+        mask = 0
+        for s, _b in a.procs:
+            mask |= bit[s]
+        return mask
+
+    return Dominance(pack, guard, support)
 
 
 def param_antichain(program: ParamProgram, leq: Callable = param_leq) -> MinorSet:

@@ -1,8 +1,12 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
+import dualmc
 from dualmc import MinorSet, Run, Step, Update, initial_tso_config, tso_successors
 from dualmc.cli import Report, emit_report, run
 from dualmc.runs import format_run, parse_action, parse_run_text
@@ -166,6 +170,30 @@ def test_bad_input_exits_2(capsys, tmp_path, case):
     assert out == ""
     assert err.startswith("dualmc: ") and err.count("\n") == 1, err
     assert "usage:" not in err and "Traceback" not in err
+
+
+def test_python_m_dualmc_keeps_the_exit_codes(tmp_path):
+    """`python -m dualmc` is the command line, exit codes included: 0
+    safe, 1 unsafe, 2 with one `dualmc:` line for a bad file."""
+    src = os.path.dirname(os.path.dirname(dualmc.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+
+    def python_m(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "dualmc", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=600,
+        )
+
+    assert python_m("check", str(CORPUS / "lb.lit")).returncode == 0
+    assert python_m("check", str(CORPUS / "sb.lit")).returncode == 1
+    bad = tmp_path / "bad.lit"
+    bad.write_text("vars x\nprocess p\n  nonsense\n")
+    done = python_m("check", str(bad))
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("dualmc: ") and done.stderr.count("\n") == 1, done.stderr
 
 
 def test_help_exits_0(capsys):

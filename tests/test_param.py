@@ -309,27 +309,33 @@ def _grow(rng, prog, alpha: ParamConfig) -> ParamConfig:
     return ParamConfig(tuple(procs), alpha.mem)
 
 
+def _support(c: ParamConfig) -> set:
+    """The states c's processes occupy."""
+    return {s for s, _b in c.procs}
+
+
 def test_dominance_prefilter_is_exact():
     """A MinorSet with the dominance hook answers insert and covers like
-    the plain one and ends with the same members in the same order; it
-    calls param_leq on exactly the plain set's pairs whose fields
-    dominate, so a dropped field or a broken guard shows."""
+    the plain one and ends with the same members in the same order.
+    Each param_leq call it makes pairs the new element with a member the
+    plain set holds too, and its fields and support dominate, so a
+    dropped field, a broken guard or a stale member shows.  The calls
+    are not pinned in order: the two sets scan their members in
+    different orders, so they may stop at different first members below
+    the element."""
     rng = random.Random(29)
     samples = 0
     while samples < 3000:
         prog = random_param_program(rng)
-        fast_calls, plain_calls = [], []
+        fast_calls = []
 
-        def recording(calls):
-            def leq(a, b):
-                calls.append((a, b))
-                return param_leq(a, b)
-
-            return leq
+        def recording(a, b):
+            fast_calls.append((a, b))
+            return param_leq(a, b)
 
         key = lambda a: a.mem
-        fast = MinorSet(recording(fast_calls), key=key, dom=param_dominance(prog.template.states))
-        plain_set = MinorSet(recording(plain_calls), key=key)
+        fast = MinorSet(recording, key=key, dom=param_dominance(prog.template.states))
+        plain_set = MinorSet(param_leq, key=key)
         seen = []
         for _ in range(60):
             if seen and rng.random() < 0.4:
@@ -337,11 +343,65 @@ def test_dominance_prefilter_is_exact():
             else:
                 alpha = random_param_config(rng, prog, rng.randint(0, 3), 3)
             seen.append(alpha)
+            members = plain_set.elements()
+            first = len(fast_calls)
             assert fast.covers(alpha) == plain_set.covers(alpha)
             assert fast.insert(alpha) == plain_set.insert(alpha)
             samples += 1
+            pairs = {(m, alpha) for m in members} | {(alpha, m) for m in members}
+            for a, b in fast_calls[first:]:
+                assert _fields(a) <= _fields(b) and _support(a) <= _support(b)
+                assert (a, b) in pairs
         assert fast.elements() == plain_set.elements()
-        assert fast_calls == [(a, b) for a, b in plain_calls if _fields(a) <= _fields(b)]
+
+
+def _shrink(rng, alpha: ParamConfig) -> ParamConfig:
+    """A configuration below alpha: one of its processes dropped."""
+    if not alpha.procs:
+        return alpha
+    i = rng.randrange(len(alpha.procs))
+    return ParamConfig(alpha.procs[:i] + alpha.procs[i + 1 :], alpha.mem)
+
+
+def test_support_never_skips_a_comparable_pair():
+    """param_dominance's support has one bit per occupied state, and
+    whenever param_leq(a, b) holds a's support is a subset of b's: on
+    random configurations, ones grown from and shrunk to them, and the
+    zero-process configuration, whose support is 0.  A MinorSet with
+    that dom, which scans only sub-buckets of subset or superset
+    support, answers and keeps members like a plain one, also when one
+    insert evicts members from several sub-buckets."""
+    rng = random.Random(31)
+    comparable = spread = 0
+    for _ in range(200):
+        prog = random_param_program(rng)
+        dom = param_dominance(prog.template.states)
+        mems = [tuple(rng.choice(prog.values) for _ in prog.vars) for _ in range(2)]
+        fast = MinorSet(param_leq, key=lambda a: a.mem, dom=dom)
+        plain_set = MinorSet(param_leq, key=lambda a: a.mem)
+        seen = [ParamConfig((), mem) for mem in mems]
+        for _ in range(40):
+            pick = rng.random()
+            if pick < 0.3:
+                alpha = _shrink(rng, rng.choice(seen))
+            elif pick < 0.6:
+                alpha = _grow(rng, prog, rng.choice(seen))
+            else:
+                alpha = random_param_config(rng, prog, rng.randint(0, 4), 2)._replace(mem=rng.choice(mems))
+            seen.append(alpha)
+            members = plain_set.elements()
+            assert fast.covers(alpha) == plain_set.covers(alpha)
+            assert fast.insert(alpha) == plain_set.insert(alpha)
+            evicted = set(members).difference(plain_set)
+            spread += len({dom.support(m) for m in evicted}) > 1
+        assert fast.elements() == plain_set.elements()
+        for a in seen:
+            assert bin(dom.support(a)).count("1") == len(_support(a))
+            for b in seen:
+                if param_leq(a, b):
+                    comparable += 1
+                    assert dom.support(a) & ~dom.support(b) == 0
+    assert comparable > 10_000 and spread > 50
 
 
 class _Buffer:
