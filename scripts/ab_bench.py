@@ -58,7 +58,11 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def spread(values: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    """Median and quartiles; a single value is its own quartiles."""
+    if len(values) == 1:
+        q1 = median = q3 = values[0]
+    else:
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
 
 
@@ -126,8 +130,10 @@ def main(argv=None) -> int:
             record["workloads"][workload] = compare(workload, trees, args.pairs, args.seed, seconds, better)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     for workload, result in record["workloads"].items():
-        medians = {side: s["metrics"] for side, s in result["sides"].items()}
-        print(workload, json.dumps({"pairs_won": result["pairs_won"], "medians": medians}))
+        sides = result["sides"]
+        failed = {side: f"{s['failed']}/{s['attempted']}" for side, s in sides.items()}
+        medians = {side: s["metrics"] for side, s in sides.items()}
+        print(workload, json.dumps({"pairs_won": result["pairs_won"], "failed": failed, "medians": medians}))
     return 0
 
 

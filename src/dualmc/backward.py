@@ -34,6 +34,8 @@ class BackwardStats:
     # minors along the witness: chain[0] covers the initial configuration,
     # chain[-1] is a target seed, and witness[i] leads chain[i] to chain[i + 1]
     chain: tuple | None = None
+    # candidates looked at and found dead (seeds not counted)
+    dead: int = 0
 
 
 def _config_key(c: DtsoConfig):
@@ -138,7 +140,9 @@ def buffer_preds(
     return out
 
 
-def predecessor_candidates(c: DtsoConfig, program: ConcurrentProgram, removable=None, moves=None):
+def predecessor_candidates(
+    c: DtsoConfig, program: ConcurrentProgram, removable=None, moves=None, live=None
+):
     """Minimal one-rule predecessors of the upward closure of c, each
     paired with the action leading from it back into that closure;
     process by process, its transitions, then propagate and delete.
@@ -155,32 +159,43 @@ def predecessor_candidates(c: DtsoConfig, program: ConcurrentProgram, removable=
     (a word never equals a four-field key), so equal candidate buffers
     are one object.  The engine shares one dict, for one `removable`,
     across a search; without one a fresh dict is used.
+
+    With `live`, the program's live_kernel, and `removable`, the engine
+    also decides each move's liveness once, when it is tabled: a dead
+    move is kept as (action, None, None, None) and listed as
+    (action, None), in its place in the order, and no configuration is
+    built for it.  This is live_filter's verdict on the predecessor
+    provided c itself is live, as every configuration the engine
+    expands is: the predecessor differs from c only in process p's
+    state and buffer and in the memory, all fixed by the key and the
+    move.
     """
     if moves is None:
         moves = {}
-    out: list[tuple[object, DtsoConfig]] = []
+    out: list[tuple[object, DtsoConfig | None]] = []
     states, buffers, mem = c
     for p, state in enumerate(states):
         buf = buffers[p]
         key = (p, state, buf, mem)
         local = moves.get(key)
         if local is None:
-            local = moves[key] = []
+            found = []
             for t in program.processes[p].transitions:
-                if t.dst != state:
-                    continue
-                action = Step(p, t)
-                for b, m in rule_preds(t, buf, mem, program):
-                    local.append((action, t.src, None if b is buf else moves.setdefault(b, b), m))
+                if t.dst == state:
+                    action = Step(p, t)
+                    found += [(action, t.src, b, m) for b, m in rule_preds(t, buf, mem, program)]
             allowed = removable[p][state] if removable is not None else None
-            local += [
-                (action, None, moves.setdefault(b, b), mem)
-                for action, b in buffer_preds(p, buf, mem, program, allowed)
-            ]
+            found += [(action, None, b, mem) for action, b in buffer_preds(p, buf, mem, program, allowed)]
+            local = moves[key] = []
+            for action, src, b, m in found:
+                if live is not None and not live(m, ((state if src is None else src, b),), (removable[p],)):
+                    local.append((action, None, None, None))
+                else:
+                    local.append((action, src, None if b is buf else moves.setdefault(b, b), m))
         for action, src, b, m in local:
             out.append((
                 action,
-                DtsoConfig(
+                None if m is None else DtsoConfig(
                     states if src is None else _set(states, p, src),
                     buffers if b is None else _set(buffers, p, b),
                     m,
@@ -297,10 +312,13 @@ def fixpoint(
 
     The worklist is a priority queue on `weight` (smaller configurations,
     closer to the empty-buffer initial one, expand first) with generation
-    index as the tie break; `preds(c)` yields (action, predecessor)
-    pairs, candidates failing `live` are dropped and the rest are put in
-    `canon` form before they enter the antichain.  These choices leave
-    the verdict unchanged and are deterministic.  When `canon` moves
+    index as the tie break.  Seeds failing `live` are not queued.
+    `preds(c)` yields (action, predecessor) pairs, with None as the
+    predecessor of a dead candidate, one that cannot cover the initial
+    configuration; a dead candidate counts toward configs_generated and
+    max_nodes in its place and toward `dead`, and the live ones are put
+    in `canon` form before they enter the antichain.  These choices
+    leave the verdict unchanged and are deterministic.  When `canon` moves
     processes, `relabel(action, pred, canonical_pred)` renames the
     action's process for the canonical form; it runs only for
     predecessors that enter the antichain.  Each queued minor carries
@@ -309,10 +327,11 @@ def fixpoint(
     generated = len(minors)
     iterations = 0
     peak = 0
+    dead = 0
 
     def reachable(link) -> BackwardStats:
         chain, actions = unwind(link)
-        return BackwardStats("Reachable", actions, generated, iterations, peak, len(minors), chain)
+        return BackwardStats("Reachable", actions, generated, iterations, peak, len(minors), chain, dead=dead)
 
     work: list = []
     for seq, tc in enumerate(minors.elements()):
@@ -334,7 +353,8 @@ def fixpoint(
             generated += 1
             if max_nodes is not None and generated > max_nodes:
                 raise ResourceLimitError(f"backward search exceeded {max_nodes} configurations")
-            if not live(pred):
+            if pred is None:
+                dead += 1
                 continue
             raw, pred = pred, canon(pred)
             if not minors.insert(pred):
@@ -347,7 +367,7 @@ def fixpoint(
             seq += 1
             heapq.heappush(work, (weight(pred), seq, step))
             peak = max(peak, len(work))
-    return BackwardStats("Unreachable", None, generated, iterations, peak, len(minors))
+    return BackwardStats("Unreachable", None, generated, iterations, peak, len(minors), dead=dead)
 
 
 def backward_reach(
@@ -356,19 +376,22 @@ def backward_reach(
     max_nodes: int | None = 10**7,
 ) -> BackwardStats:
     """Backward fixpoint from the target minors, weighted by the total
-    buffered-message count; dead candidates per live_filter are dropped,
-    and dead delete predecessors are not generated at all.
+    buffered-message count; dead seeds per live_filter are not queued,
+    dead delete predecessors are not generated at all, and the other
+    dead candidates are marked as such by their moves.
 
     The search owns its tables: a word_table behind config_leq, and one
-    predecessor_candidates move table that also interns the buffers."""
+    predecessor_candidates move table that also interns the buffers and
+    holds each move's liveness."""
     check_seed_count(program, max_nodes)
     own_ok = [removable_own(auto) for auto in program.processes]
     init = initial_dtso_config(program)
     leq = partial(config_leq, wleq=word_table())
     moves: dict = {}
+    live = live_kernel(program.processes, program)
     return fixpoint(
         target_to_minors(program, target, leq),
-        lambda c: predecessor_candidates(c, program, own_ok, moves),
+        lambda c: predecessor_candidates(c, program, own_ok, moves, live),
         live_filter(program, own_ok),
         lambda c: leq(c, init),
         lambda c: sum(len(b) for b in c.buffers),

@@ -146,6 +146,7 @@ def predecessor_candidates(
     all_positions: bool = True,
     removable=None,
     fresh=None,
+    live=None,
 ):
     """Minimal one-rule predecessors of the upward closure of alpha.
 
@@ -158,12 +159,16 @@ def predecessor_candidates(
     delete predecessors re-append only own-messages consumable from
     their state.  `fresh` is the fresh_writer_table of `removable`,
     built here unless given; the engine builds it once per search.
+    With `live`, the engine's live_filter, a candidate failing it is
+    listed as (action, None), as backward.fixpoint takes dead ones.
     """
     values = program.values
     procs = alpha.procs
-    out: list[tuple[object, ParamConfig]] = []
+    out: list[tuple[object, ParamConfig | None]] = []
     if fresh is None:
         fresh = fresh_writer_table(program, removable)
+    if live is None:
+        live = _everything_live
 
     for t in program.template.transitions:
         op = t.op
@@ -172,7 +177,8 @@ def predecessor_candidates(
                 continue
             action = Step(p, t)
             for b, mem in rule_preds(t, buf, alpha.mem, program):
-                out.append((action, ParamConfig(_set(procs, p, (t.src, b)), mem)))
+                pred = ParamConfig(_set(procs, p, (t.src, b)), mem)
+                out.append((action, pred if live(pred) else None))
         # fresh-process predecessors
         positions = range(len(procs) + 1) if all_positions else (len(procs),)
         if op.kind == "w":
@@ -183,24 +189,27 @@ def predecessor_candidates(
                 mem = _set(alpha.mem, xi, prior)
                 for fresh_buf in fresh[t.src]:
                     for pos in positions:
-                        grown = procs[:pos] + ((t.src, fresh_buf),) + procs[pos:]
-                        out.append((Step(pos, t), ParamConfig(grown, mem)))
+                        pred = ParamConfig(procs[:pos] + ((t.src, fresh_buf),) + procs[pos:], mem)
+                        out.append((Step(pos, t), pred if live(pred) else None))
         elif op.kind == "arw":
             xi = program.var_index[op.var]
             if alpha.mem[xi] != op.wval:
                 continue
             mem = _set(alpha.mem, xi, op.val)
             for pos in positions:
-                grown = procs[:pos] + ((t.src, ()),) + procs[pos:]
-                out.append((Step(pos, t), ParamConfig(grown, mem)))
+                pred = ParamConfig(procs[:pos] + ((t.src, ()),) + procs[pos:], mem)
+                out.append((Step(pos, t), pred if live(pred) else None))
 
     for p, (state, buf) in enumerate(procs):
         allowed = removable[state] if removable is not None else None
-        out += [
-            (action, ParamConfig(_set(procs, p, (state, b)), alpha.mem))
-            for action, b in buffer_preds(p, buf, alpha.mem, program, allowed)
-        ]
+        for action, b in buffer_preds(p, buf, alpha.mem, program, allowed):
+            pred = ParamConfig(_set(procs, p, (state, b)), alpha.mem)
+            out.append((action, pred if live(pred) else None))
     return out
+
+
+def _everything_live(_alpha: ParamConfig) -> bool:
+    return True
 
 
 def param_minpre(alpha: ParamConfig, program: ParamProgram) -> MinorSet:
@@ -257,11 +266,14 @@ def param_backward_reach(
     own_ok = removable_own(program.template)
     fresh = fresh_writer_table(program, own_ok)
     leq = partial(param_leq, wleq=word_table())
+    live = live_filter(program, own_ok)
     return fixpoint(
         # every seed buffer is empty, so sorted targets are canonical
         param_target_to_minors(program, tuple(sorted(targets)), leq),
-        lambda a: predecessor_candidates(a, program, all_positions=False, removable=own_ok, fresh=fresh),
-        live_filter(program, own_ok),
+        lambda a: predecessor_candidates(
+            a, program, all_positions=False, removable=own_ok, fresh=fresh, live=live
+        ),
+        live,
         lambda a: param_covers_initial(a, program),
         lambda a: len(a.procs) + sum(len(b) for _s, b in a.procs),
         canonical,

@@ -153,6 +153,49 @@ def test_pinned_counters(fixed_stats, param_stats):
         assert got == expected, name
 
 
+# BackwardStats.dead per corpus file: candidates the search looked at
+# and found dead, seeds not counted.  The fixed-size files sum to 35,292.
+PINNED_DEAD = {
+    "sb.lit": 12_464,
+    "lb.lit": 768,
+    "wrc.lit": 1_920,
+    "isa2.lit": 1_152,
+    "rwc.lit": 512,
+    "wrwc.lit": 4_708,
+    "iriw.lit": 432,
+    "mp.lit": 12_288,
+    "dekker-simple.lit": 0,
+    "dekker.lit": 192,
+    "peterson.lit": 484,
+    "peterson-repeat.lit": 372,
+    "sb-param.lit": 44,
+    "lb-param.lit": 80,
+    "mp-param.lit": 128,
+    "wrc-param.lit": 288,
+    "isa2-param.lit": 1_856,
+    "rwc-param.lit": 144,
+    "wrwc-param.lit": 788,
+    "iriw-param.lit": 1_032,
+}
+
+
+def test_pinned_dead_counts(fixed_stats, param_stats):
+    stats = {**fixed_stats, **param_stats}
+    assert {name: stats[name].dead for name in PINNED_DEAD} == PINNED_DEAD
+    assert sum(PINNED_DEAD[name] for name in FIXED_EXPECTED) == 35_292
+
+
+@pytest.mark.parametrize("name", ["mp.lit", "dekker.lit"])
+def test_max_nodes_boundary(name):
+    """A cap of exactly configs_generated gives the pinned result and one
+    less raises: every candidate, dead ones included, counts toward it."""
+    prog = corpus_program(name)
+    generated = PINNED_COUNTERS[name][1]
+    assert _pinned(backward_reach(prog, prog.target, max_nodes=generated)) == PINNED_COUNTERS[name]
+    with pytest.raises(ResourceLimitError):
+        backward_reach(prog, prog.target, max_nodes=generated - 1)
+
+
 def _pinned(s) -> tuple:
     """s in the form test_pinned_counters compares with PINNED_COUNTERS."""
     return (s.verdict, s.configs_generated, s.iterations, s.frontier_peak, s.minors,

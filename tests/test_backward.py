@@ -16,7 +16,7 @@ from dualmc import (
     target_to_minors,
     tso_bounded_reach,
 )
-from dualmc.backward import live_filter, predecessor_candidates, removable_own
+from dualmc.backward import live_filter, live_kernel, predecessor_candidates, removable_own
 from dualmc.model import parse_program
 
 from conftest import config_down, pad_with_plains, random_dtso_config, random_program
@@ -281,6 +281,31 @@ def test_shared_move_table_gives_fresh_table_candidates():
                     assert built.setdefault(b, b) is b, (c, action)
             checked += 1
     assert hits > 0 and shared > 0
+
+
+def test_move_table_liveness_marks_exactly_the_dead_candidates():
+    """With the live kernel, one move table shared across the live
+    configurations of a program lists the oracle's candidates, in the
+    same order, with each one live_filter rejects marked dead (None)."""
+    rng = random.Random(29)
+    checked = hits = dead = 0
+    while checked < 3000:
+        prog = random_program(rng, n_procs=2, max_states=3)
+        own_ok = [removable_own(auto) for auto in prog.processes]
+        live = live_filter(prog, own_ok)
+        kernel = live_kernel(prog.processes, prog)
+        moves: dict = {}
+        for _ in range(40):
+            c = random_dtso_config(rng, prog, max_buf=2)
+            if not live(c):
+                continue
+            expected = [(a, d if live(d) else None) for a, d in predecessor_candidates(c, prog, own_ok)]
+            size = len(moves)
+            assert predecessor_candidates(c, prog, own_ok, moves, kernel) == expected, c
+            hits += len(moves) == size
+            dead += sum(d is None for _a, d in expected)
+            checked += 1
+    assert hits > 0 and dead > 0
 
 
 def test_witness_concretizes_and_replays(sb2):
