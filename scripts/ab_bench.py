@@ -1,12 +1,15 @@
 """A/B benchmark of the working tree against a base commit.
 
-Extracts the base commit into a temporary directory (`git archive`), then
-runs `perfbench/run.py --workload W --seed S --seconds T` of each tree in
-that tree, for N pairs, with T the `run_seconds` of BENCHMARK.json.  Pair
-i uses seed S + i on both sides; the base runs first in even pairs and
-the working tree first in odd ones, so a drift of the machine's speed
-does not favour one side.  Each run's end-to-end metrics are read from
-the last line perfbench prints.
+Writes two fresh trees under one temporary directory: the base commit
+(`git archive`) and a copy of the working tree (tracked files as they
+are on disk, uncommitted edits included, plus untracked files that are
+not ignored).  Then runs `perfbench/run.py --workload W --seed S
+--seconds T` of each tree in that tree, for N pairs, with T the
+`run_seconds` of BENCHMARK.json.  Pair i uses seed S + i on both
+sides; the base runs first in even pairs and the working tree first in
+odd ones, so a drift of the machine's speed does not favour one side.
+Each run's end-to-end metrics are read from the last line perfbench
+prints.
 
     python3 scripts/ab_bench.py --workload check-param --pairs 10 --out BENCH.json
 
@@ -24,6 +27,7 @@ import io
 import json
 import os
 import shlex
+import shutil
 import statistics
 import subprocess
 import sys
@@ -42,6 +46,17 @@ def extract(rev: str, dest: Path) -> None:
     """The tree of `rev` written under dest, without touching the repository."""
     with tarfile.open(fileobj=io.BytesIO(git("archive", rev)), mode="r:") as tar:
         tar.extractall(dest, filter="data")
+
+
+def snapshot(dest: Path) -> None:
+    """The working tree written under dest: tracked files as they are on
+    disk and untracked files that are not ignored."""
+    listed = git("ls-files", "-z", "--cached", "--others", "--exclude-standard").decode()
+    for name in listed.split("\0"):
+        source = ROOT / name
+        if name and source.is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, dest / name)
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -113,7 +128,7 @@ def main(argv=None) -> int:
     seconds = spec["run_seconds"]
     base = git("rev-parse", "--verify", args.base + "^{commit}").decode().strip()
     head = git("rev-parse", "HEAD").decode().strip()
-    dirty = bool(git("status", "--porcelain", "--untracked-files=no").strip())
+    dirty = bool(git("status", "--porcelain").strip())
     record = {
         "invocation": shlex.join(["python3", "scripts/ab_bench.py", *(sys.argv[1:] if argv is None else argv)]),
         "base": base,
@@ -124,8 +139,9 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="ab_bench-") as tmp:
-        extract(base, Path(tmp))
-        trees = {"base": Path(tmp), "change": ROOT}
+        trees = {"base": Path(tmp) / "base", "change": Path(tmp) / "change"}
+        extract(base, trees["base"])
+        snapshot(trees["change"])
         for workload in args.workload:
             record["workloads"][workload] = compare(workload, trees, args.pairs, args.seed, seconds, better)
     args.out.write_text(json.dumps(record, indent=1) + "\n")

@@ -20,7 +20,7 @@ from typing import Callable
 from .dtso import DtsoConfig, dtso_successors, initial_dtso_config
 from .model import ConcurrentProgram
 from .ordering import MinorSet, Word, config_leq, delimiter_signature, word_table
-from .runs import Delete, Propagate, ResourceLimitError, Run, RunError, Step, _set, drive, fire, unwind
+from .runs import Delete, Propagate, ResourceLimitError, Run, RunError, Step, _set, drive, fire, tabled, unwind
 
 
 @dataclass
@@ -152,13 +152,14 @@ def predecessor_candidates(
     live_filter keeps; without it every delete predecessor is listed.
 
     A process's backward moves depend only on its local state, its
-    buffer and the memory, so they are read from `moves`, a dict from
-    (p, state, buffer, memory) to a list of (action, source state or
-    None if kept, buffer or None if kept, memory), filled on a miss.
-    The same dict interns the moves' buffers, each word keyed by itself
-    (a word never equals a four-field key), so equal candidate buffers
-    are one object.  The engine shares one dict, for one `removable`,
-    across a search; without one a fresh dict is used.
+    buffer and the memory, so runs.tabled reads them from `moves`, a
+    dict from (p, state, buffer, memory) to a list of (action, source
+    state or None if kept, buffer or None if kept, memory), filled here
+    on a miss from rule_preds and buffer_preds.  The same dict interns
+    the moves' buffers, each word keyed by itself (a word never equals
+    a four-field key), so equal candidate buffers are one object.  The
+    engine shares one dict, for one `removable`, across a search;
+    without one a fresh dict is used.
 
     With `live`, the program's live_kernel, and `removable`, the engine
     also decides each move's liveness once, when it is tabled: a dead
@@ -172,36 +173,24 @@ def predecessor_candidates(
     """
     if moves is None:
         moves = {}
-    out: list[tuple[object, DtsoConfig | None]] = []
-    states, buffers, mem = c
-    for p, state in enumerate(states):
-        buf = buffers[p]
-        key = (p, state, buf, mem)
-        local = moves.get(key)
-        if local is None:
-            found = []
-            for t in program.processes[p].transitions:
-                if t.dst == state:
-                    action = Step(p, t)
-                    found += [(action, t.src, b, m) for b, m in rule_preds(t, buf, mem, program)]
-            allowed = removable[p][state] if removable is not None else None
-            found += [(action, None, b, mem) for action, b in buffer_preds(p, buf, mem, program, allowed)]
-            local = moves[key] = []
-            for action, src, b, m in found:
-                if live is not None and not live(m, ((state if src is None else src, b),), (removable[p],)):
-                    local.append((action, None, None, None))
-                else:
-                    local.append((action, src, None if b is buf else moves.setdefault(b, b), m))
-        for action, src, b, m in local:
-            out.append((
-                action,
-                None if m is None else DtsoConfig(
-                    states if src is None else _set(states, p, src),
-                    buffers if b is None else _set(buffers, p, b),
-                    m,
-                ),
-            ))
-    return out
+
+    def fill(p, state, buf, mem):
+        found = []
+        for t in program.processes[p].transitions:
+            if t.dst == state:
+                action = Step(p, t)
+                found += [(action, t.src, b, m) for b, m in rule_preds(t, buf, mem, program)]
+        allowed = removable[p][state] if removable is not None else None
+        found += [(action, None, b, mem) for action, b in buffer_preds(p, buf, mem, program, allowed)]
+        local = []
+        for action, src, b, m in found:
+            if live is not None and not live(m, ((state if src is None else src, b),), (removable[p],)):
+                local.append((action, None, None, None))
+            else:
+                local.append((action, src, None if b is buf else moves.setdefault(b, b), m))
+        return local
+
+    return tabled(c, moves, fill)
 
 
 def minpre_config(c: DtsoConfig, program: ConcurrentProgram) -> MinorSet:

@@ -9,17 +9,18 @@ quotient.
 
 Every rule changes one process's local state and buffer, and the
 memory, and reads nothing else: `_local` is the one kernel of the
-rules, per process, and both `dtso_successors` and a search's
-`tabled_successors` assemble whole successors from it.
+rules, per process, and `runs.tabled` builds whole successors from it,
+over a throwaway table in `dtso_successors` and over one table per
+search in the explorer.
 """
 from __future__ import annotations
 
-from itertools import count, repeat
+from functools import partial
 from typing import NamedTuple
 
 from .model import ConcurrentProgram, Transition
 from .ordering import Word
-from .runs import BoundedResult, Delete, Propagate, Step, _set, bounded_bfs
+from .runs import BoundedResult, Delete, Propagate, Step, _set, bounded_bfs, tabled
 
 
 class DtsoConfig(NamedTuple):
@@ -43,50 +44,24 @@ def dtso_successors(
     then one propagate per variable, then delete.
 
     With a bound, a process whose buffer already holds `bound` messages
-    builds none of its appends (writes and propagates).  The first append
-    left out is listed in its place as a cut entry (action, None); the
-    later ones are dropped without one.
+    builds none of its appends (writes and propagates).  The first
+    append it leaves out is listed in its place as a cut entry
+    (action, None), so there is at most one cut entry per full process.
     """
-    return _assemble(c, [_local(c, program, p, bound) for p in range(len(c.states))])
+    return tabled(c, {}, partial(_local, program, bound))
 
 
-def tabled_successors(program: ConcurrentProgram, bound: int):
-    """dtso_successors of `program` at `bound`, for one search to own.
+def _local(
+    program: ConcurrentProgram, bound: int | None, p: int, state: str, buf: Word, mem: tuple[int, ...]
+) -> list[tuple]:
+    """Process p's moves at (state, buf, mem), in dtso_successors'
+    order, as runs.tabled reads them: (action, new state or None if
+    kept, new buffer or None if kept, new memory).
 
-    Process p's moves depend only on (p, its state, its buffer, the
-    memory), and a search meets few such keys, so each key's `_local`
-    list is built once into a table the returned function closes over.
-    The function lists the same steps in the same order, with the same
-    cut entry; called with another program, another bound, or none (as
-    `drive` and `fire` call it), it is the literal dtso_successors.
+    With a bound and `buf` already holding `bound` messages, no append
+    is built, and the first one left out is listed in its place as the
+    cut entry (action, None, None, None).
     """
-    table: dict = {}
-
-    def successors(c: DtsoConfig, prog: ConcurrentProgram, b: int | None = None):
-        if prog is not program or b != bound:
-            return dtso_successors(c, prog, b)
-        per_process = []
-        for key in zip(count(), c.states, c.buffers, repeat(c.mem)):
-            moves = table.get(key)
-            if moves is None:
-                moves = table[key] = _local(c, program, key[0], bound)
-            per_process.append(moves)
-        return _assemble(c, per_process)
-
-    return successors
-
-
-def _local(c: DtsoConfig, program: ConcurrentProgram, p: int, bound: int | None) -> list[tuple]:
-    """Process p's moves at c, in dtso_successors' order, each as
-    (action, p's new state, p's new buffer, new memory).
-
-    With a bound and p's buffer already holding `bound` messages, no
-    append is built, and the first one left out is listed in its place
-    as the cut entry (action, None, None, None).
-    """
-    state = c.states[p]
-    buf = c.buffers[p]
-    mem = c.mem
     full = bound is not None and len(buf) >= bound
     out: list[tuple] = []
     cut = False
@@ -100,41 +75,15 @@ def _local(c: DtsoConfig, program: ConcurrentProgram, p: int, bound: int | None)
             continue
         moved = _fire(program, t, buf, mem)
         if moved is not None:
-            out.append((Step(p, t), t.dst, *moved))
+            w, m = moved
+            out.append((Step(p, t), None if t.dst == state else t.dst, None if w is buf else w, m))
     if not full:
         for x, v in zip(program.vars, mem):
-            out.append((Propagate(p, x), state, ((x, v, False),) + buf, mem))
+            out.append((Propagate(p, x), None, ((x, v, False),) + buf, mem))
     elif not cut and program.vars:
         out.append((Propagate(p, program.vars[0]), None, None, None))
     if buf:
-        out.append((Delete(p), state, buf[:-1], mem))
-    return out
-
-
-def _assemble(c: DtsoConfig, per_process) -> list[tuple[object, DtsoConfig | None]]:
-    """c's successors from each process's `_local` moves, in process
-    order, keeping only the first cut entry of all.  A move that leaves
-    the states or the buffers as they were reuses c's tuple."""
-    states, buffers, _mem = c
-    out: list[tuple[object, DtsoConfig | None]] = []
-    cut = False
-    for p, moves in enumerate(per_process):
-        state = states[p]
-        buf = buffers[p]
-        for action, s, w, mem in moves:
-            if s is None:
-                if not cut:
-                    cut = True
-                    out.append((action, None))
-                continue
-            out.append((
-                action,
-                DtsoConfig(
-                    states if s == state else _set(states, p, s),
-                    buffers if w == buf else _set(buffers, p, w),
-                    mem,
-                ),
-            ))
+        out.append((Delete(p), None, buf[:-1], mem))
     return out
 
 
@@ -173,9 +122,7 @@ def dtso_bounded_reach(
 ) -> BoundedResult:
     """Bounded search for the target global state with empty buffers."""
     init = initial_dtso_config(program)
-    return bounded_bfs(
-        "dtso", init, tabled_successors(program, bound), None, program, bound, max_nodes, tuple(target)
-    )[0]
+    return bounded_bfs("dtso", init, _local, program, bound, max_nodes, tuple(target))[0]
 
 
 def dtso_reachable_empty_buffer_states(
@@ -183,5 +130,5 @@ def dtso_reachable_empty_buffer_states(
 ) -> frozenset[tuple[str, ...]]:
     """Global states reachable with all buffers empty, within the bound."""
     init = initial_dtso_config(program)
-    _, seen = bounded_bfs("dtso", init, tabled_successors(program, bound), None, program, bound, max_nodes)
+    _, seen = bounded_bfs("dtso", init, _local, program, bound, max_nodes)
     return frozenset(c.states for c in seen if not any(c.buffers))

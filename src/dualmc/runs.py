@@ -1,5 +1,7 @@
-"""Run objects shared by the explorers, engines, and translators, and
-the bounded breadth-first search both explorers run.
+"""Run objects shared by the explorers, engines, and translators;
+`tabled`, which builds a configuration's steps from per-process moves
+for both explorers and the fixed-size backward engine; and the bounded
+breadth-first search both explorers run.
 
 A run is a sequence of configurations joined by actions under one of
 the two semantics.  Actions name the acting process by index; program
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, NamedTuple
 
 from .model import ConcurrentProgram, ParseError, Transition, _parse_op
@@ -82,14 +85,45 @@ class BoundedResult(NamedTuple):
     bound_exceeded: bool
     explored: int
     expanded: int  # configurations taken off the queue
-    generated: int  # successor configurations looked at, cut entries not counted
+    generated: int  # successors looked at; cut entries not counted, a write and its update one
+
+
+def tabled(c, table: dict, fill: Callable) -> list:
+    """c's steps, in process order, from each process's moves.
+
+    A rule changes one process's state and buffer, and the memory, and
+    reads nothing else, so process p's moves are keyed (p, its state,
+    its buffer, the memory) in `table`, which the search owns, and
+    filled on a miss with fill(p, state, buffer, memory).  A move is
+    (action, p's new state or None if kept, p's new buffer or None if
+    kept, new memory); it is listed as (action, type(c)(...)), reusing
+    c's tuples where kept, or as the entry (action, None) if its memory
+    is None."""
+    states, buffers, mem = c
+    make = type(c)
+    out: list = []
+    for p, state in enumerate(states):
+        buf = buffers[p]
+        key = (p, state, buf, mem)
+        moves = table.get(key)
+        if moves is None:
+            moves = table[key] = fill(p, state, buf, mem)
+        for action, s, b, m in moves:
+            out.append((
+                action,
+                None if m is None else make(
+                    states if s is None else _set(states, p, s),
+                    buffers if b is None else _set(buffers, p, b),
+                    m,
+                ),
+            ))
+    return out
 
 
 def bounded_bfs(
     semantics: str,
     init,
-    successors: Callable,
-    overflow: Callable | None,
+    local: Callable,
     program: ConcurrentProgram,
     bound: int,
     max_nodes: int | None,
@@ -99,25 +133,25 @@ def bounded_bfs(
     buffers never exceed `bound`, stopping at the first one at `target`
     with empty buffers.
 
-    A step is over the bound iff it leaves the acting process's buffer
-    longer than `bound` (only appends grow a buffer, and every explored
-    configuration is within the bound).  The bound is passed on as
-    `successors(c, program, bound)`, which may leave such steps out; it
-    then lists a cut entry (action, None) where the first one was, so
-    the result is flagged bound_exceeded at the same point of the search
-    as if the step had been built.  A step over the bound that
-    `successors` does build (TSO's writes) goes to
-    `overflow(action, succ, program)`, which returns the follow-up step
-    (action, config) back within the bound, also flagged; the over-bound
-    configuration is a link of the witness but is never explored.
-    Returns the result, with a shortest witness run unwound from the
-    hit's link and rebuilt by `drive`, and the explored configurations.
+    The steps are `tabled` from the semantics' per-process kernel
+    local(program, bound, p, state, buffer, memory), over one table the
+    search owns.  The kernel keeps the bound: a move over it is either
+    left out, its place marked by a cut entry (action, None), or, with
+    a plain tuple (action, follow-up) as its action, taken together with
+    a follow-up that ends back within the bound (TSO's write and its
+    update); the over-bound configuration between the two is never
+    built, and its witness link holds None.  Either flags the result
+    bound_exceeded at its place in the search.  Returns the result, with
+    a shortest witness run unwound from the hit's link and rebuilt by
+    `drive` under the unbounded relation, and the explored
+    configurations.
     The result counts the configurations expanded and the successors
-    generated; a TSO write over the bound and its update count as one,
-    and the successors after a hit are not looked at.
+    generated, and the successors after a hit are not looked at.
     """
     if bound < 0:
         raise ValueError(f"buffer bound must be non-negative, got {bound}")
+    table: dict = {}
+    fill = partial(local, program, bound)
     seen = {init}
     pruned = False
     queue = deque([(init, None, None)])
@@ -126,16 +160,16 @@ def bounded_bfs(
     while queue and hit is None:
         link = queue.popleft()
         expanded += 1
-        for action, succ in successors(link[0], program, bound):
+        for action, succ in tabled(link[0], table, fill):
             if succ is None:
                 pruned = True
                 continue
             generated += 1
             parent = link
-            if len(succ.buffers[action.proc]) > bound:
+            if type(action) is tuple:
                 pruned = True
-                parent = (succ, action, link)
-                action, succ = overflow(action, succ, program)
+                first, action = action
+                parent = (None, first, link)
             if succ in seen:
                 continue
             if max_nodes is not None and len(seen) >= max_nodes:
@@ -146,7 +180,10 @@ def bounded_bfs(
                 hit = step
                 break
             queue.append(step)
-    run = None if hit is None else drive(semantics, init, unwind(hit)[1][::-1], program, successors)
+    run = None
+    if hit is not None:
+        unbounded = lambda c, prog: tabled(c, {}, partial(local, prog, None))
+        run = drive(semantics, init, unwind(hit)[1][::-1], program, unbounded)
     return BoundedResult(hit is not None, run, pruned, len(seen), expanded, generated), seen
 
 

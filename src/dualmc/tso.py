@@ -5,13 +5,19 @@ last position the oldest.  A write appends at position 0, an update
 consumes the last position and hits memory.  The explorer is
 breadth-first over a bounded buffer length and doubles as an oracle
 and witness validator for the exact engines.
+
+As in the load-buffer semantics, `_local` is the per-process kernel of
+the rules and `runs.tabled` builds whole successors from it.  Under a
+bound, the kernel takes a write that would overfill its buffer together
+with the update that follows it, as one move carrying both actions.
 """
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple
 
 from .model import ConcurrentProgram, Transition
-from .runs import BoundedResult, Step, Update, _set, bounded_bfs
+from .runs import BoundedResult, Step, Update, _set, bounded_bfs, tabled
 
 
 class TsoConfig(NamedTuple):
@@ -28,69 +34,67 @@ def initial_tso_config(program: ConcurrentProgram) -> TsoConfig:
     )
 
 
-def tso_successors(
-    c: TsoConfig, program: ConcurrentProgram, bound: int | None = None
-) -> list[tuple[object, TsoConfig]]:
-    """All one-step successors, ordered by process, transition, update.
+def tso_successors(c: TsoConfig, program: ConcurrentProgram) -> list[tuple[object, TsoConfig]]:
+    """All one-step successors, ordered by process, transition, update."""
+    return tabled(c, {}, partial(_local, program, None))
 
-    `bound` is not used: a write over the bound is built all the same,
-    and bounded_bfs hands it to the overflow hook, _write_then_update.
+
+def _local(
+    program: ConcurrentProgram, bound: int | None, p: int, state: str, buf: tuple, mem: tuple[int, ...]
+) -> list[tuple]:
+    """Process p's moves at (state, buf, mem), in tso_successors' order,
+    as runs.tabled reads them: (action, new state or None if kept, new
+    buffer or None if kept, new memory).
+
+    With a bound and `buf` already holding `bound` messages, a write
+    would leave it over the bound, so it is taken together with the
+    update that follows it, as the one move with action (write,
+    Update(p)): the pair is a genuine behavior that ends within the
+    bound.  With bound 0 this yields exactly the interleaving semantics
+    where every write is immediately followed by its update.
     """
-    out: list[tuple[object, TsoConfig]] = []
-    for p, auto in enumerate(program.processes):
-        buf = c.buffers[p]
-        for t in auto.transitions:
-            if t.src != c.states[p]:
-                continue
-            succ = _fire(c, program, p, t)
-            if succ is not None:
-                out.append((Step(p, t), succ))
-        if buf:
-            out.append((Update(p), _update(c, program, p)))
+    full = bound is not None and len(buf) >= bound
+    out: list[tuple] = []
+    for t in program.processes[p].transitions:
+        if t.src != state:
+            continue
+        moved = _fire(program, t, buf, mem)
+        if moved is None:
+            continue
+        action, (w, m) = Step(p, t), moved
+        if full and t.op.kind == "w":
+            action = (action, Update(p))
+            (x, v), w = w[-1], w[:-1]
+            m = _set(m, program.var_index[x], v)
+        out.append((action, None if t.dst == state else t.dst, None if w == buf else w, m))
+    if buf:
+        x, v = buf[-1]
+        out.append((Update(p), None, buf[:-1], _set(mem, program.var_index[x], v)))
     return out
 
 
-def _update(c: TsoConfig, program: ConcurrentProgram, p: int) -> TsoConfig:
-    """The oldest pending write of process p hits memory."""
-    buf = c.buffers[p]
-    x, v = buf[-1]
-    return TsoConfig(c.states, _set(c.buffers, p, buf[:-1]), _set(c.mem, program.var_index[x], v))
-
-
-def _fire(c: TsoConfig, program: ConcurrentProgram, p: int, t: Transition) -> TsoConfig | None:
-    """Apply transition t for process p if its guard holds."""
+def _fire(program: ConcurrentProgram, t: Transition, buf: tuple, mem: tuple[int, ...]):
+    """The acting process's buffer and the memory after it fires t from
+    buffer `buf`, or None if t's guard fails."""
     op = t.op
-    states = _set(c.states, p, t.dst)
-    buf = c.buffers[p]
     if op.kind == "nop":
-        return TsoConfig(states, c.buffers, c.mem)
+        return buf, mem
     if op.kind == "w":
-        newbuf = ((op.var, op.val),) + buf
-        return TsoConfig(states, _set(c.buffers, p, newbuf), c.mem)
+        return ((op.var, op.val),) + buf, mem
     if op.kind == "r":
         pending = [m for m in buf if m[0] == op.var]
         if pending:
             # value must come from the most recent buffered write to var
-            return TsoConfig(states, c.buffers, c.mem) if pending[0][1] == op.val else None
-        if c.mem[program.var_index[op.var]] == op.val:
-            return TsoConfig(states, c.buffers, c.mem)
-        return None
+            return (buf, mem) if pending[0][1] == op.val else None
+        return (buf, mem) if mem[program.var_index[op.var]] == op.val else None
     if op.kind == "fence":
-        return TsoConfig(states, c.buffers, c.mem) if not buf else None
+        return (buf, mem) if not buf else None
     if op.kind == "arw":
         xi = program.var_index[op.var]
-        if not buf and c.mem[xi] == op.val:
-            return TsoConfig(states, c.buffers, _set(c.mem, xi, op.wval))
+        if not buf and mem[xi] == op.val:
+            return buf, _set(mem, xi, op.wval)
         return None
     raise ValueError(f"bad op kind {op.kind!r}")
-
-
-def _write_then_update(action: Step, succ: TsoConfig, program: ConcurrentProgram):
-    """The step (Update(p), config) after a write of process p over the
-    bound: the pair is a genuine behavior that ends within the bound.
-    With bound 0 this yields exactly the interleaving semantics where
-    every write is immediately followed by its update."""
-    return Update(action.proc), _update(succ, program, action.proc)
 
 
 def tso_bounded_reach(
@@ -106,9 +110,7 @@ def tso_bounded_reach(
     is only bound-relative when bound_exceeded is set.
     """
     init = initial_tso_config(program)
-    return bounded_bfs(
-        "tso", init, tso_successors, _write_then_update, program, bound, max_nodes, tuple(target)
-    )[0]
+    return bounded_bfs("tso", init, _local, program, bound, max_nodes, tuple(target))[0]
 
 
 def tso_reachable_empty_buffer_states(
@@ -116,5 +118,5 @@ def tso_reachable_empty_buffer_states(
 ) -> frozenset[tuple[str, ...]]:
     """Global states reachable with all buffers empty, within the bound."""
     init = initial_tso_config(program)
-    _, seen = bounded_bfs("tso", init, tso_successors, _write_then_update, program, bound, max_nodes)
+    _, seen = bounded_bfs("tso", init, _local, program, bound, max_nodes)
     return frozenset(c.states for c in seen if not any(c.buffers))

@@ -11,6 +11,7 @@ from dualmc import (
     ConcurrentProgram,
     DtsoConfig,
     ParamConfig,
+    TsoConfig,
     dtso_successors,
     instantiate,
     own_decompose,
@@ -118,6 +119,16 @@ def random_dtso_config(rng: random.Random, program, max_buf: int) -> DtsoConfig:
     buffers = tuple(random_word(rng, program, max_buf) for _ in program.processes)
     mem = tuple(rng.choice(program.values) for _ in program.vars)
     return DtsoConfig(states, buffers, mem)
+
+
+def random_tso_config(rng: random.Random, program, max_buf: int) -> TsoConfig:
+    states = tuple(rng.choice(sorted(a.states)) for a in program.processes)
+    buffers = tuple(
+        tuple((rng.choice(program.vars), rng.choice(program.values)) for _ in range(rng.randint(0, max_buf)))
+        for _ in program.processes
+    )
+    mem = tuple(rng.choice(program.values) for _ in program.vars)
+    return TsoConfig(states, buffers, mem)
 
 
 def pad_with_plains(rng: random.Random, program, c: DtsoConfig, extra: int) -> DtsoConfig:

@@ -2,6 +2,7 @@
 pinned results on random programs."""
 import hashlib
 import random
+from functools import partial
 
 from dualmc import (
     DtsoConfig,
@@ -14,11 +15,10 @@ from dualmc import (
     tso_reachable_empty_buffer_states,
     tso_successors,
 )
-from dualmc.dtso import tabled_successors
-from dualmc.runs import bounded_bfs
-from dualmc.tso import _write_then_update
+from dualmc import dtso, tso
+from dualmc.runs import Step, Update, bounded_bfs, fire, tabled
 
-from conftest import random_dtso_config, random_program
+from conftest import random_dtso_config, random_program, random_tso_config
 
 
 def digest(x) -> str:
@@ -29,8 +29,9 @@ def test_bounded_successors_cut_exactly_the_over_bound_appends():
     """Under a bound, the load-buffer rules build the unbounded steps in
     order, less exactly the appends that leave the acting buffer longer
     than the bound; a cut entry is listed iff there is such an append,
-    at the place of the first one.  A search's tabled_successors lists
-    exactly the same, cut entry and its place included."""
+    at the place of the first one, and a process has at most one, at
+    the place of its own first.  `_local` over a search's table lists
+    exactly the same, cut entries and their places included."""
     rng = random.Random(10)
     cuts = 0
     for _ in range(3000):
@@ -43,7 +44,7 @@ def test_bounded_successors_cut_exactly_the_over_bound_appends():
                 if len(succ.buffers[a.proc]) > max(bound, len(c.buffers[a.proc]))
             ]
             bounded = dtso_successors(c, prog, bound)
-            assert tabled_successors(prog, bound)(c, prog, bound) == bounded
+            assert tabled(c, {}, partial(dtso._local, prog, bound)) == bounded
             built = [(a, succ) for a, succ in bounded if succ is not None]
             assert built == [step for i, step in enumerate(unbounded) if i not in over]
             cut_at = [i for i, (_a, succ) in enumerate(bounded) if succ is None]
@@ -53,23 +54,24 @@ def test_bounded_successors_cut_exactly_the_over_bound_appends():
                 assert bounded[:first] == unbounded[: over[0]]
                 assert bounded[first][0] == unbounded[over[0]][0]
                 cuts += 1
+            for p in range(prog.n):
+                over_p = [unbounded[i][0] for i in over if unbounded[i][0].proc == p]
+                cut_p = [bounded[i][0] for i in cut_at if bounded[i][0].proc == p]
+                assert cut_p == over_p[:1]
     assert cuts > 1000
 
 
 def test_shared_table_lists_the_rules_successors():
-    """One tabled_successors per program and bound 0..2, shared by all
-    its configurations, lists exactly dtso_successors, cut entry and its
-    place included.  The configurations mix a few random configurations'
-    per-process parts and memories, so each table entry is read back
-    beside other processes' buffers and cuts.  Called with another
-    program (the previous one, whose states share names), without a
-    bound or at another bound, it is the literal dtso_successors."""
+    """One table per program and bound 0..2, shared by all its
+    configurations, lists through `_local` exactly dtso_successors, cut
+    entries and their places included.  The configurations mix a few
+    random configurations' per-process parts and memories, so each
+    table entry is read back beside other processes' buffers and cuts."""
     rng = random.Random(13)
     cuts = 0
-    previous = None
     for _ in range(300):
         prog = random_program(rng)
-        tabled = [tabled_successors(prog, bound) for bound in range(3)]
+        tables = [{} for _bound in range(3)]
         pool = [random_dtso_config(rng, prog, max_buf=3) for _ in range(4)]
         for _ in range(10):
             parts = [rng.choice(pool) for _ in prog.processes]
@@ -80,15 +82,43 @@ def test_shared_table_lists_the_rules_successors():
             )
             for bound in range(3):
                 bounded = dtso_successors(c, prog, bound)
-                assert tabled[bound](c, prog, bound) == bounded
+                assert tabled(c, tables[bound], partial(dtso._local, prog, bound)) == bounded
                 cuts += any(succ is None for _a, succ in bounded)
-            assert tabled[1](c, prog) == dtso_successors(c, prog)
-            assert tabled[1](c, prog, 2) == dtso_successors(c, prog, 2)
-        if previous is not None:
-            for bound in range(3):
-                assert previous[bound](c, prog, bound) == dtso_successors(c, prog, bound)
-        previous = tabled
     assert cuts > 1000
+
+
+def test_tso_kernel_takes_an_over_bound_write_with_its_update():
+    """Under a bound, TSO's `_local` over a shared table lists the
+    literal tso_successors entries that stay within the bound as they
+    are, and in place of each write that would leave the acting buffer
+    longer than the bound one move (write, Update(p)) to the
+    configuration that firing the write and then the update reaches."""
+    rng = random.Random(16)
+    pairs = 0
+    for _ in range(300):
+        prog = random_program(rng)
+        tables = [{} for _bound in range(3)]
+        for _ in range(10):
+            c = random_tso_config(rng, prog, max_buf=3)
+            literal = tso_successors(c, prog)
+            for bound in range(3):
+                steps = tabled(c, tables[bound], partial(tso._local, prog, bound))
+                assert [a[0] if type(a) is tuple else a for a, _succ in steps] == [a for a, _succ in literal]
+                within = [
+                    (a, succ) for a, succ in literal
+                    if len(succ.buffers[a.proc]) <= max(bound, len(c.buffers[a.proc]))
+                ]
+                assert [(a, succ) for a, succ in steps if type(a) is not tuple] == within
+                for a, succ in steps:
+                    if type(a) is tuple:
+                        write, update = a
+                        assert isinstance(write, Step) and write.t.op.kind == "w"
+                        assert update == Update(write.proc)
+                        over = fire(c, write, prog, tso_successors)
+                        assert len(over.buffers[write.proc]) > bound
+                        assert fire(over, update, prog, tso_successors) == succ
+                        pairs += 1
+    assert pairs > 1000
 
 
 def test_pinned_random_explorer_results():
@@ -114,21 +144,21 @@ def test_explored_set_is_within_the_bound():
     """On the pinned random programs, with and without a target, each
     explorer's explored set has `explored` elements, holds the initial
     configuration and no buffer longer than the bound: TSO's over-bound
-    write configuration is a witness link only, never explored."""
+    write configuration is never built, let alone explored."""
     explorers = (
-        ("tso", initial_tso_config, tso_successors, _write_then_update),
-        ("dtso", initial_dtso_config, dtso_successors, None),
+        ("tso", initial_tso_config, tso._local),
+        ("dtso", initial_dtso_config, dtso._local),
     )
     rng = random.Random(40)
     overflows = 0
     for _ in range(40):
         prog = random_program(rng, n_procs=2, max_states=3)
         for k in range(3):
-            for semantics, initial, successors, overflow in explorers:
+            for semantics, initial, local in explorers:
                 init = initial(prog)
                 for target in (None, prog.target):
-                    r, seen = bounded_bfs(semantics, init, successors, overflow, prog, k, None, target)
+                    r, seen = bounded_bfs(semantics, init, local, prog, k, None, target)
                     assert len(seen) == r.explored and init in seen
                     assert all(len(b) <= k for c in seen for b in c.buffers)
-                    overflows += overflow is not None and r.bound_exceeded
+                    overflows += semantics == "tso" and r.bound_exceeded
     assert overflows > 50
