@@ -9,9 +9,10 @@ quotient.
 
 Every rule changes one process's local state and buffer, and the
 memory, and reads nothing else: `_local` is the one kernel of the
-rules, per process, and `runs.tabled` builds whole successors from it,
-over a throwaway table in `dtso_successors` and over one table per
-search in the explorer.
+rules, per process.  `runs.tabled` builds whole successors from it over
+a throwaway table in `dtso_successors`; the explorer, `runs.bounded_bfs`,
+tables it once per search as int deltas on coded configurations and
+decodes only the empty-buffer configurations it is asked for.
 """
 from __future__ import annotations
 
@@ -131,4 +132,4 @@ def dtso_reachable_empty_buffer_states(
     """Global states reachable with all buffers empty, within the bound."""
     init = initial_dtso_config(program)
     _, seen = bounded_bfs("dtso", init, _local, program, bound, max_nodes)
-    return frozenset(c.states for c in seen if not any(c.buffers))
+    return frozenset(c.states for c in seen.with_empty_buffers())

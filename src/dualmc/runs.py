@@ -1,7 +1,8 @@
 """Run objects shared by the explorers, engines, and translators;
 `tabled`, which builds a configuration's steps from per-process moves
-for both explorers and the fixed-size backward engine; and the bounded
-breadth-first search both explorers run.
+for both one-step rules and the fixed-size backward engine; and the
+bounded breadth-first search both explorers run over coded
+configurations (`Coder`), whose explored set is a `CodedSet`.
 
 A run is a sequence of configurations joined by actions under one of
 the two semantics.  Actions name the acting process by index; program
@@ -80,6 +81,10 @@ class Run:
 
 
 class BoundedResult(NamedTuple):
+    """One bounded search's verdict, its shortest witness run (built
+    under the unbounded rules) and its counts; the explored set itself
+    is returned beside it by `bounded_bfs`, coded."""
+
     reachable: bool
     run: Run | None
     bound_exceeded: bool
@@ -120,6 +125,122 @@ def tabled(c, table: dict, fill: Callable) -> list:
     return out
 
 
+FIELD_BITS = 32  # width of one Coder field
+
+
+class Coder:
+    """Configurations (states, buffers, mem) of one program as ints,
+    owned by one search.
+
+    The memory valuations, each process's local states and each
+    process's buffer words are interned to small ids in order of first
+    sight, the initial configuration's parts first, so the initial
+    memory, states and (empty) buffers are id 0 and the initial
+    configuration is code 0.  A code has one FIELD_BITS-wide field per
+    id: the memory in field 0, process p's state in field 1 + p and its
+    buffer in field 1 + n + p.  An interner that outgrows its field
+    raises ResourceLimitError rather than let a field carry into the
+    next.
+
+    A rule changes one process's state and buffer, and the memory, so
+    `moves` turns process p's moves at the key `code & keymask[p]` into
+    int deltas, the sum of (new id - old id) << field shift: `code +
+    delta` is the successor's code, whatever the other fields hold.
+    """
+
+    def __init__(self, init):
+        n = self.n = len(init.states)
+        self.make = type(init)
+        self.width = FIELD_BITS
+        self.field = field = (1 << FIELD_BITS) - 1
+        self.values = [[v] for v in self._parts(init)]
+        self.ids = [{vals[0]: 0} for vals in self.values]
+        self.keymask = [field | field << self._shift(1 + p) | field << self._shift(1 + n + p) for p in range(n)]
+        self.buffers_mask = sum(field << self._shift(1 + n + p) for p in range(n))
+        self.states_and_buffers_mask = (1 << self._shift(2 * n + 1)) - 1 - field
+
+    def _shift(self, f: int) -> int:
+        return f * self.width
+
+    @staticmethod
+    def _parts(c) -> tuple:
+        return (c.mem, *c.states, *c.buffers)
+
+    def id(self, f: int, v) -> int:
+        """v's id in field f, interned on first sight."""
+        ids = self.ids[f]
+        i = ids.get(v)
+        if i is None:
+            i = ids[v] = len(self.values[f])
+            if i > self.field:
+                raise ResourceLimitError(f"more than {self.field + 1} distinct values in one configuration field")
+            self.values[f].append(v)
+        return i
+
+    def encode(self, c) -> int:
+        return sum(self.id(f, v) << self._shift(f) for f, v in enumerate(self._parts(c)))
+
+    def lookup(self, c) -> int | None:
+        """c's code, or None if a part of c was never interned."""
+        code = 0
+        for f, v in enumerate(self._parts(c)):
+            i = self.ids[f].get(v)
+            if i is None:
+                return None
+            code |= i << self._shift(f)
+        return code
+
+    def decode(self, code: int):
+        parts = [vals[code >> self._shift(f) & self.field] for f, vals in enumerate(self.values)]
+        n = self.n
+        return self.make(tuple(parts[1 : n + 1]), tuple(parts[n + 1 :]), parts[0])
+
+    def moves(self, p: int, key: int, fill: Callable) -> list[tuple]:
+        """Process p's moves at `key`, a code masked by keymask[p], from
+        fill(p, state, buffer, memory), which lists them as `tabled`
+        reads them: each becomes (action, delta), or (action, None)
+        where its memory is None."""
+        sf, bf = 1 + p, 1 + self.n + p
+        s_shift, b_shift = self._shift(sf), self._shift(bf)
+        m_id, s_id, b_id = key & self.field, key >> s_shift & self.field, key >> b_shift & self.field
+        out: list[tuple] = []
+        for action, s, b, m in fill(p, self.values[sf][s_id], self.values[bf][b_id], self.values[0][m_id]):
+            if m is None:
+                out.append((action, None))
+                continue
+            delta = self.id(0, m) - m_id
+            if s is not None:
+                delta += (self.id(sf, s) - s_id) << s_shift
+            if b is not None:
+                delta += (self.id(bf, b) - b_id) << b_shift
+            out.append((action, delta))
+        return out
+
+
+class CodedSet:
+    """A read-only view of a set of codes as the configurations they
+    stand for: `len`, `in` and iteration, which decodes."""
+
+    def __init__(self, codes: set, coder: Coder):
+        self.codes = codes
+        self.coder = coder
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __contains__(self, c) -> bool:
+        code = self.coder.lookup(c)
+        return code is not None and code in self.codes
+
+    def __iter__(self):
+        return map(self.coder.decode, self.codes)
+
+    def with_empty_buffers(self):
+        """The configurations whose buffers are all empty, decoding no other."""
+        mask = self.coder.buffers_mask
+        return [self.coder.decode(code) for code in self.codes if not code & mask]
+
+
 def bounded_bfs(
     semantics: str,
     init,
@@ -128,63 +249,78 @@ def bounded_bfs(
     bound: int,
     max_nodes: int | None,
     target: tuple[str, ...] | None = None,
-) -> tuple[BoundedResult, set]:
+) -> tuple[BoundedResult, CodedSet]:
     """Deterministic breadth-first search of the configurations whose
     buffers never exceed `bound`, stopping at the first one at `target`
     with empty buffers.
 
-    The steps are `tabled` from the semantics' per-process kernel
-    local(program, bound, p, state, buffer, memory), over one table the
-    search owns.  The kernel keeps the bound: a move over it is either
-    left out, its place marked by a cut entry (action, None), or, with
-    a plain tuple (action, follow-up) as its action, taken together with
-    a follow-up that ends back within the bound (TSO's write and its
-    update); the over-bound configuration between the two is never
-    built, and its witness link holds None.  Either flags the result
-    bound_exceeded at its place in the search.  Returns the result, with
-    a shortest witness run unwound from the hit's link and rebuilt by
-    `drive` under the unbounded relation, and the explored
-    configurations.
+    The search runs over codes of a `Coder` it owns.  Process p's moves
+    come from the semantics' per-process kernel
+    local(program, bound, p, state, buffer, memory), turned into int
+    deltas once per key `code & keymask[p]` in a table the search owns,
+    and listed in process order, as `tabled` lists them.  The kernel
+    keeps the bound: a move over it is either left out, its place
+    marked by a cut entry (action, None), or, with a plain tuple
+    (action, follow-up) as its action, taken together with a follow-up
+    that ends back within the bound (TSO's write and its update); the
+    over-bound configuration between the two is never built, and its
+    witness link holds None.  Either flags the result bound_exceeded at
+    its place in the search.  Returns the result, with a shortest
+    witness run unwound from the hit's link as actions and rebuilt by
+    `drive` under the unbounded relation, and the explored set as a
+    `CodedSet`, which decodes nothing until it is read.
     The result counts the configurations expanded and the successors
     generated, and the successors after a hit are not looked at.
     """
     if bound < 0:
         raise ValueError(f"buffer bound must be non-negative, got {bound}")
-    table: dict = {}
+    coder = Coder(init)
     fill = partial(local, program, bound)
-    seen = {init}
+    procs = [(p, mask, {}) for p, mask in enumerate(coder.keymask)]
+    mask = coder.states_and_buffers_mask
+    goal = None if target is None else coder.encode(init._replace(states=target))
+    seen = {0}
     pruned = False
-    queue = deque([(init, None, None)])
-    hit = queue[0] if _at_target(init, target) else None
+    queue = deque([(0, None, None)])
+    hit = queue[0] if goal == 0 else None
     expanded = generated = 0
     while queue and hit is None:
         link = queue.popleft()
+        code = link[0]
         expanded += 1
-        for action, succ in tabled(link[0], table, fill):
-            if succ is None:
-                pruned = True
-                continue
-            generated += 1
-            parent = link
-            if type(action) is tuple:
-                pruned = True
-                first, action = action
-                parent = (None, first, link)
-            if succ in seen:
-                continue
-            if max_nodes is not None and len(seen) >= max_nodes:
-                raise ResourceLimitError(f"bounded search exceeded {max_nodes} configurations")
-            seen.add(succ)
-            step = (succ, action, parent)
-            if _at_target(succ, target):
-                hit = step
+        for p, keymask, table in procs:
+            key = code & keymask
+            moves = table.get(key)
+            if moves is None:
+                moves = table[key] = coder.moves(p, key, fill)
+            for action, delta in moves:
+                if delta is None:
+                    pruned = True
+                    continue
+                generated += 1
+                parent = link
+                if type(action) is tuple:
+                    pruned = True
+                    first, action = action
+                    parent = (None, first, link)
+                succ = code + delta
+                if succ in seen:
+                    continue
+                if max_nodes is not None and len(seen) >= max_nodes:
+                    raise ResourceLimitError(f"bounded search exceeded {max_nodes} configurations")
+                seen.add(succ)
+                step = (succ, action, parent)
+                if succ & mask == goal:
+                    hit = step
+                    break
+                queue.append(step)
+            if hit is not None:
                 break
-            queue.append(step)
     run = None
     if hit is not None:
         unbounded = lambda c, prog: tabled(c, {}, partial(local, prog, None))
         run = drive(semantics, init, unwind(hit)[1][::-1], program, unbounded)
-    return BoundedResult(hit is not None, run, pruned, len(seen), expanded, generated), seen
+    return BoundedResult(hit is not None, run, pruned, len(seen), expanded, generated), CodedSet(seen, coder)
 
 
 def unwind(link) -> tuple[tuple, tuple]:
@@ -199,10 +335,6 @@ def unwind(link) -> tuple[tuple, tuple]:
         configs.append(c)
         actions.append(action)
     return tuple(configs), tuple(actions[:-1])
-
-
-def _at_target(c, target: tuple[str, ...] | None) -> bool:
-    return target is not None and c.states == target and not any(c.buffers)
 
 
 def fire(c, action: Action, program: ConcurrentProgram, successors: Callable):

@@ -7,9 +7,11 @@ breadth-first over a bounded buffer length and doubles as an oracle
 and witness validator for the exact engines.
 
 As in the load-buffer semantics, `_local` is the per-process kernel of
-the rules and `runs.tabled` builds whole successors from it.  Under a
-bound, the kernel takes a write that would overfill its buffer together
-with the update that follows it, as one move carrying both actions.
+the rules: `runs.tabled` builds whole successors from it in
+`tso_successors`, and the explorer, `runs.bounded_bfs`, tables it once
+per search as int deltas on coded configurations.  Under a bound, the
+kernel takes a write that would overfill its buffer together with the
+update that follows it, as one move carrying both actions.
 """
 from __future__ import annotations
 
@@ -119,4 +121,4 @@ def tso_reachable_empty_buffer_states(
     """Global states reachable with all buffers empty, within the bound."""
     init = initial_tso_config(program)
     _, seen = bounded_bfs("tso", init, _local, program, bound, max_nodes)
-    return frozenset(c.states for c in seen if not any(c.buffers))
+    return frozenset(c.states for c in seen.with_empty_buffers())

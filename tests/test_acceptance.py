@@ -244,6 +244,22 @@ def test_searches_share_no_state():
     assert results[1] == PINNED_EXPLORERS[("mp.lit", "dtso", 1)]
 
 
+def test_tso_explorer_shares_no_state():
+    """The store-buffer explorer's twin of the explorer half of
+    test_searches_share_no_state: wrwc.lit, mp.lit, then wrwc.lit again
+    at bound 1 give the pinned results, and no module attribute of the
+    explorer or its search grows (no module-level coder or table)."""
+    modules = (dualmc.tso, dualmc.runs)
+    before = [_module_sizes(m) for m in modules]
+    results = []
+    for name in ("wrwc.lit", "mp.lit", "wrwc.lit"):
+        prog = corpus_program(name)
+        results.append(_explored(tso_bounded_reach(prog, 1, prog.target)))
+        assert [_module_sizes(m) for m in modules] == before, name
+    assert results[0] == results[2] == PINNED_EXPLORERS[("wrwc.lit", "tso", 1)]
+    assert results[1] == PINNED_EXPLORERS[("mp.lit", "tso", 1)]
+
+
 # sha256 prefixes of repr((actions, configs)) of the concrete run
 # concretize_witness builds, of repr(actions) of its dtso_to_tso
 # translation, and of repr(actions) of tso_to_dtso of that translation,
@@ -427,6 +443,19 @@ def test_pinned_explorer_results():
         assert r.expanded <= r.explored and (r.reachable or r.expanded == r.explored), (name, semantics, bound)
         if bound == 1:
             assert (r.expanded, r.generated) == PINNED_EXPLORER_COUNTERS[name, semantics], (name, semantics)
+
+
+@pytest.mark.parametrize("semantics", ["tso", "dtso"])
+def test_explorer_max_nodes_boundary(semantics):
+    """On mp.lit at bound 1, which each explorer runs out, a cap of
+    exactly `explored` gives the pinned result and one less raises."""
+    reach = {"tso": tso_bounded_reach, "dtso": dtso_bounded_reach}[semantics]
+    prog = corpus_program("mp.lit")
+    expected = PINNED_EXPLORERS[("mp.lit", semantics, 1)]
+    explored = expected[2]
+    assert _explored(reach(prog, 1, prog.target, max_nodes=explored)) == expected
+    with pytest.raises(ResourceLimitError):
+        reach(prog, 1, prog.target, max_nodes=explored - 1)
 
 
 def test_param_witness_names_acting_process(param_stats):

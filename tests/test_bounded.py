@@ -4,6 +4,8 @@ import hashlib
 import random
 from functools import partial
 
+import pytest
+
 from dualmc import (
     DtsoConfig,
     dtso_bounded_reach,
@@ -15,10 +17,11 @@ from dualmc import (
     tso_reachable_empty_buffer_states,
     tso_successors,
 )
-from dualmc import dtso, tso
-from dualmc.runs import Step, Update, bounded_bfs, fire, tabled
+from dualmc import ResourceLimitError, TsoConfig, dtso, runs, tso
+from dualmc.cli import run as cli_run
+from dualmc.runs import Coder, Step, Update, bounded_bfs, fire, tabled
 
-from conftest import random_dtso_config, random_program, random_tso_config
+from conftest import CORPUS, random_dtso_config, random_program, random_tso_config
 
 
 def digest(x) -> str:
@@ -119,6 +122,74 @@ def test_tso_kernel_takes_an_over_bound_write_with_its_update():
                         assert fire(over, update, prog, tso_successors) == succ
                         pairs += 1
     assert pairs > 1000
+
+
+def coded_steps(coder: Coder, tables: list, c, fill) -> list:
+    """c's steps as the explorer reads them from its coder and move
+    tables: each entry (action, delta) listed as (action, the decoded
+    code + delta), or (action, None) for a cut entry."""
+    code = coder.encode(c)
+    steps = []
+    for p, table in enumerate(tables):
+        key = code & coder.keymask[p]
+        moves = table.get(key)
+        if moves is None:
+            moves = table[key] = coder.moves(p, key, fill)
+        steps += [(a, None if delta is None else coder.decode(code + delta)) for a, delta in moves]
+    return steps
+
+
+def test_coded_moves_decode_to_the_kernels_steps():
+    """One coder and one move table per program, kernel and bound 0..2,
+    shared by all its configurations: decoding code + delta of every
+    entry lists exactly `tabled` over the literal kernel, cut entries,
+    TSO's (write, update) pairs and their places included.  The
+    configurations mix a few random configurations' per-process parts
+    and memories, so each entry is read back beside other processes'
+    fields."""
+    kernels = (
+        (initial_dtso_config, dtso._local, random_dtso_config, DtsoConfig),
+        (initial_tso_config, tso._local, random_tso_config, TsoConfig),
+    )
+    rng = random.Random(17)
+    cuts = pairs = 0
+    for _ in range(200):
+        prog = random_program(rng)
+        for initial, local, random_config, make in kernels:
+            coders = [Coder(initial(prog)) for _bound in range(3)]
+            tables = [[{} for _p in prog.processes] for _bound in range(3)]
+            pool = [random_config(rng, prog, max_buf=3) for _ in range(4)]
+            for _ in range(10):
+                parts = [rng.choice(pool) for _ in prog.processes]
+                c = make(
+                    tuple(d.states[p] for p, d in enumerate(parts)),
+                    tuple(d.buffers[p] for p, d in enumerate(parts)),
+                    rng.choice(pool).mem,
+                )
+                for bound in range(3):
+                    fill = partial(local, prog, bound)
+                    literal = tabled(c, {}, fill)
+                    assert coded_steps(coders[bound], tables[bound], c, fill) == literal
+                    cuts += any(succ is None for _a, succ in literal)
+                    pairs += any(type(a) is tuple for a, _succ in literal)
+    assert cuts > 500 and pairs > 500
+
+
+def test_coder_field_overflow_raises(monkeypatch, capsys):
+    """A field holds ids 0 .. 2**FIELD_BITS - 1; the interner that would
+    outgrow it raises ResourceLimitError instead of letting code + delta
+    carry into the next field, and the CLI exits 3 with one line."""
+    monkeypatch.setattr(runs, "FIELD_BITS", 2)
+    prog = random_program(random.Random(1))
+    coder = Coder(initial_dtso_config(prog))
+    assert [coder.id(0, (v,)) for v in range(3)] == [1, 2, 3]
+    with pytest.raises(ResourceLimitError):
+        coder.id(0, (3,))
+    monkeypatch.setattr(runs, "FIELD_BITS", 1)
+    code = cli_run(["explore-dtso", str(CORPUS / "mp.lit"), "--buffer-bound", "1"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("dualmc: ") and captured.err.count("\n") == 1, captured.err
 
 
 def test_pinned_random_explorer_results():
