@@ -8,6 +8,16 @@ the set of empty-buffer configurations at the target global state over
 all memory valuations.  The search is reachable as soon as a generated
 minimal configuration covers the initial configuration, and unreachable
 when the antichain reaches a fixpoint.
+
+The search runs over coded configurations, one int each, from a
+`runs.Coder` it owns (`backward_coder`): the initial configuration is
+code 0, and each buffer's own-delimiters and the total buffer length
+are fields of the code, so the antichain's bucket key, its signature
+pre-filter and the worklist weight are each one mask or shift.  The
+per-process rule kernel is written on configurations, once, and
+tabled per process into code deltas (`coded_preds`); `minpre_config`
+and `predecessor_candidates`, the oracles the tests compare with, list
+the same moves as configurations.
 """
 from __future__ import annotations
 
@@ -19,8 +29,8 @@ from typing import Callable
 
 from .dtso import DtsoConfig, dtso_successors, initial_dtso_config
 from .model import ConcurrentProgram
-from .ordering import MinorSet, Word, config_leq, delimiter_signature, word_table
-from .runs import Delete, Propagate, ResourceLimitError, Run, RunError, Step, _set, drive, fire, tabled, unwind
+from .ordering import MinorSet, Word, config_leq, own_decompose, word_leq
+from .runs import Coder, Delete, Propagate, ResourceLimitError, Run, RunError, Step, _set, drive, fire, tabled, unwind
 
 
 @dataclass
@@ -36,19 +46,23 @@ class BackwardStats:
     chain: tuple | None = None
     # candidates looked at and found dead (seeds not counted)
     dead: int = 0
+    # candidates below a member, and elements that went into the
+    # antichain, seeds included: configs_generated is dead + subsumed +
+    # inserted, and evicted is inserted - minors
+    subsumed: int = 0
+    inserted: int = 0
+    evicted: int = 0
 
 
 def _config_key(c: DtsoConfig):
     return (c.states, c.mem)
 
 
-def target_to_minors(
-    program: ConcurrentProgram, target: tuple[str, ...], leq: Callable = config_leq
-) -> MinorSet:
+def target_to_minors(program: ConcurrentProgram, target: tuple[str, ...]) -> MinorSet:
     """Empty-buffer configurations at the target state, one per memory
     valuation, pairwise incomparable by construction, in an antichain
-    under `leq`: config_leq, or config_leq over a search's word_table."""
-    minors = MinorSet(leq, key=_config_key, sig=delimiter_signature)
+    under config_leq."""
+    minors = MinorSet(config_leq, key=_config_key)
     buffers = tuple(() for _ in program.processes)
     for mem in itertools.product(program.values, repeat=len(program.vars)):
         minors.insert(DtsoConfig(tuple(target), buffers, mem))
@@ -140,62 +154,108 @@ def buffer_preds(
     return out
 
 
-def predecessor_candidates(
-    c: DtsoConfig, program: ConcurrentProgram, removable=None, moves=None, live=None
-):
+def local_preds(program: ConcurrentProgram, removable, live, p: int, state, buf: Word, mem):
+    """Process p's backward moves at (state, buf, mem), in order: its
+    transitions into state, then propagate and delete; each is (action,
+    source state or None if kept, buffer or None if kept, memory), as
+    runs.tabled and runs.Coder.moves read them.
+
+    With `removable`, the per-process removable_own tables, only the
+    delete predecessors live_filter keeps are listed.  With `live`, the
+    program's live_kernel, and `removable`, each move's liveness is
+    decided here, once per table entry: a dead move is (action, None,
+    None, None), in its place in the order.  This is live_filter's
+    verdict on the predecessor provided the configuration the move is
+    taken from is live, as every configuration the engine expands is:
+    the predecessor differs from it only in process p's state and
+    buffer and in the memory, all fixed by the entry and the move.
+    """
+    found = []
+    for t in program.processes[p].transitions:
+        if t.dst == state:
+            action = Step(p, t)
+            found += [(action, t.src, b, m) for b, m in rule_preds(t, buf, mem, program)]
+    allowed = removable[p][state] if removable is not None else None
+    found += [(action, None, b, mem) for action, b in buffer_preds(p, buf, mem, program, allowed)]
+    out = []
+    for action, src, b, m in found:
+        if live is not None and not live(m, ((state if src is None else src, b),), (removable[p],)):
+            out.append((action, None, None, None))
+        else:
+            out.append((action, src, None if b is buf else b, m))
+    return out
+
+
+def predecessor_candidates(c: DtsoConfig, program: ConcurrentProgram, removable=None):
     """Minimal one-rule predecessors of the upward closure of c, each
     paired with the action leading from it back into that closure;
     process by process, its transitions, then propagate and delete.
 
-    The backward engine passes `removable`, the per-process
-    removable_own tables, to enumerate only delete predecessors that
-    live_filter keeps; without it every delete predecessor is listed.
+    With `removable`, the per-process removable_own tables, only the
+    delete predecessors live_filter keeps are listed; without it every
+    delete predecessor is.  This is the oracle the engine's coded
+    tables (`coded_preds`) are tested against: the same local_preds,
+    listed as configurations through a throwaway runs.tabled table."""
+    return tabled(c, {}, partial(local_preds, program, removable, None))
 
-    A process's backward moves depend only on its local state, its
-    buffer and the memory, so runs.tabled reads them from `moves`, a
-    dict from (p, state, buffer, memory) to a list of (action, source
-    state or None if kept, buffer or None if kept, memory), filled here
-    on a miss from rule_preds and buffer_preds.  The same dict interns
-    the moves' buffers, each word keyed by itself (a word never equals
-    a four-field key), so equal candidate buffers are one object.  The
-    engine shares one dict, for one `removable`, across a search;
-    without one a fresh dict is used.
 
-    With `live`, the program's live_kernel, and `removable`, the engine
-    also decides each move's liveness once, when it is tabled: a dead
-    move is kept as (action, None, None, None) and listed as
-    (action, None), in its place in the order, and no configuration is
-    built for it.  This is live_filter's verdict on the predecessor
-    provided c itself is live, as every configuration the engine
-    expands is: the predecessor differs from c only in process p's
-    state and buffer and in the memory, all fixed by the key and the
-    move.
-    """
-    if moves is None:
-        moves = {}
+def backward_coder(program: ConcurrentProgram) -> Coder:
+    """The fixed-size search's coder: initial configuration code 0,
+    with each buffer's own-delimiters (own_decompose) as its summary,
+    which word_leq requires to be equal, and the total buffer length
+    on top."""
+    return Coder(initial_dtso_config(program), lambda w: own_decompose(w).delimiters)
 
-    def fill(p, state, buf, mem):
-        found = []
-        for t in program.processes[p].transitions:
-            if t.dst == state:
-                action = Step(p, t)
-                found += [(action, t.src, b, m) for b, m in rule_preds(t, buf, mem, program)]
-        allowed = removable[p][state] if removable is not None else None
-        found += [(action, None, b, mem) for action, b in buffer_preds(p, buf, mem, program, allowed)]
-        local = []
-        for action, src, b, m in found:
-            if live is not None and not live(m, ((state if src is None else src, b),), (removable[p],)):
-                local.append((action, None, None, None))
-            else:
-                local.append((action, src, None if b is buf else moves.setdefault(b, b), m))
-        return local
 
-    return tabled(c, moves, fill)
+def coded_preds(coder: Coder, fill: Callable) -> Callable[[int], list]:
+    """predecessor_candidates over `coder`'s codes: preds(code) lists
+    (action, predecessor code), or (action, None) for a dead move.
+
+    Process p's moves come from fill(p, state, buffer, memory), most
+    often local_preds bound to a program, as deltas from Coder.moves,
+    once per key `code & keymask[p]`, in a table preds owns."""
+    procs = [(p, mask, {}) for p, mask in enumerate(coder.keymask)]
+
+    def preds(code: int) -> list:
+        out: list = []
+        for p, mask, table in procs:
+            key = code & mask
+            moves = table.get(key)
+            if moves is None:
+                moves = table[key] = coder.moves(p, key, fill)
+            out += [(action, None if delta is None else code + delta) for action, delta in moves]
+        return out
+
+    return preds
+
+
+def coded_leq(coder: Coder) -> Callable[[int, int], bool]:
+    """config_leq over `coder`'s codes: equal memory and states, and per
+    process equal buffer ids or word_leq between the buffers, memoised
+    per process on the pair of ids, in a memo leq owns."""
+    key_mask, field = coder.memory_and_states_mask, coder.field
+    procs = [(shift, words, {}) for shift, words in coder.buffer_fields]
+
+    def leq(a: int, b: int) -> bool:
+        diff = a ^ b
+        if diff & key_mask:
+            return False
+        for shift, words, memo in procs:
+            if diff >> shift & field:
+                pair = (a >> shift & field, b >> shift & field)
+                out = memo.get(pair)
+                if out is None:
+                    out = memo[pair] = word_leq(words[pair[0]], words[pair[1]])
+                if not out:
+                    return False
+        return True
+
+    return leq
 
 
 def minpre_config(c: DtsoConfig, program: ConcurrentProgram) -> MinorSet:
     """Minimal elements of predecessors-plus-self of the closure of c."""
-    minors = MinorSet(config_leq, key=_config_key, sig=delimiter_signature)
+    minors = MinorSet(config_leq, key=_config_key)
     minors.insert(c)
     for _action, pred in predecessor_candidates(c, program):
         minors.insert(pred)
@@ -312,15 +372,23 @@ def fixpoint(
     action's process for the canonical form; it runs only for
     predecessors that enter the antichain.  Each queued minor carries
     its provenance link (runs.unwind), which outlives its eviction.
+    The seeds count as generated and inserted.
     """
-    generated = len(minors)
+    generated = inserted = len(minors)
     iterations = 0
     peak = 0
-    dead = 0
+    dead = subsumed = 0
+
+    def stats(verdict: str, actions=None, chain=None) -> BackwardStats:
+        kept = len(minors)
+        return BackwardStats(
+            verdict, actions, generated, iterations, peak, kept, chain,
+            dead=dead, subsumed=subsumed, inserted=inserted, evicted=inserted - kept,
+        )
 
     def reachable(link) -> BackwardStats:
         chain, actions = unwind(link)
-        return BackwardStats("Reachable", actions, generated, iterations, peak, len(minors), chain, dead=dead)
+        return stats("Reachable", actions, chain)
 
     work: list = []
     for seq, tc in enumerate(minors.elements()):
@@ -347,7 +415,9 @@ def fixpoint(
                 continue
             raw, pred = pred, canon(pred)
             if not minors.insert(pred):
+                subsumed += 1
                 continue
+            inserted += 1
             if relabel is not None:
                 action = relabel(action, raw, pred)
             step = (pred, action, link)
@@ -356,7 +426,7 @@ def fixpoint(
             seq += 1
             heapq.heappush(work, (weight(pred), seq, step))
             peak = max(peak, len(work))
-    return BackwardStats("Unreachable", None, generated, iterations, peak, len(minors), dead=dead)
+    return stats("Unreachable")
 
 
 def backward_reach(
@@ -369,24 +439,37 @@ def backward_reach(
     dead delete predecessors are not generated at all, and the other
     dead candidates are marked as such by their moves.
 
-    The search owns its tables: a word_table behind config_leq, and one
-    predecessor_candidates move table that also interns the buffers and
-    holds each move's liveness."""
+    The search runs over the codes of a backward_coder it owns, with
+    its own coded_preds tables (each move's liveness decided when it
+    is tabled) and coded_leq memo.  The antichain is bucketed by the
+    memory and states fields, its signature pre-filter is the
+    own-delimiter fields and the weight is the top field.  A
+    configuration covers the initial one, code 0, only if it is the
+    initial one, since word_leq(w, ()) only for w == ().  The seeds are
+    target_to_minors' configurations, encoded in their order; the
+    witness chain is decoded once, at the end."""
     check_seed_count(program, max_nodes)
     own_ok = [removable_own(auto) for auto in program.processes]
-    init = initial_dtso_config(program)
-    leq = partial(config_leq, wleq=word_table())
-    moves: dict = {}
-    live = live_kernel(program.processes, program)
-    return fixpoint(
-        target_to_minors(program, target, leq),
-        lambda c: predecessor_candidates(c, program, own_ok, moves, live),
-        live_filter(program, own_ok),
-        lambda c: leq(c, init),
-        lambda c: sum(len(b) for b in c.buffers),
-        lambda c: c,
+    coder = backward_coder(program)
+    minors = MinorSet(
+        coded_leq(coder), key=coder.memory_and_states_mask.__and__, sig=coder.summaries_mask.__and__
+    )
+    for c in target_to_minors(program, target):
+        minors.insert(coder.encode(c))
+    live = live_filter(program, own_ok)
+    top = coder.top_shift
+    stats = fixpoint(
+        minors,
+        coded_preds(coder, partial(local_preds, program, own_ok, live_kernel(program.processes, program))),
+        lambda code: live(coder.decode(code)),
+        lambda code: code == 0,
+        lambda code: code >> top,
+        lambda code: code,
         max_nodes,
     )
+    if stats.chain is not None:
+        stats.chain = tuple(map(coder.decode, stats.chain))
+    return stats
 
 
 def concretize_witness(program: ConcurrentProgram, stats: BackwardStats) -> Run:

@@ -9,13 +9,15 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import backward, dtso, param, runs, translate, tso
 from .model import ConcurrentProgram, ParamProgram, ParseError, parse_program
 
 DEFAULT_MAX_NODES = 10**7
+# BackwardStats fields that check and param add to their JSON report
+SEARCH_COUNTERS = ("frontier_peak", "minors", "dead", "subsumed", "inserted", "evicted")
 
 
 @dataclass
@@ -26,6 +28,7 @@ class Report:
     iterations: int
     time_ms: int
     witness: list[str] | None = None
+    counters: dict = field(default_factory=dict)  # JSON only
 
 
 def emit_report(report: Report, fmt: str = "text") -> str:
@@ -36,6 +39,7 @@ def emit_report(report: Report, fmt: str = "text") -> str:
             "configs_generated": report.configs_generated,
             "iterations": report.iterations,
             "time_ms": report.time_ms,
+            **report.counters,
         }
         if report.witness is not None:
             payload["witness"] = report.witness
@@ -130,6 +134,7 @@ def _dispatch(args) -> int:
         reachable = stats.verdict == "Reachable"
         verdict = "reachable" if reachable else "unreachable"
         counts = (stats.configs_generated, stats.iterations)
+        counters = {name: getattr(stats, name) for name in SEARCH_COUNTERS}
         actions = stats.witness
     else:
         reach = tso.tso_bounded_reach if args.mode == "explore-tso" else dtso.dtso_bounded_reach
@@ -142,6 +147,7 @@ def _dispatch(args) -> int:
         else:
             verdict = "safe-within-bound"
         counts = (result.generated, result.expanded)
+        counters = {}
         actions = result.run.actions if result.run is not None else None
     witness = None
     if args.witness and actions is not None:
@@ -150,7 +156,7 @@ def _dispatch(args) -> int:
             runs.action_str(a, f"#{a.proc + 1}" if args.mode == "param" else program.processes[a.proc].name)
             for a in actions
         ]
-    print(emit_report(Report(verdict, args.mode, *counts, elapsed_ms(), witness), args.format))
+    print(emit_report(Report(verdict, args.mode, *counts, elapsed_ms(), witness, counters), args.format))
     return 1 if reachable else 0
 
 

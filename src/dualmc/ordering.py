@@ -95,23 +95,17 @@ def word_table() -> Callable[[Word, Word], bool]:
     return leq
 
 
-def config_leq(c, c2, wleq=word_leq) -> bool:
-    """Configuration ordering: equal states and memory, `wleq` (the
-    buffer-word ordering, or a word_table of it) per buffer."""
+def config_leq(c, c2) -> bool:
+    """Configuration ordering: equal states and memory, word_leq per
+    buffer."""
     if len(c.states) != len(c2.states):
         raise ValueError("config_leq over different process sets")
     if c.states != c2.states or c.mem != c2.mem:
         return False
     for b, b2 in zip(c.buffers, c2.buffers):
-        if not (b is b2 or wleq(b, b2)):
+        if not (b is b2 or word_leq(b, b2)):
             return False
     return True
-
-
-def delimiter_signature(c) -> tuple:
-    """Per-buffer own-delimiters of a fixed-size configuration; by
-    word_leq, config_leq holds only between equal signatures."""
-    return tuple(own_decompose(b).delimiters for b in c.buffers)
 
 
 def param_leq(a, a2, wleq=word_leq) -> bool:

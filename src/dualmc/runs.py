@@ -1,8 +1,9 @@
 """Run objects shared by the explorers, engines, and translators;
 `tabled`, which builds a configuration's steps from per-process moves
-for both one-step rules and the fixed-size backward engine; and the
-bounded breadth-first search both explorers run over coded
-configurations (`Coder`), whose explored set is a `CodedSet`.
+for both one-step rules and the fixed-size predecessor oracle; the
+coded configurations (`Coder`) that the fixed-size backward engine and
+the explorers search over; and the bounded breadth-first search both
+explorers run, whose explored set is a `CodedSet`.
 
 A run is a sequence of configurations joined by actions under one of
 the two semantics.  Actions name the acting process by index; program
@@ -146,11 +147,22 @@ class Coder:
     `moves` turns process p's moves at the key `code & keymask[p]` into
     int deltas, the sum of (new id - old id) << field shift: `code +
     delta` is the successor's code, whatever the other fields hold.
+
+    With `summary`, a function of a buffer word, the code carries two
+    more kinds of field, each a function of the buffers: process p's
+    field 1 + 2n + p holds the interned id of summary(its buffer), and
+    the top field, from `top_shift` up and unbounded, the total buffer
+    length as a raw count; `summaries_mask` selects the summary fields.
+    `moves` adds their deltas wherever a move changes a buffer, so
+    `code >> top_shift` is a configuration's total buffer length and
+    `code & summaries_mask` equal for equal summaries.  Without it (the
+    explorers) the code has the 1 + 2n fields above alone.
     """
 
-    def __init__(self, init):
+    def __init__(self, init, summary: Callable | None = None):
         n = self.n = len(init.states)
         self.make = type(init)
+        self.summary = summary
         self.width = FIELD_BITS
         self.field = field = (1 << FIELD_BITS) - 1
         self.values = [[v] for v in self._parts(init)]
@@ -158,13 +170,26 @@ class Coder:
         self.keymask = [field | field << self._shift(1 + p) | field << self._shift(1 + n + p) for p in range(n)]
         self.buffers_mask = sum(field << self._shift(1 + n + p) for p in range(n))
         self.states_and_buffers_mask = (1 << self._shift(2 * n + 1)) - 1 - field
+        self.memory_and_states_mask = (1 << self._shift(n + 1)) - 1
+        # per process, its buffer field's shift and its words by id
+        self.buffer_fields = [(self._shift(1 + n + p), self.values[1 + n + p]) for p in range(n)]
+        self.top_shift = self._shift(len(self.values))
+        self.summaries_mask = (1 << self.top_shift) - (1 << self._shift(2 * n + 1))
 
     def _shift(self, f: int) -> int:
         return f * self.width
 
-    @staticmethod
-    def _parts(c) -> tuple:
-        return (c.mem, *c.states, *c.buffers)
+    def _parts(self, c) -> tuple:
+        """c's interned parts, in field order."""
+        if self.summary is None:
+            return (c.mem, *c.states, *c.buffers)
+        return (c.mem, *c.states, *c.buffers, *map(self.summary, c.buffers))
+
+    def _top(self, c) -> int:
+        """c's top field, in place: its total buffer length, or 0 without a summary."""
+        if self.summary is None:
+            return 0
+        return sum(map(len, c.buffers)) << self.top_shift
 
     def id(self, f: int, v) -> int:
         """v's id in field f, interned on first sight."""
@@ -178,11 +203,11 @@ class Coder:
         return i
 
     def encode(self, c) -> int:
-        return sum(self.id(f, v) << self._shift(f) for f, v in enumerate(self._parts(c)))
+        return sum(self.id(f, v) << self._shift(f) for f, v in enumerate(self._parts(c))) + self._top(c)
 
     def lookup(self, c) -> int | None:
         """c's code, or None if a part of c was never interned."""
-        code = 0
+        code = self._top(c)
         for f, v in enumerate(self._parts(c)):
             i = self.ids[f].get(v)
             if i is None:
@@ -191,20 +216,23 @@ class Coder:
         return code
 
     def decode(self, code: int):
-        parts = [vals[code >> self._shift(f) & self.field] for f, vals in enumerate(self.values)]
         n = self.n
+        parts = [vals[code >> self._shift(f) & self.field] for f, vals in enumerate(self.values[: 2 * n + 1])]
         return self.make(tuple(parts[1 : n + 1]), tuple(parts[n + 1 :]), parts[0])
 
     def moves(self, p: int, key: int, fill: Callable) -> list[tuple]:
         """Process p's moves at `key`, a code masked by keymask[p], from
         fill(p, state, buffer, memory), which lists them as `tabled`
         reads them: each becomes (action, delta), or (action, None)
-        where its memory is None."""
-        sf, bf = 1 + p, 1 + self.n + p
+        where its memory is None.  With a summary, a move that changes
+        the buffer also changes p's summary field and the top field."""
+        sf, bf, df = 1 + p, 1 + self.n + p, 1 + 2 * self.n + p
         s_shift, b_shift = self._shift(sf), self._shift(bf)
         m_id, s_id, b_id = key & self.field, key >> s_shift & self.field, key >> b_shift & self.field
+        buf = self.values[bf][b_id]
+        summary = self.summary
         out: list[tuple] = []
-        for action, s, b, m in fill(p, self.values[sf][s_id], self.values[bf][b_id], self.values[0][m_id]):
+        for action, s, b, m in fill(p, self.values[sf][s_id], buf, self.values[0][m_id]):
             if m is None:
                 out.append((action, None))
                 continue
@@ -213,6 +241,9 @@ class Coder:
                 delta += (self.id(sf, s) - s_id) << s_shift
             if b is not None:
                 delta += (self.id(bf, b) - b_id) << b_shift
+                if summary is not None:
+                    delta += (self.id(df, summary(b)) - self.id(df, summary(buf))) << self._shift(df)
+                    delta += (len(b) - len(buf)) << self.top_shift
             out.append((action, delta))
         return out
 

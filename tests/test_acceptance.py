@@ -185,6 +185,15 @@ def test_pinned_dead_counts(fixed_stats, param_stats):
     assert sum(PINNED_DEAD[name] for name in FIXED_EXPECTED) == 35_292
 
 
+def test_stats_record_accounts_for_every_candidate(fixed_stats, param_stats):
+    """Every candidate a search generates is dead, subsumed or inserted
+    (the seeds count as generated and inserted), and the evicted minors
+    are those inserted and no longer in the final antichain."""
+    for name, s in {**fixed_stats, **param_stats}.items():
+        assert s.configs_generated == s.dead + s.subsumed + s.inserted, name
+        assert s.evicted == s.inserted - s.minors >= 0, name
+
+
 @pytest.mark.parametrize("name", ["mp.lit", "dekker.lit"])
 def test_max_nodes_boundary(name):
     """A cap of exactly configs_generated gives the pinned result and one
@@ -220,10 +229,11 @@ def test_searches_share_no_state():
     one process give the pinned lb.lit result twice, and no module
     attribute of the engine or the orderings grows; likewise for the
     load-buffer explorer at bound 1 on wrwc.lit, mp.lit, wrwc.lit and
-    the modules of the explorer and its search.  (The one process-wide
-    cache left, own_decompose's lru_cache, is not a sized attribute;
-    removing it waits for the stats record.)"""
-    modules = (dualmc.backward, dualmc.ordering)
+    the modules of the explorer and its search (no module-level coder or
+    table in either).  (The one process-wide cache left, own_decompose's
+    lru_cache, is not a sized attribute; removing it waits for the
+    benchmark to stop probing it.)"""
+    modules = (dualmc.backward, dualmc.ordering, dualmc.runs)
     before = [_module_sizes(m) for m in modules]
     results = []
     for name in ("lb.lit", "mp.lit", "lb.lit"):
@@ -313,19 +323,28 @@ def test_witness_provenance_survives_eviction(monkeypatch):
     parameterized one is a canonical one-rule predecessor of the next
     minor under the recorded action."""
     antichains = []
+    coders = []
     real = dualmc.backward.fixpoint
+    real_coder = dualmc.backward.backward_coder
 
     def keep_antichain(minors, *args):
         antichains.append(minors)
         return real(minors, *args)
 
+    def keep_coder(program):
+        coders.append(real_coder(program))
+        return coders[-1]
+
     monkeypatch.setattr(dualmc.backward, "fixpoint", keep_antichain)
     monkeypatch.setattr(dualmc.param, "fixpoint", keep_antichain)
+    # the fixed-size antichain holds codes: look each chain minor's up
+    monkeypatch.setattr(dualmc.backward, "backward_coder", keep_coder)
     for name, expected in EVICTED_CHAIN_MINORS.items():
         prog = corpus_program(name)
         param = name in PARAM_EXPECTED
         s = param_backward_reach(prog) if param else backward_reach(prog, prog.target)
-        assert (len(s.chain), sum(c not in antichains[-1] for c in s.chain)) == expected, name
+        held = s.chain if param else [coders[-1].lookup(c) for c in s.chain]
+        assert (len(s.chain), sum(c not in antichains[-1] for c in held)) == expected, name
         if not param:
             replay(concretize_witness(prog, s), prog, dtso_successors)
             continue

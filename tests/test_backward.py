@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 
@@ -16,7 +17,16 @@ from dualmc import (
     target_to_minors,
     tso_bounded_reach,
 )
-from dualmc.backward import live_filter, live_kernel, predecessor_candidates, removable_own
+from dualmc.backward import (
+    backward_coder,
+    coded_leq,
+    coded_preds,
+    live_filter,
+    live_kernel,
+    local_preds,
+    predecessor_candidates,
+    removable_own,
+)
 from dualmc.model import parse_program
 
 from conftest import config_down, pad_with_plains, random_dtso_config, random_program
@@ -254,39 +264,59 @@ def test_removable_table_drops_exactly_dead_deletes():
     assert dropped > 0
 
 
+def _counted_fill(prog, own_ok, kernel, fills: list):
+    """local_preds bound to prog, recording each table fill in `fills`."""
+
+    def fill(*key):
+        fills.append(key)
+        return local_preds(prog, own_ok, kernel, *key)
+
+    return fill
+
+
+def _decoded(coder, listed) -> list:
+    """A coded_preds list with each predecessor code decoded."""
+    return [(a, None if code is None else coder.decode(code)) for a, code in listed]
+
+
 def test_shared_move_table_gives_fresh_table_candidates():
-    """One move table shared across the live configurations of a program
-    gives exactly the candidates a fresh table gives, in the same order,
-    and the buffers it builds are interned: equal ones are one object."""
+    """One coded move table shared across the live configurations of a
+    program gives, decoded, exactly the candidates a fresh table gives,
+    in the same order, and the buffers it builds are interned per
+    process: equal ones of one process are one object."""
     rng = random.Random(23)
     checked = hits = shared = 0
     while checked < 3000:
         prog = random_program(rng, n_procs=2, max_states=3)
         own_ok = [removable_own(auto) for auto in prog.processes]
         live = live_filter(prog, own_ok)
-        moves: dict = {}
+        coder = backward_coder(prog)
+        fills: list = []
+        preds = coded_preds(coder, _counted_fill(prog, own_ok, None, fills))
         built: dict = {}
         for _ in range(40):
             c = random_dtso_config(rng, prog, max_buf=2)
             if not live(c):
                 continue
-            size = len(moves)
-            got = predecessor_candidates(c, prog, own_ok, moves)
-            hits += len(moves) == size
+            size = len(fills)
+            got = _decoded(coder, preds(coder.encode(c)))
+            hits += len(fills) == size
             assert got == predecessor_candidates(c, prog, own_ok), c
             for action, d in got:
                 b = d.buffers[action.proc]
                 if b is not c.buffers[action.proc]:
-                    shared += b in built
-                    assert built.setdefault(b, b) is b, (c, action)
+                    key = (action.proc, b)
+                    shared += key in built
+                    assert built.setdefault(key, b) is b, (c, action)
             checked += 1
     assert hits > 0 and shared > 0
 
 
 def test_move_table_liveness_marks_exactly_the_dead_candidates():
-    """With the live kernel, one move table shared across the live
-    configurations of a program lists the oracle's candidates, in the
-    same order, with each one live_filter rejects marked dead (None)."""
+    """With the live kernel, one coded move table shared across the
+    live configurations of a program lists, decoded, the oracle's
+    candidates, in the same order, with each one live_filter rejects
+    marked dead (None)."""
     rng = random.Random(29)
     checked = hits = dead = 0
     while checked < 3000:
@@ -294,18 +324,69 @@ def test_move_table_liveness_marks_exactly_the_dead_candidates():
         own_ok = [removable_own(auto) for auto in prog.processes]
         live = live_filter(prog, own_ok)
         kernel = live_kernel(prog.processes, prog)
-        moves: dict = {}
+        coder = backward_coder(prog)
+        fills: list = []
+        preds = coded_preds(coder, _counted_fill(prog, own_ok, kernel, fills))
         for _ in range(40):
             c = random_dtso_config(rng, prog, max_buf=2)
             if not live(c):
                 continue
             expected = [(a, d if live(d) else None) for a, d in predecessor_candidates(c, prog, own_ok)]
-            size = len(moves)
-            assert predecessor_candidates(c, prog, own_ok, moves, kernel) == expected, c
-            hits += len(moves) == size
+            size = len(fills)
+            assert _decoded(coder, preds(coder.encode(c))) == expected, c
+            hits += len(fills) == size
             dead += sum(d is None for _a, d in expected)
             checked += 1
     assert hits > 0 and dead > 0
+
+
+def test_coded_candidates_reencode_to_their_codes():
+    """Each live candidate code of the coded move table is the code of
+    its own decoding: the delimiter and total-length fields the move
+    deltas carry are those of the predecessor's buffers."""
+    rng = random.Random(31)
+    checked = relength = redelimit = 0
+    while checked < 2000:
+        prog = random_program(rng, n_procs=2, max_states=3)
+        own_ok = [removable_own(auto) for auto in prog.processes]
+        live = live_filter(prog, own_ok)
+        coder = backward_coder(prog)
+        preds = coded_preds(coder, partial(local_preds, prog, own_ok, live_kernel(prog.processes, prog)))
+        for _ in range(40):
+            c = random_dtso_config(rng, prog, max_buf=2)
+            if not live(c):
+                continue
+            code = coder.encode(c)
+            for _a, d in preds(code):
+                if d is None:
+                    continue
+                assert coder.lookup(coder.decode(d)) == d, c
+                relength += d >> coder.top_shift != code >> coder.top_shift
+                redelimit += bool((d ^ code) & coder.summaries_mask)
+            checked += 1
+    assert relength > 0 and redelimit > 0
+
+
+def test_coded_leq_agrees_with_config_leq():
+    """The search's coded_leq on two configurations' codes is
+    config_leq on the configurations, the second time (from its memo)
+    as the first."""
+    rng = random.Random(37)
+    outcomes = set()
+    for _ in range(30):
+        prog = random_program(rng, n_procs=2, max_states=2)
+        coder = backward_coder(prog)
+        leq = coded_leq(coder)
+        for _ in range(100):
+            c = random_dtso_config(rng, prog, max_buf=2)
+            other = c._replace(buffers=random_dtso_config(rng, prog, max_buf=2).buffers)
+            for c2 in (c, random_dtso_config(rng, prog, max_buf=2), other, pad_with_plains(rng, prog, c, 2)):
+                expected = config_leq(c, c2)
+                outcomes.add(expected)
+                a, b = coder.encode(c), coder.encode(c2)
+                assert leq(a, b) == expected, (c, c2)
+                assert leq(a, b) == expected, (c, c2)
+    assert outcomes == {True, False}
 
 
 def test_witness_concretizes_and_replays(sb2):

@@ -8,7 +8,7 @@ import pytest
 
 import dualmc
 from dualmc import MinorSet, Run, Step, Update, initial_tso_config, tso_successors
-from dualmc.cli import Report, emit_report, run
+from dualmc.cli import SEARCH_COUNTERS, Report, emit_report, run
 from dualmc.runs import format_run, parse_action, parse_run_text
 
 from conftest import CORPUS, corpus_program
@@ -240,6 +240,23 @@ def test_reports_deterministic_except_time(capsys):
     _c, out1, _ = invoke(capsys, "check", str(CORPUS / "peterson.lit"), "--format", "json", "--witness")
     _c, out2, _ = invoke(capsys, "check", str(CORPUS / "peterson.lit"), "--format", "json", "--witness")
     assert strip_time(out1) == strip_time(out2)
+
+
+def test_search_counters_in_json_are_deterministic(capsys):
+    """check and param print the search's stats record in JSON,
+    identical across two runs of every corpus file; the text line does
+    not carry them."""
+    for path in sorted(CORPUS.glob("*.lit")):
+        mode = "param" if path.name.endswith("-param.lit") else "check"
+        runs = []
+        for _ in range(2):
+            _c, out, _ = invoke(capsys, mode, str(path), "--format", "json")
+            payload = json.loads(out)
+            runs.append({name: payload[name] for name in SEARCH_COUNTERS})
+        assert runs[0] == runs[1], path.name
+        assert runs[0]["evicted"] == runs[0]["inserted"] - runs[0]["minors"], path.name
+    _c, out, _ = invoke(capsys, "check", str(CORPUS / "lb.lit"))
+    assert not any(f"{name}=" in out for name in SEARCH_COUNTERS)
 
 
 def test_emit_report_shapes():

@@ -15,7 +15,8 @@ from dualmc import (
     word_leq,
 )
 
-from dualmc.ordering import delimiter_signature, word_table
+from dualmc.backward import backward_coder, coded_leq
+from dualmc.ordering import word_table
 
 from conftest import pad_with_plains, param_leq_oracle, random_dtso_config, random_program, random_word
 
@@ -126,8 +127,7 @@ def test_config_leq_rejects_mismatched_process_sets():
 
 def test_word_table_agrees_with_word_leq():
     """A word_table gives word_leq's answer on repeated pairs, on
-    identical objects and on equal words that are distinct objects, and
-    config_leq over it gives config_leq's answer."""
+    identical objects and on equal words that are distinct objects."""
     rng = random.Random(5)
     for _ in range(20):
         prog = random_program(rng, n_procs=2, max_states=2)
@@ -138,16 +138,6 @@ def test_word_table_agrees_with_word_leq():
             w, w2 = rng.choice(pool), rng.choice(pool)
             assert table(w, w2) == word_leq(w, w2), (w, w2)
             assert table(w, w)
-        leq = lambda c, c2: config_leq(c, c2, wleq=table)
-        outcomes = set()
-        for _ in range(100):
-            c = random_dtso_config(rng, prog, max_buf=2)
-            for c2 in (c, random_dtso_config(rng, prog, max_buf=2), pad_with_plains(rng, prog, c, 2)):
-                outcomes.add(config_leq(c, c2))
-                assert leq(c, c2) == config_leq(c, c2), (c, c2)
-        assert outcomes == {True, False}
-        with pytest.raises(ValueError):
-            leq(_cfg(["q"], [()], [0]), _cfg(["q", "q"], [(), ()], [0]))
 
 
 def _pcfg(procs, mem=(0,)):
@@ -220,16 +210,20 @@ def test_minor_min_idempotent_and_order_free():
 
 
 def test_signature_prefilter_is_exact():
-    """A MinorSet that compares only members with the same delimiter
-    signature answers insert and covers like the plain one, and ends
-    with the same members in the same order."""
+    """A MinorSet of the fixed-size search's codes, bucketed by the
+    memory and states fields and comparing only members with the same
+    own-delimiter fields, answers insert and covers like the plain one
+    over configurations, and ends with the same members, decoded, in
+    the same order."""
     rng = random.Random(23)
     samples = 0
     while samples < 3000:
         prog = random_program(rng, n_procs=2, max_states=2, n_vals=1)
-        key = lambda c: (c.states, c.mem)
-        fast = MinorSet(config_leq, key=key, sig=delimiter_signature)
-        plain_set = MinorSet(config_leq, key=key)
+        coder = backward_coder(prog)
+        fast = MinorSet(
+            coded_leq(coder), key=coder.memory_and_states_mask.__and__, sig=coder.summaries_mask.__and__
+        )
+        plain_set = MinorSet(config_leq, key=lambda c: (c.states, c.mem))
         seen = []
         for _ in range(60):
             if seen and rng.random() < 0.4:
@@ -237,10 +231,11 @@ def test_signature_prefilter_is_exact():
             else:
                 c = random_dtso_config(rng, prog, max_buf=3)
             seen.append(c)
-            assert fast.covers(c) == plain_set.covers(c)
-            assert fast.insert(c) == plain_set.insert(c)
+            code = coder.encode(c)
+            assert fast.covers(code) == plain_set.covers(c)
+            assert fast.insert(code) == plain_set.insert(c)
             samples += 1
-        assert fast.elements() == plain_set.elements()
+        assert [coder.decode(code) for code in fast.elements()] == plain_set.elements()
 
 
 @settings(max_examples=300)
