@@ -3,11 +3,12 @@
 Writes two fresh trees under one temporary directory: the base commit
 (`git archive`) and a copy of the working tree (tracked files as they
 are on disk, uncommitted edits included, plus untracked files that are
-not ignored).  Then runs `perfbench/run.py --workload W --seed S
---seconds T` of each tree in that tree, for N pairs, with T the
-`run_seconds` of BENCHMARK.json.  Pair i uses seed S + i on both
-sides; the base runs first in even pairs and the working tree first in
-odd ones, so a drift of the machine's speed does not favour one side.
+not ignored), and byte-compiles each tree's src/.  Then runs
+`perfbench/run.py --workload W --seed S --seconds T` of each tree in
+that tree, for N pairs, with T the `run_seconds` of BENCHMARK.json.
+Pair i uses seed S + i on both sides; the base runs first in even
+pairs and the working tree first in odd ones, so a drift of the
+machine's speed does not favour one side.
 Each run's end-to-end metrics are read from the last line perfbench
 prints.
 
@@ -57,6 +58,13 @@ def snapshot(dest: Path) -> None:
         if name and source.is_file():
             (dest / name).parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(source, dest / name)
+
+
+def compile_sources(tree: Path) -> None:
+    """Byte-compile the tree's src/, so that its workers import bytecode
+    also where PYTHONDONTWRITEBYTECODE is set; otherwise each worker
+    compiles the sources at import, and peak RSS tracks their size."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q", str(tree / "src")], check=True, capture_output=True)
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -142,6 +150,8 @@ def main(argv=None) -> int:
         trees = {"base": Path(tmp) / "base", "change": Path(tmp) / "change"}
         extract(base, trees["base"])
         snapshot(trees["change"])
+        for tree in trees.values():
+            compile_sources(tree)
         for workload in args.workload:
             record["workloads"][workload] = compare(workload, trees, args.pairs, args.seed, seconds, better)
     args.out.write_text(json.dumps(record, indent=1) + "\n")

@@ -195,8 +195,8 @@ def predecessor_candidates(c: DtsoConfig, program: ConcurrentProgram, removable=
     delete predecessors live_filter keeps are listed; without it every
     delete predecessor is.  This is the oracle the engine's coded
     tables (`coded_preds`) are tested against: the same local_preds,
-    listed as configurations through a throwaway runs.tabled table."""
-    return tabled(c, {}, partial(local_preds, program, removable, None))
+    listed as configurations through runs.tabled."""
+    return tabled(c, partial(local_preds, program, removable, None))
 
 
 def backward_coder(program: ConcurrentProgram) -> Coder:
@@ -352,9 +352,7 @@ def fixpoint(
     live: Callable,
     covers: Callable,
     weight: Callable,
-    canon: Callable,
     max_nodes: int | None,
-    relabel: Callable | None = None,
 ) -> BackwardStats:
     """Backward fixpoint from the seed minors, with early exit on the
     first configuration covering initial.
@@ -362,15 +360,12 @@ def fixpoint(
     The worklist is a priority queue on `weight` (smaller configurations,
     closer to the empty-buffer initial one, expand first) with generation
     index as the tie break.  Seeds failing `live` are not queued.
-    `preds(c)` yields (action, predecessor) pairs, with None as the
-    predecessor of a dead candidate, one that cannot cover the initial
+    `preds(c)` yields (action, element) pairs ready for the antichain,
+    the action naming its process as the element does, or (action,
+    None) for a dead candidate, one that cannot cover the initial
     configuration; a dead candidate counts toward configs_generated and
-    max_nodes in its place and toward `dead`, and the live ones are put
-    in `canon` form before they enter the antichain.  These choices
-    leave the verdict unchanged and are deterministic.  When `canon` moves
-    processes, `relabel(action, pred, canonical_pred)` renames the
-    action's process for the canonical form; it runs only for
-    predecessors that enter the antichain.  Each queued minor carries
+    max_nodes in its place and toward `dead`.  These choices leave the
+    verdict unchanged and are deterministic.  Each queued minor carries
     its provenance link (runs.unwind), which outlives its eviction.
     The seeds count as generated and inserted.
     """
@@ -413,13 +408,10 @@ def fixpoint(
             if pred is None:
                 dead += 1
                 continue
-            raw, pred = pred, canon(pred)
             if not minors.insert(pred):
                 subsumed += 1
                 continue
             inserted += 1
-            if relabel is not None:
-                action = relabel(action, raw, pred)
             step = (pred, action, link)
             if covers(pred):
                 return reachable(step)
@@ -464,7 +456,6 @@ def backward_reach(
         lambda code: live(coder.decode(code)),
         lambda code: code == 0,
         lambda code: code >> top,
-        lambda code: code,
         max_nodes,
     )
     if stats.chain is not None:

@@ -9,8 +9,8 @@ quotient.
 
 Every rule changes one process's local state and buffer, and the
 memory, and reads nothing else: `_local` is the one kernel of the
-rules, per process.  `runs.tabled` builds whole successors from it over
-a throwaway table in `dtso_successors`; the explorer, `runs.bounded_bfs`,
+rules, per process.  `runs.tabled` builds whole successors from it in
+`dtso_successors`; the explorer, `runs.bounded_bfs`,
 tables it once per search as int deltas on coded configurations and
 decodes only the empty-buffer configurations it is asked for.
 """
@@ -38,18 +38,10 @@ def initial_dtso_config(program: ConcurrentProgram) -> DtsoConfig:
     )
 
 
-def dtso_successors(
-    c: DtsoConfig, program: ConcurrentProgram, bound: int | None = None
-) -> list[tuple[object, DtsoConfig | None]]:
+def dtso_successors(c: DtsoConfig, program: ConcurrentProgram) -> list[tuple[object, DtsoConfig]]:
     """All one-step successors: per process, its program transitions,
-    then one propagate per variable, then delete.
-
-    With a bound, a process whose buffer already holds `bound` messages
-    builds none of its appends (writes and propagates).  The first
-    append it leaves out is listed in its place as a cut entry
-    (action, None), so there is at most one cut entry per full process.
-    """
-    return tabled(c, {}, partial(_local, program, bound))
+    then one propagate per variable, then delete."""
+    return tabled(c, partial(_local, program, None))
 
 
 def _local(
@@ -60,8 +52,9 @@ def _local(
     kept, new buffer or None if kept, new memory).
 
     With a bound and `buf` already holding `bound` messages, no append
-    is built, and the first one left out is listed in its place as the
-    cut entry (action, None, None, None).
+    (write or propagate) is built, and the first one left out is listed
+    in its place as the cut entry (action, None, None, None), so a full
+    process lists at most one cut entry.
     """
     full = bound is not None and len(buf) >= bound
     out: list[tuple] = []

@@ -133,16 +133,16 @@ def param_leq(a, a2, wleq=word_leq) -> bool:
 
 
 class Dominance(NamedTuple):
-    """MinorSet's dominance hook.  `pack(elem)` is an int of unsigned
+    """MinorSet's dominance hook.  `pack(elem)` is a pair (fields,
+    support), from one walk over elem.  fields is an int of unsigned
     fixed-width fields, each with a guard bit above it, such that
-    leq(a, b) implies that every field of pack(a) is at most the same
-    field of pack(b); `guard` has exactly the guard bits set.
-    `support(elem)` is a bitmask such that leq(a, b) implies
-    support(a) & ~support(b) == 0: a's bits are a subset of b's."""
+    leq(a, b) implies that every field of a's is at most the same field
+    of b's; `guard` has exactly the guard bits set.  support is a
+    bitmask such that leq(a, b) implies that a's bits are a subset of
+    b's."""
 
     pack: Callable
     guard: int
-    support: Callable
 
 
 class MinorSet:
@@ -205,7 +205,7 @@ class MinorSet:
         if bucket is None:
             return False
         if self._dom is not None:
-            return self._below(bucket, elem, self._dom.pack(elem), self._dom.support(elem))
+            return self._below(bucket, elem, *self._dom.pack(elem))
         leq = self._leq
         s = self._sigs.get(self._sig(elem)) if self._sig is not None else None
         return any(ms is s and leq(m, elem) for m, ms in zip(*bucket))
@@ -257,8 +257,7 @@ class MinorSet:
     def _insert_dominated(self, elem) -> bool:
         """insert for a MinorSet with dom."""
         dom = self._dom
-        d = dom.pack(elem)
-        mask = dom.support(elem)
+        d, mask = dom.pack(elem)
         k = self._key(elem)
         subs = self._buckets.get(k)
         if subs is None:

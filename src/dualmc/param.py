@@ -16,11 +16,15 @@ read-write with a matching memory value, not only when no existing
 process matches the rule pattern; the narrower variant misses minimal
 predecessors (the one-step oracle tests in the suite exhibit them).
 The search itself is the fixed-size engine's backward.fixpoint, run
-under the parameterized ordering with symmetry canonicalisation.
+under the parameterized ordering with symmetry canonicalisation: every
+minor is kept with its processes sorted (`canonical`), and each live
+candidate, which differs from its sorted minor in one entry only, is
+put back in sorted order by one bisection (`_canonical_step`).
 """
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -46,9 +50,10 @@ class ParamConfig(NamedTuple):
 
 
 def param_dominance(states) -> Dominance:
-    """Dominance hook for param_leq over the given local states: per
-    state, the number of processes at it and their total buffer length,
-    and as support one bit per occupied state.
+    """Dominance hook for param_leq over the given local states, packed
+    in one walk over the processes: per state, the number of processes
+    at it and their total buffer length, and as support one bit per
+    occupied state.
 
     param_leq(a, b) maps a's processes injectively to b's at equal
     states with word_leq buffers, and word_leq embeds fragments as
@@ -69,24 +74,19 @@ def param_dominance(states) -> Dominance:
     guard = sum(1 << (f * stride + FIELD_BITS) for f in range(2 * len(count)))
     limit = 1 << FIELD_BITS
 
-    def pack(a: ParamConfig) -> int:
-        d = 0
+    def pack(a: ParamConfig) -> tuple[int, int]:
+        d = mask = 0
         size = len(a.procs)
         for s, b in a.procs:
             n = len(b)
             d += count[s] + n * length[s]
+            mask |= bit[s]
             size += n
         if size >= limit:
             raise ResourceLimitError(f"configuration size {size} overflows the dominance fields")
-        return d
+        return d, mask
 
-    def support(a: ParamConfig) -> int:
-        mask = 0
-        for s, _b in a.procs:
-            mask |= bit[s]
-        return mask
-
-    return Dominance(pack, guard, support)
+    return Dominance(pack, guard)
 
 
 def param_antichain(program: ParamProgram, leq: Callable = param_leq) -> MinorSet:
@@ -146,7 +146,6 @@ def predecessor_candidates(
     all_positions: bool = True,
     removable=None,
     fresh=None,
-    live=None,
 ):
     """Minimal one-rule predecessors of the upward closure of alpha.
 
@@ -159,16 +158,12 @@ def predecessor_candidates(
     delete predecessors re-append only own-messages consumable from
     their state.  `fresh` is the fresh_writer_table of `removable`,
     built here unless given; the engine builds it once per search.
-    With `live`, the engine's live_filter, a candidate failing it is
-    listed as (action, None), as backward.fixpoint takes dead ones.
     """
     values = program.values
     procs = alpha.procs
-    out: list[tuple[object, ParamConfig | None]] = []
+    out: list[tuple[object, ParamConfig]] = []
     if fresh is None:
         fresh = fresh_writer_table(program, removable)
-    if live is None:
-        live = _everything_live
 
     for t in program.template.transitions:
         op = t.op
@@ -177,8 +172,7 @@ def predecessor_candidates(
                 continue
             action = Step(p, t)
             for b, mem in rule_preds(t, buf, alpha.mem, program):
-                pred = ParamConfig(_set(procs, p, (t.src, b)), mem)
-                out.append((action, pred if live(pred) else None))
+                out.append((action, ParamConfig(_set(procs, p, (t.src, b)), mem)))
         # fresh-process predecessors
         positions = range(len(procs) + 1) if all_positions else (len(procs),)
         if op.kind == "w":
@@ -190,26 +184,20 @@ def predecessor_candidates(
                 for fresh_buf in fresh[t.src]:
                     for pos in positions:
                         pred = ParamConfig(procs[:pos] + ((t.src, fresh_buf),) + procs[pos:], mem)
-                        out.append((Step(pos, t), pred if live(pred) else None))
+                        out.append((Step(pos, t), pred))
         elif op.kind == "arw":
             xi = program.var_index[op.var]
             if alpha.mem[xi] != op.wval:
                 continue
             mem = _set(alpha.mem, xi, op.val)
             for pos in positions:
-                pred = ParamConfig(procs[:pos] + ((t.src, ()),) + procs[pos:], mem)
-                out.append((Step(pos, t), pred if live(pred) else None))
+                out.append((Step(pos, t), ParamConfig(procs[:pos] + ((t.src, ()),) + procs[pos:], mem)))
 
     for p, (state, buf) in enumerate(procs):
         allowed = removable[state] if removable is not None else None
         for action, b in buffer_preds(p, buf, alpha.mem, program, allowed):
-            pred = ParamConfig(_set(procs, p, (state, b)), alpha.mem)
-            out.append((action, pred if live(pred) else None))
+            out.append((action, ParamConfig(_set(procs, p, (state, b)), alpha.mem)))
     return out
-
-
-def _everything_live(_alpha: ParamConfig) -> bool:
-    return True
 
 
 def param_minpre(alpha: ParamConfig, program: ParamProgram) -> MinorSet:
@@ -240,15 +228,32 @@ def canonical(alpha: ParamConfig) -> ParamConfig:
     the backward search is unchanged when every minor is replaced by a
     permutation; keeping one sorted representative per orbit collapses
     the symmetric copies the position-sensitive ordering would retain.
+    The engine reaches this form through _canonical_step; the sort is
+    the reference the tests compare that with.
     """
     return ParamConfig(tuple(sorted(alpha.procs)), alpha.mem)
 
 
-def _relabel(action, alpha: ParamConfig, canon: ParamConfig):
-    """action, naming a process of alpha by position, renamed to the
-    position of an equal (state, buffer) entry in canon, alpha's
-    canonical form."""
-    return action._replace(proc=canon.procs.index(alpha.procs[action.proc]))
+def _canonical_step(action, pred: ParamConfig):
+    """(action, pred) with pred in canonical form and the action renamed
+    to the first position of its process's entry there, provided pred
+    is canonical but for the entry action.proc names.
+
+    Every minor the engine expands is canonical, and each of its
+    candidates differs from it only in the entry its action names (a
+    fresh process is inserted at the end), so that entry is taken out
+    and bisected back into the sorted rest: bisect_left puts it where
+    sorted would, before any equal entry, at the position tuple.index
+    finds.  When that is where it already is, both come back as given.
+    """
+    p = action.proc
+    procs = pred.procs
+    entry = procs[p]
+    rest = procs[:p] + procs[p + 1 :]
+    i = bisect_left(rest, entry)
+    if i == p:
+        return action, pred
+    return action._replace(proc=i), ParamConfig(rest[:i] + (entry,) + rest[i:], pred.mem)
 
 
 def param_backward_reach(
@@ -257,9 +262,12 @@ def param_backward_reach(
     max_nodes: int | None = 10**7,
 ) -> BackwardStats:
     """Backward fixpoint under the parameterized ordering, weighted by
-    process count plus buffered messages; dead candidates are dropped
-    and minors are kept in canonical process order.  The search owns
-    its word_table behind param_leq and its fresh-writer table."""
+    process count plus buffered messages.  preds lists the engine's
+    candidates in predecessor_candidates' order, a dead one per
+    live_filter as (action, None) and a live one through
+    _canonical_step, so that every minor is in canonical process order.
+    The search owns its word_table behind param_leq and its
+    fresh-writer table."""
     if targets is None:
         targets = program.target
     check_seed_count(program, max_nodes)
@@ -267,16 +275,21 @@ def param_backward_reach(
     fresh = fresh_writer_table(program, own_ok)
     leq = partial(param_leq, wleq=word_table())
     live = live_filter(program, own_ok)
+
+    def preds(alpha: ParamConfig) -> list:
+        return [
+            _canonical_step(action, pred) if live(pred) else (action, None)
+            for action, pred in predecessor_candidates(
+                alpha, program, all_positions=False, removable=own_ok, fresh=fresh
+            )
+        ]
+
     return fixpoint(
         # every seed buffer is empty, so sorted targets are canonical
         param_target_to_minors(program, tuple(sorted(targets)), leq),
-        lambda a: predecessor_candidates(
-            a, program, all_positions=False, removable=own_ok, fresh=fresh, live=live
-        ),
+        preds,
         live,
         lambda a: param_covers_initial(a, program),
         lambda a: len(a.procs) + sum(len(b) for _s, b in a.procs),
-        canonical,
         max_nodes,
-        _relabel,
     )

@@ -94,27 +94,22 @@ class BoundedResult(NamedTuple):
     generated: int  # successors looked at; cut entries not counted, a write and its update one
 
 
-def tabled(c, table: dict, fill: Callable) -> list:
+def tabled(c, fill: Callable) -> list:
     """c's steps, in process order, from each process's moves.
 
     A rule changes one process's state and buffer, and the memory, and
-    reads nothing else, so process p's moves are keyed (p, its state,
-    its buffer, the memory) in `table`, which the search owns, and
-    filled on a miss with fill(p, state, buffer, memory).  A move is
-    (action, p's new state or None if kept, p's new buffer or None if
-    kept, new memory); it is listed as (action, type(c)(...)), reusing
-    c's tuples where kept, or as the entry (action, None) if its memory
-    is None."""
+    reads nothing else, so process p's moves are fill(p, its state, its
+    buffer, the memory).  A move is (action, p's new state or None if
+    kept, p's new buffer or None if kept, new memory); it is listed as
+    (action, type(c)(...)), reusing c's tuples where kept, or as the
+    entry (action, None) if its memory is None.  The searches table the
+    same moves per key as code deltas (Coder.moves)."""
     states, buffers, mem = c
     make = type(c)
     out: list = []
     for p, state in enumerate(states):
         buf = buffers[p]
-        key = (p, state, buf, mem)
-        moves = table.get(key)
-        if moves is None:
-            moves = table[key] = fill(p, state, buf, mem)
-        for action, s, b, m in moves:
+        for action, s, b, m in fill(p, state, buf, mem):
             out.append((
                 action,
                 None if m is None else make(
@@ -349,7 +344,7 @@ def bounded_bfs(
                 break
     run = None
     if hit is not None:
-        unbounded = lambda c, prog: tabled(c, {}, partial(local, prog, None))
+        unbounded = lambda c, prog: tabled(c, partial(local, prog, None))
         run = drive(semantics, init, unwind(hit)[1][::-1], program, unbounded)
     return BoundedResult(hit is not None, run, pruned, len(seen), expanded, generated), CodedSet(seen, coder)
 

@@ -38,7 +38,7 @@ def initial_tso_config(program: ConcurrentProgram) -> TsoConfig:
 
 def tso_successors(c: TsoConfig, program: ConcurrentProgram) -> list[tuple[object, TsoConfig]]:
     """All one-step successors, ordered by process, transition, update."""
-    return tabled(c, {}, partial(_local, program, None))
+    return tabled(c, partial(_local, program, None))
 
 
 def _local(

@@ -20,13 +20,16 @@ def load_script():
 @pytest.fixture
 def ab_bench(monkeypatch):
     """The script with git stubbed and its two trees recorded, not
-    written, as module.trees: side to the directory it runs in."""
+    written, as module.trees: side to the directory it runs in; the
+    trees it byte-compiles are recorded, in order, as module.compiled."""
     module = load_script()
     answers = {"rev-parse": b"0" * 40 + b"\n", "status": b""}
     monkeypatch.setattr(module, "git", lambda *args: answers[args[0]])
     module.trees = {}
     monkeypatch.setattr(module, "extract", lambda rev, dest: module.trees.setdefault("base", dest))
     monkeypatch.setattr(module, "snapshot", lambda dest: module.trees.setdefault("change", dest))
+    module.compiled = []
+    monkeypatch.setattr(module, "compile_sources", module.compiled.append)
     return module
 
 
@@ -91,6 +94,33 @@ def test_neither_side_runs_in_the_repository(ab_bench, monkeypatch, tmp_path):
     assert base != change and base.parent == change.parent
     assert {tree for _side, _seed, tree in calls} == {base, change}
     assert all(ab_bench.ROOT not in (tree, *tree.parents) for tree in (base, change))
+
+
+def test_both_trees_are_compiled_before_any_run(ab_bench, monkeypatch, tmp_path):
+    """Each tree's src/ is byte-compiled once, before the first run."""
+    compiled_at_run = []
+    calls = stub_runs(ab_bench, monkeypatch, {"base": [7.0, 8.0], "change": [6.0, 9.0]})
+    run_once = ab_bench.run_once
+
+    def recording(tree, *args):
+        compiled_at_run.append(list(ab_bench.compiled))
+        return run_once(tree, *args)
+
+    monkeypatch.setattr(ab_bench, "run_once", recording)
+    assert ab_bench.main(["--workload", "w", "--pairs", "2", "--out", str(tmp_path / "r.json")]) == 0
+    trees = sorted(ab_bench.trees.values())
+    assert len(calls) == 4
+    assert all(sorted(compiled) == trees for compiled in compiled_at_run)
+
+
+def test_compile_sources_writes_bytecode_without_the_environment(monkeypatch, tmp_path):
+    """compileall writes the bytecode also where PYTHONDONTWRITEBYTECODE
+    is set, the setting under which a worker would not."""
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "mod.py").write_text("X = 1\n")
+    load_script().compile_sources(tmp_path)
+    assert [f.name.split(".")[0] for f in (tmp_path / "src" / "pkg" / "__pycache__").glob("*.pyc")] == ["mod"]
 
 
 def test_snapshot_copies_the_working_tree(monkeypatch, tmp_path):

@@ -31,7 +31,7 @@ from dualmc import (
     replay,
 )
 from dualmc import Delete, Step
-from dualmc.param import _relabel, canonical
+from dualmc.param import canonical
 
 from conftest import (
     all_global_states,
@@ -351,7 +351,8 @@ def test_witness_provenance_survives_eviction(monkeypatch):
         assert dualmc.param_covers_initial(s.chain[0], prog), name
         for i, action in enumerate(s.witness):
             assert any(
-                canonical(pred) == s.chain[i] and _relabel(a, pred, s.chain[i]) == action
+                canonical(pred) == s.chain[i]
+                and a._replace(proc=s.chain[i].procs.index(pred.procs[a.proc])) == action
                 for a, pred in dualmc.param.predecessor_candidates(s.chain[i + 1], prog)
             ), (name, i)
 

@@ -29,25 +29,25 @@ def digest(x) -> str:
 
 
 def test_bounded_successors_cut_exactly_the_over_bound_appends():
-    """Under a bound, the load-buffer rules build the unbounded steps in
-    order, less exactly the appends that leave the acting buffer longer
-    than the bound; a cut entry is listed iff there is such an append,
-    at the place of the first one, and a process has at most one, at
-    the place of its own first.  `_local` over a search's table lists
-    exactly the same, cut entries and their places included."""
+    """Under a bound, the load-buffer kernel `_local`, listed through
+    `tabled`, builds the unbounded steps in order, less exactly the
+    appends that leave the acting buffer longer than the bound; a cut
+    entry is listed iff there is such an append, at the place of the
+    first one, and a process has at most one, at the place of its own
+    first.  With no bound it lists exactly dtso_successors."""
     rng = random.Random(10)
     cuts = 0
     for _ in range(3000):
         prog = random_program(rng)
         c = random_dtso_config(rng, prog, max_buf=3)
         unbounded = dtso_successors(c, prog)
+        assert tabled(c, partial(dtso._local, prog, None)) == unbounded
         for bound in range(3):
             over = [
                 i for i, (a, succ) in enumerate(unbounded)
                 if len(succ.buffers[a.proc]) > max(bound, len(c.buffers[a.proc]))
             ]
-            bounded = dtso_successors(c, prog, bound)
-            assert tabled(c, {}, partial(dtso._local, prog, bound)) == bounded
+            bounded = tabled(c, partial(dtso._local, prog, bound))
             built = [(a, succ) for a, succ in bounded if succ is not None]
             assert built == [step for i, step in enumerate(unbounded) if i not in over]
             cut_at = [i for i, (_a, succ) in enumerate(bounded) if succ is None]
@@ -64,34 +64,8 @@ def test_bounded_successors_cut_exactly_the_over_bound_appends():
     assert cuts > 1000
 
 
-def test_shared_table_lists_the_rules_successors():
-    """One table per program and bound 0..2, shared by all its
-    configurations, lists through `_local` exactly dtso_successors, cut
-    entries and their places included.  The configurations mix a few
-    random configurations' per-process parts and memories, so each
-    table entry is read back beside other processes' buffers and cuts."""
-    rng = random.Random(13)
-    cuts = 0
-    for _ in range(300):
-        prog = random_program(rng)
-        tables = [{} for _bound in range(3)]
-        pool = [random_dtso_config(rng, prog, max_buf=3) for _ in range(4)]
-        for _ in range(10):
-            parts = [rng.choice(pool) for _ in prog.processes]
-            c = DtsoConfig(
-                tuple(d.states[p] for p, d in enumerate(parts)),
-                tuple(d.buffers[p] for p, d in enumerate(parts)),
-                rng.choice(pool).mem,
-            )
-            for bound in range(3):
-                bounded = dtso_successors(c, prog, bound)
-                assert tabled(c, tables[bound], partial(dtso._local, prog, bound)) == bounded
-                cuts += any(succ is None for _a, succ in bounded)
-    assert cuts > 1000
-
-
 def test_tso_kernel_takes_an_over_bound_write_with_its_update():
-    """Under a bound, TSO's `_local` over a shared table lists the
+    """Under a bound, TSO's `_local`, listed through `tabled`, lists the
     literal tso_successors entries that stay within the bound as they
     are, and in place of each write that would leave the acting buffer
     longer than the bound one move (write, Update(p)) to the
@@ -100,12 +74,11 @@ def test_tso_kernel_takes_an_over_bound_write_with_its_update():
     pairs = 0
     for _ in range(300):
         prog = random_program(rng)
-        tables = [{} for _bound in range(3)]
         for _ in range(10):
             c = random_tso_config(rng, prog, max_buf=3)
             literal = tso_successors(c, prog)
             for bound in range(3):
-                steps = tabled(c, tables[bound], partial(tso._local, prog, bound))
+                steps = tabled(c, partial(tso._local, prog, bound))
                 assert [a[0] if type(a) is tuple else a for a, _succ in steps] == [a for a, _succ in literal]
                 within = [
                     (a, succ) for a, succ in literal
@@ -168,7 +141,7 @@ def test_coded_moves_decode_to_the_kernels_steps():
                 )
                 for bound in range(3):
                     fill = partial(local, prog, bound)
-                    literal = tabled(c, {}, fill)
+                    literal = tabled(c, fill)
                     assert coded_steps(coders[bound], tables[bound], c, fill) == literal
                     cuts += any(succ is None for _a, succ in literal)
                     pairs += any(type(a) is tuple for a, _succ in literal)

@@ -22,7 +22,14 @@ from dualmc import (
 )
 from dualmc.model import Automaton, Op, ParamProgram, Transition
 from dualmc.backward import removable_own
-from dualmc.param import FIELD_BITS, live_filter, param_dominance, predecessor_candidates
+from dualmc.param import (
+    FIELD_BITS,
+    _canonical_step,
+    canonical,
+    live_filter,
+    param_dominance,
+    predecessor_candidates,
+)
 
 from conftest import (
     corpus_program,
@@ -290,6 +297,36 @@ def test_removable_table_drops_exactly_dead_deletes():
     assert dropped["delete"] > 0 and dropped["fresh"] > 0
 
 
+def test_canonical_step_matches_sort_and_relabel():
+    """On canonical configurations, some with repeated (state, buffer)
+    entries, every engine candidate through _canonical_step is its
+    canonical form, with the action renamed to the first position of
+    its process's entry there, as a sort and a tuple.index rename give
+    them; the action comes back as given exactly when its entry keeps
+    its position."""
+    rng = random.Random(37)
+    checked = moved = repeated = 0
+    while checked < 20_000:
+        prog = random_param_program(rng)
+        own_ok = removable_own(prog.template)
+        for _ in range(10):
+            alpha = random_param_config(rng, prog, rng.randint(0, 4), 2)
+            procs = alpha.procs
+            if procs:  # repeat up to two entries
+                procs += tuple(rng.choice(procs) for _ in range(rng.randint(0, 2)))
+            alpha = canonical(ParamConfig(procs, alpha.mem))
+            for a, pred in predecessor_candidates(alpha, prog, False, own_ok):
+                canon = canonical(pred)
+                renamed = a._replace(proc=canon.procs.index(pred.procs[a.proc]))
+                got = _canonical_step(a, pred)
+                assert got == (renamed, canon), (alpha, a, pred)
+                assert (got[0] is a) == (renamed.proc == a.proc)
+                checked += 1
+                moved += renamed.proc != a.proc
+                repeated += canon.procs.count(pred.procs[a.proc]) > 1
+    assert moved > 5000 and repeated > 1000, (moved, repeated)
+
+
 def _fields(c: ParamConfig) -> Counter:
     """Per state, the process count and the buffered-message count."""
     out: Counter = Counter()
@@ -364,7 +401,8 @@ def _shrink(rng, alpha: ParamConfig) -> ParamConfig:
 
 
 def test_support_never_skips_a_comparable_pair():
-    """param_dominance's support has one bit per occupied state, and
+    """param_dominance's support, the mask pack returns beside the
+    fields, has one bit per occupied state, and
     whenever param_leq(a, b) holds a's support is a subset of b's: on
     random configurations, ones grown from and shrunk to them, and the
     zero-process configuration, whose support is 0.  A MinorSet with
@@ -393,14 +431,14 @@ def test_support_never_skips_a_comparable_pair():
             assert fast.covers(alpha) == plain_set.covers(alpha)
             assert fast.insert(alpha) == plain_set.insert(alpha)
             evicted = set(members).difference(plain_set)
-            spread += len({dom.support(m) for m in evicted}) > 1
+            spread += len({dom.pack(m)[1] for m in evicted}) > 1
         assert fast.elements() == plain_set.elements()
         for a in seen:
-            assert bin(dom.support(a)).count("1") == len(_support(a))
+            assert bin(dom.pack(a)[1]).count("1") == len(_support(a))
             for b in seen:
                 if param_leq(a, b):
                     comparable += 1
-                    assert dom.support(a) & ~dom.support(b) == 0
+                    assert dom.pack(a)[1] & ~dom.pack(b)[1] == 0
     assert comparable > 10_000 and spread > 50
 
 
