@@ -162,6 +162,9 @@ class MinorSet:
     (for members above it), and there `leq(a, b)` runs only when every
     field of a's int is at most b's, which one subtraction decides:
     ((b | guard) - a) & guard == guard.
+    `covers` and `insert` share one scan of the element's bucket, which
+    stops at the first member below the element and otherwise lists the
+    members above it; `insert` changes nothing before the scan ends.
     Iteration follows insertion order, deterministically; membership is
     by value.  Neither pre-filter changes an answer, the members or
     their order: which members lie below or above an element does not
@@ -205,82 +208,74 @@ class MinorSet:
         if bucket is None:
             return False
         if self._dom is not None:
-            return self._below(bucket, elem, *self._dom.pack(elem))
-        leq = self._leq
-        s = self._sigs.get(self._sig(elem)) if self._sig is not None else None
-        return any(ms is s and leq(m, elem) for m, ms in zip(*bucket))
+            probe = self._dom.pack(elem)
+        else:
+            probe = self._sigs.get(self._sig(elem)) if self._sig is not None else None
+        return self._scan(bucket, elem, probe) is None
 
-    def _below(self, subs: dict, elem, d: int, mask: int) -> bool:
-        """True iff a member of `subs`, one bucket's sub-buckets, lies
-        below elem, whose packed int is d and support mask `mask`."""
-        g = self._dom.guard
-        up = d | g
+    def _scan(self, bucket, elem, probe) -> list | None:
+        """None if a member of elem's `bucket` lies below elem, else the
+        members above it as (sub-bucket, index) pairs in scan order.
+        probe is elem's signature (None without sig), or dom's pack."""
         leq = self._leq
+        above = []
+        if self._dom is None:
+            members, slots = bucket
+            for i, ms in enumerate(slots):
+                if ms is probe:
+                    m = members[i]
+                    if leq(m, elem):
+                        return None
+                    if leq(elem, m):
+                        above.append((bucket, i))
+            return above
+        g = self._dom.guard
+        d, mask = probe
+        up = d | g
         sm = mask
         while True:  # every submask of mask, mask itself first and 0 last
-            bucket = subs.get(sm)
-            if bucket is not None:
-                for m, md in zip(*bucket):
+            sub = bucket.get(sm)
+            if sub is not None:
+                for m, md in zip(*sub):
                     if (up - md) & g == g and leq(m, elem):
-                        return True
+                        return None
             if not sm:
-                return False
+                break
             sm = (sm - 1) & mask
+        for sm, sub in bucket.items():
+            if mask & ~sm:
+                continue
+            members, slots = sub
+            for i, md in enumerate(slots):
+                if ((md | g) - d) & g == g and leq(elem, members[i]):
+                    above.append((sub, i))
+        return above
 
     def insert(self, elem) -> bool:
         """Add elem unless a member lies below it, evicting the members
         above it; True iff elem went in."""
-        if self._dom is not None:
-            return self._insert_dominated(elem)
-        s = None
-        if self._sig is not None:
-            s = self._sig(elem)
-            s = self._sigs.setdefault(s, s)
+        dom = self._dom
+        if dom is not None:
+            probe = dom.pack(elem)
+        elif self._sig is not None:
+            probe = self._sig(elem)
+            probe = self._sigs.setdefault(probe, probe)
+        else:
+            probe = None
         k = self._key(elem)
         bucket = self._buckets.get(k)
         if bucket is None:
-            bucket = self._buckets[k] = ([], [])
-        members, slots = bucket
-        leq = self._leq
-        for m, ms in zip(members, slots):
-            if ms is s and leq(m, elem):
-                return False
-        removed = [i for i, (m, ms) in enumerate(zip(members, slots)) if ms is s and leq(elem, m)]
-        for i in reversed(removed):
+            bucket = self._buckets[k] = {} if dom is not None else ([], [])
+        above = self._scan(bucket, elem, probe)
+        if above is None:
+            return False
+        for (members, slots), i in reversed(above):
             del self._members[members[i]]
             del members[i], slots[i]
-        members.append(elem)
-        slots.append(s)
-        self._members[elem] = None
-        return True
-
-    def _insert_dominated(self, elem) -> bool:
-        """insert for a MinorSet with dom."""
-        dom = self._dom
-        d, mask = dom.pack(elem)
-        k = self._key(elem)
-        subs = self._buckets.get(k)
-        if subs is None:
-            subs = self._buckets[k] = {}
-        elif self._below(subs, elem, d, mask):
-            return False
-        g = dom.guard
-        leq = self._leq
-        for sm, (members, slots) in subs.items():
-            if mask & ~sm:
-                continue
-            removed = [
-                i
-                for i, (m, md) in enumerate(zip(members, slots))
-                if ((md | g) - d) & g == g and leq(elem, m)
-            ]
-            for i in reversed(removed):
-                del self._members[members[i]]
-                del members[i], slots[i]
-        bucket = subs.get(mask)
-        if bucket is None:
-            bucket = subs[mask] = ([], [])
+        if dom is not None:  # the sub-bucket of elem's mask, beside its packed int
+            probe, mask = probe
+            bucket = bucket.setdefault(mask, ([], []))
         bucket[0].append(elem)
-        bucket[1].append(d)
+        bucket[1].append(probe)
         self._members[elem] = None
         return True

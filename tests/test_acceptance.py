@@ -185,6 +185,39 @@ def test_pinned_dead_counts(fixed_stats, param_stats):
     assert sum(PINNED_DEAD[name] for name in FIXED_EXPECTED) == 35_292
 
 
+# BackwardStats.subsumed per corpus file: candidates that a member of
+# the antichain lay below.  With configs_generated, dead and minors
+# pinned, the accounting test below then pins inserted and evicted too.
+# The fixed-size files sum to 129,677.
+PINNED_SUBSUMED = {
+    "sb.lit": 80_676,
+    "lb.lit": 592,
+    "wrc.lit": 2_090,
+    "isa2.lit": 1_081,
+    "rwc.lit": 2_170,
+    "wrwc.lit": 8_757,
+    "iriw.lit": 540,
+    "mp.lit": 13_230,
+    "dekker-simple.lit": 424,
+    "dekker.lit": 12_620,
+    "peterson.lit": 1_320,
+    "peterson-repeat.lit": 6_177,
+    "sb-param.lit": 336,
+    "lb-param.lit": 285,
+    "mp-param.lit": 552,
+    "wrc-param.lit": 1_082,
+    "isa2-param.lit": 8_079,
+    "rwc-param.lit": 912,
+    "wrwc-param.lit": 5_665,
+    "iriw-param.lit": 4_104,
+}
+
+
+def test_pinned_subsumed_counts(fixed_stats, param_stats):
+    stats = {**fixed_stats, **param_stats}
+    assert {name: stats[name].subsumed for name in PINNED_SUBSUMED} == PINNED_SUBSUMED
+    assert sum(PINNED_SUBSUMED[name] for name in FIXED_EXPECTED) == 129_677
+
 def test_stats_record_accounts_for_every_candidate(fixed_stats, param_stats):
     """Every candidate a search generates is dead, subsumed or inserted
     (the seeds count as generated and inserted), and the evicted minors

@@ -3,9 +3,11 @@ from functools import partial
 
 import pytest
 
+import dualmc.backward
 from dualmc import (
     Delete,
     DtsoConfig,
+    MinorSet,
     backward_reach,
     concretize_witness,
     config_leq,
@@ -29,7 +31,7 @@ from dualmc.backward import (
 )
 from dualmc.model import parse_program
 
-from conftest import config_down, pad_with_plains, random_dtso_config, random_program
+from conftest import config_down, corpus_program, pad_with_plains, random_dtso_config, random_program
 
 own = lambda x, v: (x, v, True)
 plain = lambda x, v: (x, v, False)
@@ -388,6 +390,36 @@ def test_coded_leq_agrees_with_config_leq():
                 assert leq(a, b) == expected, (c, c2)
     assert outcomes == {True, False}
 
+
+def test_coded_leq_calls_per_insert_on_dekker(monkeypatch):
+    """The signature pre-filter leaves at most 2 coded_leq calls per
+    antichain insert on dekker (about 28 without it)."""
+    calls = inserts = 0
+    factory = dualmc.backward.coded_leq
+    insert = MinorSet.insert
+
+    def counting_factory(coder):
+        leq = factory(coder)
+
+        def counting_leq(a, b):
+            nonlocal calls
+            calls += 1
+            return leq(a, b)
+
+        return counting_leq
+
+    def counting_insert(minors, elem):
+        nonlocal inserts
+        inserts += 1
+        return insert(minors, elem)
+
+    monkeypatch.setattr(dualmc.backward, "coded_leq", counting_factory)
+    monkeypatch.setattr(MinorSet, "insert", counting_insert)
+    prog = corpus_program("dekker.lit")
+    stats = backward_reach(prog, prog.target)
+    assert stats.verdict == "Reachable"
+    assert inserts > 1000
+    assert calls / inserts <= 2
 
 def test_witness_concretizes_and_replays(sb2):
     stats = backward_reach(sb2, ("q2", "q3"))
