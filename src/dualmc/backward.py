@@ -29,7 +29,7 @@ from typing import Callable
 
 from .dtso import DtsoConfig, dtso_successors, initial_dtso_config
 from .model import ConcurrentProgram
-from .ordering import MinorSet, Word, config_leq, own_decompose, word_leq
+from .ordering import MinorSet, Word, config_leq, own_decompose, word_table
 from .runs import Coder, Delete, Propagate, ResourceLimitError, Run, RunError, Step, _set, drive, fire, tabled, unwind
 
 
@@ -231,23 +231,18 @@ def coded_preds(coder: Coder, fill: Callable) -> Callable[[int], list]:
 
 def coded_leq(coder: Coder) -> Callable[[int, int], bool]:
     """config_leq over `coder`'s codes: equal memory and states, and per
-    process equal buffer ids or word_leq between the buffers, memoised
-    per process on the pair of ids, in a memo leq owns."""
-    key_mask, field = coder.memory_and_states_mask, coder.field
-    procs = [(shift, words, {}) for shift, words in coder.buffer_fields]
+    process equal buffer ids or word_leq between the buffers, through
+    one word_table leq owns."""
+    key_mask, field, procs = coder.memory_and_states_mask, coder.field, coder.buffer_fields
+    wleq = word_table()
 
     def leq(a: int, b: int) -> bool:
         diff = a ^ b
         if diff & key_mask:
             return False
-        for shift, words, memo in procs:
-            if diff >> shift & field:
-                pair = (a >> shift & field, b >> shift & field)
-                out = memo.get(pair)
-                if out is None:
-                    out = memo[pair] = word_leq(words[pair[0]], words[pair[1]])
-                if not out:
-                    return False
+        for shift, words in procs:
+            if diff >> shift & field and not wleq(words[a >> shift & field], words[b >> shift & field]):
+                return False
         return True
 
     return leq
@@ -433,8 +428,8 @@ def backward_reach(
 
     The search runs over the codes of a backward_coder it owns, with
     its own coded_preds tables (each move's liveness decided when it
-    is tabled) and coded_leq memo.  The antichain is bucketed by the
-    memory and states fields, its signature pre-filter is the
+    is tabled) and coded_leq's word_table.  The antichain is bucketed
+    by the memory and states fields, its signature pre-filter is the
     own-delimiter fields and the weight is the top field.  A
     configuration covers the initial one, code 0, only if it is the
     initial one, since word_leq(w, ()) only for w == ().  The seeds are

@@ -147,7 +147,7 @@ def _dispatch(args) -> int:
         else:
             verdict = "safe-within-bound"
         counts = (result.generated, result.expanded)
-        counters = {}
+        counters = {"explored": result.explored, "bound_exceeded": result.bound_exceeded}
         actions = result.run.actions if result.run is not None else None
     witness = None
     if args.witness and actions is not None:

@@ -79,13 +79,11 @@ def word_leq(w: Word, w2: Word) -> bool:
 
 def word_table() -> Callable[[Word, Word], bool]:
     """word_leq memoised on (w, w2), for one search to own: buffer words
-    repeat heavily, so each distinct pair is decided once.  A word is
-    below itself without a lookup."""
+    repeat heavily, so each distinct pair is decided once.  Its callers
+    test identity first, so it is not repeated here."""
     memo: dict = {}
 
     def leq(w: Word, w2: Word) -> bool:
-        if w is w2:
-            return True
         key = (w, w2)
         out = memo.get(key)
         if out is None:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .backward import (
     BackwardStats,
@@ -89,21 +89,18 @@ def param_dominance(states) -> Dominance:
     return Dominance(pack, guard)
 
 
-def param_antichain(program: ParamProgram, leq: Callable = param_leq) -> MinorSet:
-    """An empty antichain under `leq`, bucketed by memory, with the
-    dominance pre-filter of the template's states."""
+def param_antichain(program: ParamProgram) -> MinorSet:
+    """An empty antichain under param_leq over a word_table it owns,
+    bucketed by memory, with the dominance pre-filter of the template's
+    states."""
+    leq = partial(param_leq, wleq=word_table())
     return MinorSet(leq, key=lambda a: a.mem, dom=param_dominance(program.template.states))
 
 
-def param_target_to_minors(
-    program: ParamProgram, targets: tuple[str, ...] | None = None, leq: Callable = param_leq
-) -> MinorSet:
+def param_target_to_minors(program: ParamProgram, targets: tuple[str, ...]) -> MinorSet:
     """One empty-buffer configuration per memory valuation, with exactly
-    the listed target states in the listed order, in a param_antichain
-    under `leq`: param_leq, or param_leq over a search's word_table."""
-    if targets is None:
-        targets = program.target
-    minors = param_antichain(program, leq)
+    the listed target states in the listed order, in a param_antichain."""
+    minors = param_antichain(program)
     procs = tuple((s, ()) for s in targets)
     for mem in itertools.product(program.values, repeat=len(program.vars)):
         minors.insert(ParamConfig(procs, mem))
@@ -209,12 +206,10 @@ def param_minpre(alpha: ParamConfig, program: ParamProgram) -> MinorSet:
     return minors
 
 
-def live_filter(program: ParamProgram, own_ok=None):
+def live_filter(program: ParamProgram, own_ok):
     """Predicate mirroring the fixed-size engine's liveness cut, per
     backward.live_kernel; every process runs the template, whose
-    removable_own table `own_ok` is computed here unless given."""
-    if own_ok is None:
-        own_ok = removable_own(program.template)
+    removable_own table is `own_ok`."""
     live = live_kernel([program.template], program)
     tables = itertools.repeat(own_ok)  # endless: one table for every process
     return lambda a: live(a.mem, a.procs, tables)
@@ -263,22 +258,26 @@ def param_backward_reach(
 ) -> BackwardStats:
     """Backward fixpoint under the parameterized ordering, weighted by
     process count plus buffered messages.  preds lists the engine's
-    candidates in predecessor_candidates' order, a dead one per
-    live_filter as (action, None) and a live one through
-    _canonical_step, so that every minor is in canonical process order.
-    The search owns its word_table behind param_leq and its
-    fresh-writer table."""
+    candidates in predecessor_candidates' order, a dead one as (action,
+    None) and a live one through _canonical_step, so that every minor
+    is in canonical process order.  As backward.local_preds does, it
+    decides liveness per move, from the memory and the entry the action
+    names (a fresh process sits at the end), which is exact since every
+    expanded minor is live; live_filter checks the seeds only.  The
+    search owns its antichain's word_table and its fresh-writer table."""
     if targets is None:
         targets = program.target
     check_seed_count(program, max_nodes)
     own_ok = removable_own(program.template)
     fresh = fresh_writer_table(program, own_ok)
-    leq = partial(param_leq, wleq=word_table())
-    live = live_filter(program, own_ok)
+    live = live_kernel([program.template], program)
+    tables = (own_ok,)
 
     def preds(alpha: ParamConfig) -> list:
         return [
-            _canonical_step(action, pred) if live(pred) else (action, None)
+            _canonical_step(action, pred)
+            if live(pred.mem, (pred.procs[action.proc],), tables)
+            else (action, None)
             for action, pred in predecessor_candidates(
                 alpha, program, all_positions=False, removable=own_ok, fresh=fresh
             )
@@ -286,9 +285,9 @@ def param_backward_reach(
 
     return fixpoint(
         # every seed buffer is empty, so sorted targets are canonical
-        param_target_to_minors(program, tuple(sorted(targets)), leq),
+        param_target_to_minors(program, tuple(sorted(targets))),
         preds,
-        live,
+        live_filter(program, own_ok),
         lambda a: param_covers_initial(a, program),
         lambda a: len(a.procs) + sum(len(b) for _s, b in a.procs),
         max_nodes,

@@ -7,12 +7,25 @@ import sys
 import pytest
 
 import dualmc
-from dualmc import MinorSet, Run, Step, Update, initial_tso_config, tso_successors
+from dualmc import (
+    MinorSet,
+    Run,
+    Step,
+    Update,
+    backward_reach,
+    concretize_witness,
+    format_program,
+    initial_tso_config,
+    parse_program,
+    tso_successors,
+)
 from dualmc.cli import SEARCH_COUNTERS, Report, emit_report, run
-from dualmc.runs import format_run, parse_action, parse_run_text
+from dualmc.model import Op
+from dualmc.runs import drive, format_run, parse_action, parse_run_text
+from dualmc.translate import SEMANTICS
 
 from conftest import CORPUS, corpus_program
-from test_acceptance import PINNED_EXPLORER_COUNTERS
+from test_acceptance import PINNED_EXPLORER_COUNTERS, PINNED_EXPLORERS
 
 
 def invoke(capsys, *argv):
@@ -327,3 +340,146 @@ def test_action_parse_format_round_trip(sb2):
     assert parse_action(text, sb2, lambda p: c.states[p]) == step
     upd = action_str(Update(1), sb2.processes[1].name)
     assert parse_action(upd, sb2, lambda p: c.states[p]) == Update(1)
+
+
+def test_explore_json_reports_explored_and_bound_exceeded(capsys):
+    """The explorers' JSON report also carries the explored count and
+    the bound_exceeded flag; the text line does not."""
+    for semantics, name in (("tso", "rwc.lit"), ("dtso", "lb.lit")):
+        argv = (f"explore-{semantics}", str(CORPUS / name), "--buffer-bound", "1")
+        _c, out, _ = invoke(capsys, *argv, "--format", "json")
+        payload = json.loads(out)
+        _reachable, bound_exceeded, explored, _witness = PINNED_EXPLORERS[name, semantics, 1]
+        assert (payload["explored"], payload["bound_exceeded"]) == (explored, bound_exceeded), semantics
+        _c, out, _ = invoke(capsys, *argv)
+        assert "explored=" not in out and "bound_exceeded=" not in out
+
+
+def test_text_witness_line(capsys):
+    """With --witness, the text report's second line is `witness=`
+    followed by the JSON report's actions, joined by `;`."""
+    argv = ("check", str(CORPUS / "dekker-simple.lit"), "--witness")
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 1
+    first, second = out.splitlines()
+    assert first.startswith("mode=check verdict=reachable ")
+    _c, json_out, _ = invoke(capsys, *argv, "--format", "json")
+    assert second == "witness=" + ";".join(json.loads(json_out)["witness"])
+
+
+def test_explore_safe_within_bound(capsys, tmp_path):
+    """A program without writes never fills a store buffer: an
+    unreachable target is safe within the bound, not bound-exceeded."""
+    prog = tmp_path / "no-writes.lit"
+    prog.write_text("vars x\nvalues 0 1\nprocess P\n init q0\n trans q0 q1 r x 1\nend\ntarget P=q1\n")
+    code, out, _ = invoke(capsys, "explore-tso", str(prog), "--buffer-bound", "1")
+    assert code == 0 and "verdict=safe-within-bound" in out
+    code, out, _ = invoke(capsys, "explore-tso", str(prog), "--buffer-bound", "1", "--format", "json")
+    payload = json.loads(out)
+    assert code == 0 and payload["verdict"] == "safe-within-bound"
+    assert (payload["explored"], payload["bound_exceeded"]) == (1, False)
+
+
+def _driven(text: str, prog) -> tuple[str, Run]:
+    """A run file's semantics and its run, built by runs.drive, which
+    raises at the first action that is not enabled."""
+    _label, semantics, lines = parse_run_text(text)
+    initial, successors = SEMANTICS[semantics]
+    states = list(initial(prog).states)
+    actions = []
+    for line in lines:
+        action = parse_action(line, prog, states.__getitem__)
+        if isinstance(action, Step):
+            states[action.proc] = action.t.dst
+        actions.append(action)
+    return semantics, drive(semantics, initial(prog), actions, prog, successors)
+
+
+def test_translate_from_dtso_round_trip(capsys, tmp_path):
+    """A concretized dekker witness, written as a run file, translates
+    dtso -> tso -> dtso through the command line; each output replays
+    under its semantics and ends at the target with empty buffers."""
+    shutil.copy(CORPUS / "dekker.lit", tmp_path / "dekker.lit")
+    prog = corpus_program("dekker.lit")
+    text = format_run(concretize_witness(prog, backward_reach(prog, prog.target)), prog, "dekker.lit")
+    lines = parse_run_text(text)[2]
+    assert any(" propagate " in line for line in lines) and any(line.endswith(" delete") for line in lines)
+    for source, expected in (("dtso", "tso"), ("tso", "dtso")):
+        run_file = tmp_path / f"witness-{source}.run"
+        run_file.write_text(text)
+        code, text, err = invoke(capsys, "translate", str(run_file), "--from", source)
+        assert code == 0, err
+        semantics, out = _driven(text, prog)
+        assert semantics == expected
+        assert out.final.states == prog.target and not any(out.final.buffers)
+
+
+_PROGRAM = ["vars x", "values 0 1", "process P", " init q0", " trans q0 q1 w x 1", "end", "target P=q1"]
+
+
+def _edited(index: int, *lines: str) -> str:
+    """_PROGRAM with its line `index` replaced by `lines`."""
+    return "\n".join(_PROGRAM[:index] + list(lines) + _PROGRAM[index + 1 :]) + "\n"
+
+
+# case -> (program text, message fragment, line number or None)
+PARSE_ERRORS = {
+    "duplicate-vars": (_edited(0, "vars x", "vars y"), "duplicate vars line", 2),
+    "empty-vars": (_edited(0, "vars"), "vars line needs at least one variable", 1),
+    "duplicate-values": (_edited(1, "values 0 1", "values 0"), "duplicate values line", 3),
+    "empty-values": (_edited(1, "values"), "values line needs at least one value", 2),
+    "duplicate-variable": (_edited(0, "vars x x"), "duplicate variable name", 1),
+    "process-arity": (_edited(2, "process P Q"), "process takes exactly one name", 3),
+    "init-arity": (_edited(3, " init q0 q1"), "init takes exactly one state", 4),
+    "trans-arity": (_edited(4, " trans q0 q1"), "trans takes a source, a destination", 5),
+    "init-outside": (_edited(1, "values 0 1", "init q0"), "init outside a process block", 3),
+    "trans-outside": (_edited(1, "values 0 1", "trans q0 q1 nop"), "trans outside a process block", 3),
+    "end-outside": (_edited(1, "values 0 1", "end"), "end outside a process block", 3),
+    "directive-inside": (_edited(3, " init q0", " vars y"), "expected init/trans/end inside process block", 5),
+    "duplicate-init": (_edited(3, " init q0", " init q1"), "duplicate init line", 5),
+    "duplicate-transition": (_edited(4, " trans q0 q1 w x 1", " trans q0 q1 w x 1"), "duplicate transition", 6),
+    "second-target": (_edited(6, "target P=q1", "target P=q0"), "duplicate target directive", 8),
+    "malformed-target": (_edited(6, "target P"), "target entries look like", 7),
+    "empty-target": (_edited(6, "target"), "target needs at least one entry", 7),
+    "unclosed-block": (
+        "\n".join(_PROGRAM[:2] + _PROGRAM[6:] + _PROGRAM[2:5]) + "\n", "process 'P' not closed with end", 4
+    ),
+    "missing-vars": (_edited(0), "missing vars line", None),
+    "missing-values": (_edited(1), "missing values line", None),
+    "no-process": ("vars x\nvalues 0 1\ntarget P=q0\n", "program declares no process", None),
+    "process-without-init": (_edited(3), "process 'P' has no init line", 5),
+    "target-unknown-process": (_edited(6, "target Q=q1"), "target names unknown process 'Q'", None),
+    "target-twice": (_edited(6, "target P=q1 P=q0"), "target names process 'P' twice", None),
+    "target-missing-process": (
+        _edited(5, "end", "process R", " init r0", "end"), "target misses process 'R'", None
+    ),
+    "nop-arguments": (_edited(4, " trans q0 q1 nop x"), "nop takes no arguments", 5),
+    "fence-arguments": (_edited(4, " trans q0 q1 fence x"), "fence takes no arguments", 5),
+    "arw-arity": (_edited(4, " trans q0 q1 arw x 1"), "arw takes a variable and two values", 5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_ERRORS))
+def test_parse_errors_exit_2(capsys, tmp_path, case):
+    """Each malformed program is refused with exit 2 and one `dualmc:`
+    line naming the fault, and its line number where the parser has
+    one."""
+    text, message, line = PARSE_ERRORS[case]
+    path = tmp_path / "bad.lit"
+    path.write_text(text)
+    code, out, err = invoke(capsys, "check", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"dualmc: {message}") and err.count("\n") == 1, err
+    if line is None:
+        assert "(line" not in err, err
+    else:
+        assert f"(line {line}" in err, err
+
+
+def test_format_parse_round_trip_with_fence_and_arw():
+    """A program with fence and arw transitions survives format_program
+    then parse_program."""
+    text = _edited(4, " trans q0 q1 w x 1", " trans q1 q2 fence", " trans q2 q3 arw x 1 0")
+    prog = parse_program(text)
+    assert [t.op for t in prog.processes[0].transitions][1:] == [Op("fence"), Op("arw", "x", 1, 0)]
+    assert parse_program(format_program(prog)) == prog

@@ -1,0 +1,51 @@
+"""Checks on the package source itself."""
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "dualmc"
+CACHES = {"lru_cache", "cache", "cached_property"}
+
+
+def _cache_name(decorator: ast.expr) -> str | None:
+    """The functools cache a decorator applies, if any: `lru_cache`,
+    `lru_cache(...)`, `functools.cache` and so on."""
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    if isinstance(decorator, ast.Attribute):
+        owner = decorator.value
+        name = decorator.attr if isinstance(owner, ast.Name) and owner.id == "functools" else None
+    else:
+        name = decorator.id if isinstance(decorator, ast.Name) else None
+    return name if name in CACHES else None
+
+
+def _cached(tree: ast.AST) -> list[str]:
+    """Names of the functions and methods in tree with a cache decorator."""
+    return [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(_cache_name(d) for d in node.decorator_list)
+    ]
+
+
+def test_decorator_scan_finds_every_cache_form():
+    text = (
+        "import functools\nfrom functools import cache, lru_cache\n"
+        "@lru_cache(maxsize=None)\ndef a(): pass\n@functools.cache\ndef b(): pass\n"
+        "@cache\ndef c(): pass\nclass K:\n    @functools.lru_cache\n    def d(self): pass\n"
+        "@staticmethod\ndef e(): pass\n@other.cache\ndef f(): pass\n"
+    )
+    assert sorted(_cached(ast.parse(text))) == ["a", "b", "c", "d"]
+
+
+def test_own_decompose_is_the_only_process_wide_cache():
+    """No function of the package keeps a functools cache, which lives
+    as long as the process, except own_decompose's; every other memo is
+    owned by one search."""
+    found = [
+        f"{path.stem}.{name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in _cached(ast.parse(path.read_text(), str(path)))
+    ]
+    assert found == ["ordering.own_decompose"]

@@ -32,6 +32,7 @@ from dualmc.param import (
 )
 
 from conftest import (
+    CORPUS,
     corpus_program,
     param_down,
     param_successors,
@@ -510,3 +511,37 @@ def test_param_leq_calls_per_insert_on_wrwc_param(monkeypatch):
     assert stats.verdict == "Reachable"
     assert inserts > 1000
     assert calls / inserts <= 20
+
+
+def test_per_move_liveness_marks_exactly_the_dead_candidates(monkeypatch):
+    """As in fixed mode: for the live minors of the param corpus, the
+    engine's preds, which checks only the memory and the entry an
+    action names, lists the candidates of predecessor_candidates(alpha,
+    prog, False, own_ok) in order, each one live_filter rejects marked
+    dead (None) and every other one through _canonical_step."""
+    searches = []
+    fixpoint = dualmc.param.fixpoint
+
+    def spy(minors, preds, *rest):
+        searches.append((minors, preds))
+        return fixpoint(minors, preds, *rest)
+
+    monkeypatch.setattr(dualmc.param, "fixpoint", spy)
+    checked = dead = 0
+    for path in sorted(CORPUS.glob("*-param.lit")):
+        prog = corpus_program(path.name)
+        param_backward_reach(prog)
+        minors, preds = searches.pop()
+        own_ok = removable_own(prog.template)
+        live = live_filter(prog, own_ok)
+        for alpha in minors:
+            if not live(alpha):
+                continue
+            expected = [
+                _canonical_step(a, pred) if live(pred) else (a, None)
+                for a, pred in predecessor_candidates(alpha, prog, False, own_ok)
+            ]
+            assert preds(alpha) == expected, (path.name, alpha)
+            dead += sum(pred is None for _a, pred in expected)
+            checked += 1
+    assert checked > 1000 and dead > 0

@@ -304,3 +304,44 @@ def test_scheduling_matches_its_definition(seed):
         tables = compute_scheduling(run, prog)
         expected = _schedule_by_definition(run, tables.view, len(tables.write_indices), len(prog.processes))
         assert (tables.alpha, tables.sharp) == expected
+
+
+def _ends_boundary(action) -> bool:
+    """True for the action that closes a phase boundary of dtso_to_tso:
+    an update, or an atomic read-write."""
+    return isinstance(action, Update) or action.t.op.kind == "arw"
+
+
+@pytest.mark.parametrize("n_procs", (2, 3))
+def test_phase_configs_are_the_simulation_configurations(n_procs):
+    """Walking dtso_to_tso's actions in the order it builds them, the
+    configuration reached after process p's ell-th scheduled step of
+    phase r (ell = 0: before its first) is configs[(r, p, ell)]: the
+    processes before p have finished phase r and those after it have
+    not started it."""
+    rng = random.Random(41 + n_procs)
+    checked = before = after = 0
+    for _ in range(100):
+        prog = random_program(rng, n_procs=n_procs, max_states=3)
+        run = _random_complete_dtso_run(rng, prog)
+        tables = compute_phase_configs(run, prog)
+        out = dtso_to_tso(run, prog)
+        k = len(tables.write_indices)
+        i = 0  # index into out.configs
+        for r in range(k + 1):
+            for p in range(n_procs):
+                moved = [q for q in range(n_procs) if q != p and tables.sharp[(r, q)]]
+                for ell in range(tables.sharp[(r, p)] + 1):
+                    if ell:
+                        assert out.actions[i] == run.actions[tables.alpha[(r, p, ell)] - 1]
+                        i += 1
+                    assert out.configs[i] == tables.configs[(r, p, ell)], (r, p, ell)
+                    checked += 1
+                    before += any(q < p for q in moved)
+                    after += any(q > p for q in moved)
+            if r < k:
+                while not _ends_boundary(out.actions[i]):
+                    i += 1
+                i += 1
+        assert i == len(out.actions)
+    assert checked > 100 and before > 0 and after > 0
