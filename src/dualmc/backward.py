@@ -5,9 +5,10 @@ over upward-closed sets, each represented by its finite antichain of
 minimal configurations.  One backward step computes, for a minimal
 configuration, the minimal predecessors under every rule; the target is
 the set of empty-buffer configurations at the target global state over
-all memory valuations.  The search is reachable as soon as a generated
-minimal configuration covers the initial configuration, and unreachable
-when the antichain reaches a fixpoint.
+all memory valuations, of which only the live ones, those the writes
+can produce, are built (seed_memories).  The search is reachable as
+soon as a generated minimal configuration covers the initial
+configuration, and unreachable when the antichain reaches a fixpoint.
 
 The search runs over coded configurations, one int each, from a
 `runs.Coder` it owns (`backward_coder`): the initial configuration is
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -58,22 +60,26 @@ def _config_key(c: DtsoConfig):
     return (c.states, c.mem)
 
 
-def target_to_minors(program: ConcurrentProgram, target: tuple[str, ...]) -> MinorSet:
-    """Empty-buffer configurations at the target state, one per memory
-    valuation, pairwise incomparable by construction, in an antichain
-    under config_leq."""
+def seed_memories(program, automata, max_nodes: int | None):
+    """The seeds' memories, in product order over each variable's
+    writable_values (an empty-buffer seed holding any other is dead);
+    more than max_nodes raise the resource limit before any is built."""
+    writable = writable_values(automata, program.vars)
+    pools = [[v for v in program.values if v in writable[x]] for x in program.vars]
+    if max_nodes is not None and math.prod(map(len, pools)) > max_nodes:
+        raise ResourceLimitError(f"backward search exceeded {max_nodes} configurations")
+    return itertools.product(*pools)
+
+
+def target_to_minors(program: ConcurrentProgram, target: tuple[str, ...], max_nodes: int | None) -> MinorSet:
+    """Empty-buffer configurations at the target state, one per
+    seed_memories memory, pairwise incomparable by construction, in an
+    antichain under config_leq."""
     minors = MinorSet(config_leq, key=_config_key)
     buffers = tuple(() for _ in program.processes)
-    for mem in itertools.product(program.values, repeat=len(program.vars)):
+    for mem in seed_memories(program, program.processes, max_nodes):
         minors.insert(DtsoConfig(tuple(target), buffers, mem))
     return minors
-
-
-def check_seed_count(program, max_nodes: int | None) -> None:
-    """Raise the search's resource limit before building the seeds when
-    they alone, one per memory valuation, exceed max_nodes."""
-    if max_nodes is not None and len(program.values) ** len(program.vars) > max_nodes:
-        raise ResourceLimitError(f"backward search exceeded {max_nodes} configurations")
 
 
 def _splits_without_own(w: Word, var: str):
@@ -179,7 +185,7 @@ def local_preds(program: ConcurrentProgram, removable, live, p: int, state, buf:
     found += [(action, None, b, mem) for action, b in buffer_preds(p, buf, mem, program, allowed)]
     out = []
     for action, src, b, m in found:
-        if live is not None and not live(m, ((state if src is None else src, b),), (removable[p],)):
+        if live is not None and not live(m, state if src is None else src, b, removable[p]):
             out.append((action, None, None, None))
         else:
             out.append((action, src, None if b is buf else b, m))
@@ -300,9 +306,9 @@ def removable_own(auto) -> dict[str, set[tuple[str, int]]]:
 
 
 def live_kernel(automata, program):
-    """The liveness check both engines share, as live(mem, procs, tables):
-    procs are (state, buffer) pairs and tables, in step with them, the
-    removable_own table of each pair's process.
+    """The liveness check both engines share, as live(mem, state, buf,
+    table): the memory and one process entry, at `state` holding `buf`,
+    with `table` the removable_own table of its process.
 
     Memory values and buffer messages must be producible: memory only
     ever holds 0 or a value some write or atomic read-write of
@@ -314,37 +320,33 @@ def live_kernel(automata, program):
     writable = writable_values(automata, program.vars)
     var_index = program.var_index
 
-    def live(mem, procs, tables) -> bool:
+    def live(mem, state, buf, table) -> bool:
         for x, xi in var_index.items():
             if mem[xi] not in writable[x]:
                 return False
-        for (state, buf), table in zip(procs, tables):
-            allowed = table[state]
-            for x, v, own in buf:
-                if own:
-                    if (x, v) not in allowed:
-                        return False
-                elif v not in writable[x]:
+        allowed = table[state]
+        for x, v, own in buf:
+            if own:
+                if (x, v) not in allowed:
                     return False
+            elif v not in writable[x]:
+                return False
         return True
 
     return live
 
 
-def live_filter(program: ConcurrentProgram, own_ok=None):
+def live_filter(program: ConcurrentProgram, own_ok):
     """Predicate for configurations that can still cover the initial
-    one, per live_kernel; `own_ok`, one removable_own table per
-    process, is computed here unless given."""
-    if own_ok is None:
-        own_ok = [removable_own(auto) for auto in program.processes]
+    one, live_kernel on every process entry; `own_ok` holds one
+    removable_own table per process."""
     live = live_kernel(program.processes, program)
-    return lambda c: live(c.mem, zip(c.states, c.buffers), own_ok)
+    return lambda c: all(map(live, itertools.repeat(c.mem), c.states, c.buffers, own_ok))
 
 
 def fixpoint(
     minors: MinorSet,
     preds: Callable,
-    live: Callable,
     covers: Callable,
     weight: Callable,
     max_nodes: int | None,
@@ -354,15 +356,16 @@ def fixpoint(
 
     The worklist is a priority queue on `weight` (smaller configurations,
     closer to the empty-buffer initial one, expand first) with generation
-    index as the tie break.  Seeds failing `live` are not queued.
-    `preds(c)` yields (action, element) pairs ready for the antichain,
-    the action naming its process as the element does, or (action,
-    None) for a dead candidate, one that cannot cover the initial
-    configuration; a dead candidate counts toward configs_generated and
-    max_nodes in its place and toward `dead`.  These choices leave the
-    verdict unchanged and are deterministic.  Each queued minor carries
-    its provenance link (runs.unwind), which outlives its eviction.
-    The seeds count as generated and inserted.
+    index as the tie break; every seed is queued, the engines building
+    live ones only (seed_memories).  `preds(c)` yields (action, element)
+    pairs ready for the antichain, the action naming its process as the
+    element does, or (action, None) for a dead candidate, one that
+    cannot cover the initial configuration; a dead candidate counts
+    toward configs_generated and max_nodes in its place and toward
+    `dead`.  These choices leave the verdict unchanged and are
+    deterministic.  Each queued minor carries its provenance link
+    (runs.unwind), which outlives its eviction.  The seeds count as
+    generated and inserted.
     """
     generated = inserted = len(minors)
     iterations = 0
@@ -384,11 +387,9 @@ def fixpoint(
     for seq, tc in enumerate(minors.elements()):
         if covers(tc):
             return reachable((tc, None, None))
-        if live(tc):
-            work.append((weight(tc), seq, (tc, None, None)))
+        work.append((weight(tc), seq, (tc, None, None)))
     heapq.heapify(work)
-    peak = len(work)
-    seq = len(work)
+    peak = seq = len(work)
 
     while work:
         link = heapq.heappop(work)[2]
@@ -422,9 +423,9 @@ def backward_reach(
     max_nodes: int | None = 10**7,
 ) -> BackwardStats:
     """Backward fixpoint from the target minors, weighted by the total
-    buffered-message count; dead seeds per live_filter are not queued,
-    dead delete predecessors are not generated at all, and the other
-    dead candidates are marked as such by their moves.
+    buffered-message count; dead seeds and dead delete predecessors are
+    not built at all, and the other dead candidates are marked as such
+    by their moves.
 
     The search runs over the codes of a backward_coder it owns, with
     its own coded_preds tables (each move's liveness decided when it
@@ -435,20 +436,17 @@ def backward_reach(
     initial one, since word_leq(w, ()) only for w == ().  The seeds are
     target_to_minors' configurations, encoded in their order; the
     witness chain is decoded once, at the end."""
-    check_seed_count(program, max_nodes)
     own_ok = [removable_own(auto) for auto in program.processes]
     coder = backward_coder(program)
     minors = MinorSet(
         coded_leq(coder), key=coder.memory_and_states_mask.__and__, sig=coder.summaries_mask.__and__
     )
-    for c in target_to_minors(program, target):
+    for c in target_to_minors(program, target, max_nodes):
         minors.insert(coder.encode(c))
-    live = live_filter(program, own_ok)
     top = coder.top_shift
     stats = fixpoint(
         minors,
         coded_preds(coder, partial(local_preds, program, own_ok, live_kernel(program.processes, program))),
-        lambda code: live(coder.decode(code)),
         lambda code: code == 0,
         lambda code: code >> top,
         max_nodes,

@@ -15,11 +15,12 @@ Fresh-process predecessors are enumerated for every write and atomic
 read-write with a matching memory value, not only when no existing
 process matches the rule pattern; the narrower variant misses minimal
 predecessors (the one-step oracle tests in the suite exhibit them).
-The search itself is the fixed-size engine's backward.fixpoint, run
-under the parameterized ordering with symmetry canonicalisation: every
-minor is kept with its processes sorted (`canonical`), and each live
-candidate, which differs from its sorted minor in one entry only, is
-put back in sorted order by one bisection (`_canonical_step`).
+The search itself is the fixed-size engine's backward.fixpoint, from
+its live seeds (backward.seed_memories), run under the parameterized
+ordering with symmetry canonicalisation: every minor is kept with its
+processes sorted (`canonical`), and each live candidate, which differs
+from its sorted minor in one entry only, is put back in sorted order by
+one bisection (`_canonical_step`).
 """
 from __future__ import annotations
 
@@ -31,11 +32,11 @@ from typing import NamedTuple
 from .backward import (
     BackwardStats,
     buffer_preds,
-    check_seed_count,
     fixpoint,
     live_kernel,
     removable_own,
     rule_preds,
+    seed_memories,
 )
 from .model import ParamProgram
 from .ordering import Dominance, MinorSet, Word, param_leq, word_table
@@ -97,12 +98,13 @@ def param_antichain(program: ParamProgram) -> MinorSet:
     return MinorSet(leq, key=lambda a: a.mem, dom=param_dominance(program.template.states))
 
 
-def param_target_to_minors(program: ParamProgram, targets: tuple[str, ...]) -> MinorSet:
-    """One empty-buffer configuration per memory valuation, with exactly
-    the listed target states in the listed order, in a param_antichain."""
+def param_target_to_minors(program: ParamProgram, targets: tuple[str, ...], max_nodes: int | None) -> MinorSet:
+    """One empty-buffer configuration per backward.seed_memories memory,
+    with exactly the listed target states in the listed order, in a
+    param_antichain."""
     minors = param_antichain(program)
     procs = tuple((s, ()) for s in targets)
-    for mem in itertools.product(program.values, repeat=len(program.vars)):
+    for mem in seed_memories(program, [program.template], max_nodes):
         minors.insert(ParamConfig(procs, mem))
     return minors
 
@@ -207,12 +209,12 @@ def param_minpre(alpha: ParamConfig, program: ParamProgram) -> MinorSet:
 
 
 def live_filter(program: ParamProgram, own_ok):
-    """Predicate mirroring the fixed-size engine's liveness cut, per
-    backward.live_kernel; every process runs the template, whose
-    removable_own table is `own_ok`."""
+    """Predicate mirroring the fixed-size engine's liveness cut,
+    backward.live_kernel on every process entry, or on an idle one if
+    there is none; every process runs the template, own_ok its table."""
     live = live_kernel([program.template], program)
-    tables = itertools.repeat(own_ok)  # endless: one table for every process
-    return lambda a: live(a.mem, a.procs, tables)
+    idle = ((program.template.init, ()),)
+    return lambda a: all(live(a.mem, s, b, own_ok) for s, b in a.procs or idle)
 
 
 def canonical(alpha: ParamConfig) -> ParamConfig:
@@ -263,20 +265,20 @@ def param_backward_reach(
     is in canonical process order.  As backward.local_preds does, it
     decides liveness per move, from the memory and the entry the action
     names (a fresh process sits at the end), which is exact since every
-    expanded minor is live; live_filter checks the seeds only.  The
-    search owns its antichain's word_table and its fresh-writer table."""
+    expanded minor is live, the seeds by seed_memories.  The search
+    owns its antichain's word_table and its fresh-writer table."""
     if targets is None:
         targets = program.target
-    check_seed_count(program, max_nodes)
+    # every seed buffer is empty, so sorted targets are canonical
+    seeds = param_target_to_minors(program, tuple(sorted(targets)), max_nodes)
     own_ok = removable_own(program.template)
     fresh = fresh_writer_table(program, own_ok)
     live = live_kernel([program.template], program)
-    tables = (own_ok,)
 
     def preds(alpha: ParamConfig) -> list:
         return [
             _canonical_step(action, pred)
-            if live(pred.mem, (pred.procs[action.proc],), tables)
+            if live(pred.mem, *pred.procs[action.proc], own_ok)
             else (action, None)
             for action, pred in predecessor_candidates(
                 alpha, program, all_positions=False, removable=own_ok, fresh=fresh
@@ -284,10 +286,8 @@ def param_backward_reach(
         ]
 
     return fixpoint(
-        # every seed buffer is empty, so sorted targets are canonical
-        param_target_to_minors(program, tuple(sorted(targets))),
+        seeds,
         preds,
-        live_filter(program, own_ok),
         lambda a: param_covers_initial(a, program),
         lambda a: len(a.procs) + sum(len(b) for _s, b in a.procs),
         max_nodes,

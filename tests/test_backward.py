@@ -1,9 +1,13 @@
+import heapq
+import math
 import random
 from functools import partial
+from types import SimpleNamespace
 
 import pytest
 
 import dualmc.backward
+import dualmc.param
 from dualmc import (
     Delete,
     DtsoConfig,
@@ -28,8 +32,11 @@ from dualmc.backward import (
     local_preds,
     predecessor_candidates,
     removable_own,
+    writable_values,
 )
-from dualmc.model import parse_program
+from dualmc.model import ParamProgram, parse_program
+from dualmc.param import param_backward_reach
+from dualmc.runs import ResourceLimitError
 
 from conftest import config_down, corpus_program, pad_with_plains, random_dtso_config, random_program
 
@@ -38,8 +45,10 @@ plain = lambda x, v: (x, v, False)
 
 
 def test_target_minor_count(sb2):
-    minors = target_to_minors(sb2, ("q2", "q3"))
-    assert len(minors) == 9  # |values|^|vars| = 3^2
+    minors = target_to_minors(sb2, ("q2", "q3"), None)
+    # one seed per writable memory: x in {0, 1, 2}, y in {0, 1}
+    assert len(minors) == 6
+    assert [c.mem for c in minors] == [(x, y) for x in (0, 1, 2) for y in (0, 1)]
     for c in minors:
         assert c.states == ("q2", "q3") and c.buffers == ((), ())
         padded = DtsoConfig(c.states, ((plain("x", 0),), ()), c.mem)
@@ -48,7 +57,7 @@ def test_target_minor_count(sb2):
 
 def test_target_minor_count_single_value():
     prog = parse_program("vars x\nvalues 0\nprocess P\n init q0\nend\ntarget P=q0\n")
-    assert len(target_to_minors(prog, ("q0",))) == 1
+    assert len(target_to_minors(prog, ("q0",), None)) == 1
 
 
 def test_covers_initial(sb2):
@@ -214,10 +223,10 @@ def _full_fixpoint(prog):
 
     from dualmc.ordering import MinorSet
 
-    live = live_filter(prog)
+    live = live_filter(prog, [removable_own(auto) for auto in prog.processes])
     minors = MinorSet(config_leq, key=lambda c: (c.states, c.mem))
     work = deque()
-    for tc in target_to_minors(prog, prog.target).elements():
+    for tc in target_to_minors(prog, prog.target, None).elements():
         minors.insert(tc)
         if live(tc):
             work.append(tc)
@@ -237,11 +246,112 @@ def test_fixpoint_stability():
     assert stats.verdict == "Unreachable"
     minors = _full_fixpoint(prog)
     assert len(minors) == stats.minors
-    live = live_filter(prog)
+    live = live_filter(prog, [removable_own(auto) for auto in prog.processes])
     for c in minors.elements():
         for pred in minpre_config(c, prog).elements():
             if live(pred):
                 assert minors.covers(pred)
+
+
+# store buffering over values 0 1 2 with only 2 ever written: 4 of the
+# 9 memory valuations are writable, so 5 seeds would be dead
+TIE_BREAK = """
+vars x y
+values 0 1 2
+process P
+  init q0
+  trans q0 q1 w x 2
+  trans q1 q2 nop
+  trans q2 q3 r y 0
+end
+process Q
+  init q0
+  trans q0 q1 w y 2
+  trans q1 q2 nop
+  trans q2 q3 r x 0
+end
+target P=q3 Q=q3
+"""
+
+
+def test_worklist_generation_indices_are_distinct(monkeypatch):
+    """Every worklist entry, seeds and candidates alike, carries its own
+    generation index, so equal weights break ties by generation order
+    alone and never fall through to the configurations.  Only the 4
+    live seeds are built: the 5 dead ones are missing from
+    configs_generated, inserted and minors (582, 277 and 237 with them),
+    and the search is otherwise the same."""
+    seqs = []
+
+    def heapify(work):
+        seqs.extend(entry[1] for entry in work)
+        heapq.heapify(work)
+
+    def heappush(work, entry):
+        seqs.append(entry[1])
+        heapq.heappush(work, entry)
+
+    spy = SimpleNamespace(heapify=heapify, heappush=heappush, heappop=heapq.heappop)
+    monkeypatch.setattr(dualmc.backward, "heapq", spy)
+    prog = parse_program(TIE_BREAK)
+    s = backward_reach(prog, prog.target)
+    assert len(seqs) > 100 and len(set(seqs)) == len(seqs)
+    assert s.verdict == "Reachable"
+    assert (s.configs_generated, s.inserted, s.minors, s.iterations) == (577, 272, 232, 186)
+    assert (s.dead, s.subsumed, s.frontier_peak) == (128, 177, 87)
+
+
+def test_seeds_are_live_and_one_per_writable_memory(monkeypatch):
+    """Both engines hand fixpoint one empty-buffer seed at the target
+    per memory over each variable's writable_values, in product order,
+    and every seed passes live_filter."""
+    seeds = []
+    coders = []
+    real, real_coder = dualmc.backward.fixpoint, dualmc.backward.backward_coder
+
+    def keep_seeds(minors, *rest):
+        seeds.append(minors.elements())
+        return real(minors, *rest)
+
+    def keep_coder(program):
+        coders.append(real_coder(program))
+        return coders[-1]
+
+    monkeypatch.setattr(dualmc.backward, "fixpoint", keep_seeds)
+    monkeypatch.setattr(dualmc.param, "fixpoint", keep_seeds)
+    monkeypatch.setattr(dualmc.backward, "backward_coder", keep_coder)
+
+    def seeded(prog, automata, search, decode) -> list:
+        """The seeds search(prog) starts from, checked for their count
+        and product order."""
+        try:
+            search(prog)
+        except ResourceLimitError:
+            pass
+        built = [decode(c) for c in seeds.pop()]
+        writable = writable_values(automata, prog.vars)
+        mems = [c.mem for c in built]
+        assert len(mems) == math.prod(len(writable[x]) for x in prog.vars), prog
+        assert mems == sorted(set(mems)), prog
+        return built
+
+    rng = random.Random(43)
+    dead = 0
+    for _ in range(100):
+        prog = random_program(rng, n_vals=3)
+        live = live_filter(prog, [removable_own(auto) for auto in prog.processes])
+        search = lambda p: backward_reach(p, p.target, max_nodes=2000)
+        built = seeded(prog, prog.processes, search, lambda code: coders[-1].decode(code))
+        for c in built:
+            assert c.states == prog.target and not any(c.buffers) and live(c), (prog, c)
+        dead += len(prog.values) ** len(prog.vars) - len(built)
+        tpl = random_program(rng, n_procs=1, n_vals=3).processes[0]
+        pprog = ParamProgram(prog.vars, prog.values, tpl, (tpl.init,))
+        plive = dualmc.param.live_filter(pprog, removable_own(tpl))
+        search = lambda p: param_backward_reach(p, max_nodes=2000)
+        for a in seeded(pprog, [tpl], search, lambda a: a):
+            assert a.procs == ((tpl.init, ()),) and plive(a), (pprog, a)
+    assert dead > 0
 
 
 def test_removable_table_drops_exactly_dead_deletes():

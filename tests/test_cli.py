@@ -223,8 +223,9 @@ def test_resource_limit_exit_3(capsys):
 
 @pytest.mark.parametrize("mode", ["check", "param"])
 def test_max_nodes_caps_the_seeds(capsys, monkeypatch, tmp_path, mode):
-    """The seeds, one per memory valuation (here 2**16), count against
-    --max-nodes before any of them is built."""
+    """The seeds, one per writable memory valuation (here 2**16, as the
+    program writes 1 to each variable), count against --max-nodes
+    before any of them is built."""
     inserts = 0
     insert = MinorSet.insert
 
@@ -236,8 +237,9 @@ def test_max_nodes_caps_the_seeds(capsys, monkeypatch, tmp_path, mode):
     monkeypatch.setattr(MinorSet, "insert", counting_insert)
     names = " ".join(f"x{i}" for i in range(16))
     target = "target P=q1" if mode == "check" else "ptarget q1"
+    writes = "".join(f" trans q0 q0 w x{i} 1\n" for i in range(16))
     (tmp_path / "wide.lit").write_text(
-        f"vars {names}\nvalues 0 1\nprocess P\n init q0\n trans q0 q1 nop\nend\n{target}\n"
+        f"vars {names}\nvalues 0 1\nprocess P\n init q0\n{writes} trans q0 q1 nop\nend\n{target}\n"
     )
     code, _out, err = invoke(capsys, mode, str(tmp_path / "wide.lit"), "--max-nodes", "10")
     assert code == 3 and "exceeded" in err

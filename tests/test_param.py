@@ -50,10 +50,10 @@ def tiny_template(transitions, variables=("x",), values=(0, 1)) -> ParamProgram:
 
 def test_target_minors_shape():
     prog = tiny_template(
-        [Transition("q0", Op("nop"), "q2"), Transition("q0", Op("nop"), "q3")]
+        [Transition("q0", Op("w", "x", 1), "q2"), Transition("q0", Op("nop"), "q3")]
     )
-    minors = param_target_to_minors(prog, ("q2", "q3"))
-    assert len(minors) == 2  # |values|^|vars|
+    minors = param_target_to_minors(prog, ("q2", "q3"), None)
+    assert len(minors) == 2  # one seed per writable memory: x in {0, 1}
     for alpha in minors:
         assert [s for s, _b in alpha.procs] == ["q2", "q3"]
         assert all(b == () for _s, b in alpha.procs)
@@ -64,7 +64,7 @@ def test_target_minors_shape():
 
 def test_empty_target_covers_initial_only_with_zero_memory():
     prog = tiny_template([Transition("q0", Op("w", "x", 1), "q1")])
-    minors = param_target_to_minors(prog, ())
+    minors = param_target_to_minors(prog, (), None)
     zero = ParamConfig((), (0,))
     one = ParamConfig((), (1,))
     assert zero in minors.elements() and one in minors.elements()
@@ -545,3 +545,30 @@ def test_per_move_liveness_marks_exactly_the_dead_candidates(monkeypatch):
             dead += sum(pred is None for _a, pred in expected)
             checked += 1
     assert checked > 1000 and dead > 0
+
+
+# parameterized store buffering over values 0 1 2 with only 2 ever
+# written: 4 of the 9 memory valuations are writable
+SB_WRITES_TWO = """
+vars x y
+values 0 1 2
+process proc
+  init q0
+  trans q0 q1 w x 2
+  trans q1 q2 r y 0
+  trans q0 q3 w y 2
+  trans q3 q4 r x 0
+end
+ptarget q2 q4
+"""
+
+
+def test_dead_seeds_are_never_built():
+    """As in fixed mode, only the 4 live seeds are built: the 5 dead
+    ones are missing from configs_generated, inserted and minors (600,
+    148 and 120 with them), and every other counter and the witness
+    length are what a search from all 9 seeds gives."""
+    s = param_backward_reach(parse_program(SB_WRITES_TWO))
+    assert s.verdict == "Reachable" and len(s.chain) == 9
+    assert (s.configs_generated, s.inserted, s.minors) == (595, 143, 115)
+    assert (s.iterations, s.frontier_peak, s.dead, s.subsumed, s.evicted) == (102, 50, 199, 253, 28)
