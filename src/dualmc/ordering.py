@@ -251,7 +251,10 @@ class MinorSet:
 
     def insert(self, elem) -> bool:
         """Add elem unless a member lies below it, evicting the members
-        above it; True iff elem went in."""
+        above it; True iff elem went in.  An equal member lies below
+        elem, so elem is refused before any scan."""
+        if elem in self._members:
+            return False
         dom = self._dom
         if dom is not None:
             probe = dom.pack(elem)

@@ -18,9 +18,13 @@ predecessors (the one-step oracle tests in the suite exhibit them).
 The search itself is the fixed-size engine's backward.fixpoint, from
 its live seeds (backward.seed_memories), run under the parameterized
 ordering with symmetry canonicalisation: every minor is kept with its
-processes sorted (`canonical`), and each live candidate, which differs
-from its sorted minor in one entry only, is put back in sorted order by
-one bisection (`_canonical_step`).
+processes sorted (`canonical`).  A move depends only on the entry it
+changes (or the fresh process it adds) and the memory, so the search
+derives each move once, in tables it owns, and places each live
+candidate's new entry into the minor's sorted other entries by one
+bisection.  `predecessor_candidates` with `_canonical_step`, which
+lists the same candidates and sorts them the same way through whole
+configurations, is the reference the tests compare the tables with.
 """
 from __future__ import annotations
 
@@ -144,7 +148,6 @@ def predecessor_candidates(
     program: ParamProgram,
     all_positions: bool = True,
     removable=None,
-    fresh=None,
 ):
     """Minimal one-rule predecessors of the upward closure of alpha.
 
@@ -155,14 +158,13 @@ def predecessor_candidates(
     represents its whole permutation orbit) and passes the template's
     removable_own table as `removable`, so that fresh writers hold and
     delete predecessors re-append only own-messages consumable from
-    their state.  `fresh` is the fresh_writer_table of `removable`,
-    built here unless given; the engine builds it once per search.
+    their state.  This is the oracle the engine's move tables
+    (param_backward_reach) are tested against.
     """
     values = program.values
     procs = alpha.procs
     out: list[tuple[object, ParamConfig]] = []
-    if fresh is None:
-        fresh = fresh_writer_table(program, removable)
+    fresh = fresh_writer_table(program, removable)
 
     for t in program.template.transitions:
         op = t.op
@@ -225,8 +227,8 @@ def canonical(alpha: ParamConfig) -> ParamConfig:
     the backward search is unchanged when every minor is replaced by a
     permutation; keeping one sorted representative per orbit collapses
     the symmetric copies the position-sensitive ordering would retain.
-    The engine reaches this form through _canonical_step; the sort is
-    the reference the tests compare that with.
+    The engine reaches this form by bisection; the sort is the
+    reference the tests compare that with.
     """
     return ParamConfig(tuple(sorted(alpha.procs)), alpha.mem)
 
@@ -242,6 +244,8 @@ def _canonical_step(action, pred: ParamConfig):
     and bisected back into the sorted rest: bisect_left puts it where
     sorted would, before any equal entry, at the position tuple.index
     finds.  When that is where it already is, both come back as given.
+    The engine places its table entries the same way without building
+    the intermediate configuration; this is the reference.
     """
     p = action.proc
     procs = pred.procs
@@ -260,30 +264,113 @@ def param_backward_reach(
 ) -> BackwardStats:
     """Backward fixpoint under the parameterized ordering, weighted by
     process count plus buffered messages.  preds lists the engine's
-    candidates in predecessor_candidates' order, a dead one as (action,
-    None) and a live one through _canonical_step, so that every minor
-    is in canonical process order.  As backward.local_preds does, it
-    decides liveness per move, from the memory and the entry the action
-    names (a fresh process sits at the end), which is exact since every
-    expanded minor is live, the seeds by seed_memories.  The search
-    owns its antichain's word_table and its fresh-writer table."""
+    candidates in predecessor_candidates(alpha, program, False,
+    removable_own) order, a dead one as (action, None) and a live one
+    as _canonical_step gives it, so that every minor is in canonical
+    process order.
+
+    Each move depends on one entry and the memory only, so the search
+    owns three tables of them, each filled once per key: rule moves
+    per (transition index, buffer, memory), fresh-process moves per
+    (transition index, memory) and propagate and delete moves per
+    (state, buffer, memory).  A move is stored with its new entry, or
+    None if it is dead: as backward.local_preds does, liveness is
+    decided from the memory and that entry, which is exact since every
+    expanded minor is live, the seeds by seed_memories.  A live entry
+    is placed by one bisection into the minor's other entries (all of
+    them for a fresh process), where _canonical_step would put it.
+    A fresh writer's words are listed per state when first needed, and
+    more than max_nodes of them raise the resource limit: each word is
+    at least one candidate of the expansion that needs them, so the cap
+    would stop the search there anyway.  The search also owns its
+    antichain's word_table."""
     if targets is None:
         targets = program.target
     # every seed buffer is empty, so sorted targets are canonical
     seeds = param_target_to_minors(program, tuple(sorted(targets)), max_nodes)
     own_ok = removable_own(program.template)
-    fresh = fresh_writer_table(program, own_ok)
     live = live_kernel([program.template], program)
+    transitions = list(enumerate(program.template.transitions))
+    rule_moves: dict = {}
+    fresh_moves: dict = {}
+    local_moves: dict = {}
+    words: dict = {}
+
+    def marked(state, pairs) -> list:
+        """(buffer, memory) pairs of a process at state as table moves:
+        (new entry, memory), the entry None if the move is dead."""
+        return [((state, b), m) if live(m, state, b, own_ok) else (None, m) for b, m in pairs]
+
+    def writer_words(state) -> list:
+        found = words.get(state)
+        if found is None:
+            cap = None if max_nodes is None else max_nodes + 1
+            found = words[state] = list(itertools.islice(_fresh_writer_buffers(program, own_ok[state]), cap))
+            if max_nodes is not None and len(found) > max_nodes:
+                raise ResourceLimitError(f"backward search exceeded {max_nodes} configurations")
+        return found
+
+    def fill_fresh(t, mem) -> list:
+        op = t.op
+        xi = program.var_index[op.var]
+        if op.kind == "arw":
+            pairs = [((), _set(mem, xi, op.val))] if mem[xi] == op.wval else []
+        elif mem[xi] == op.val:
+            pairs = [(b, _set(mem, xi, prior)) for prior in program.values for b in writer_words(t.src)]
+        else:
+            pairs = []
+        return marked(t.src, pairs)
+
+    def fill_local(state, buf, mem) -> list:
+        return [
+            (type(action), action[1:], (state, b) if live(mem, state, b, own_ok) else None)
+            for action, b in buffer_preds(0, buf, mem, program, own_ok[state])
+        ]
 
     def preds(alpha: ParamConfig) -> list:
-        return [
-            _canonical_step(action, pred)
-            if live(pred.mem, *pred.procs[action.proc], own_ok)
-            else (action, None)
-            for action, pred in predecessor_candidates(
-                alpha, program, all_positions=False, removable=own_ok, fresh=fresh
-            )
-        ]
+        procs, mem = alpha
+        n = len(procs)
+        rests = [procs[:p] + procs[p + 1 :] for p in range(n)]
+        out: list = []
+        for ti, t in transitions:
+            for p, (state, buf) in enumerate(procs):
+                if state != t.dst:
+                    continue
+                key = (ti, buf, mem)
+                moves = rule_moves.get(key)
+                if moves is None:
+                    moves = rule_moves[key] = marked(t.src, rule_preds(t, buf, mem, program))
+                rest = rests[p]
+                for entry, m in moves:
+                    if entry is None:
+                        out.append((Step(p, t), None))
+                    else:
+                        i = bisect_left(rest, entry)
+                        out.append((Step(i, t), ParamConfig(rest[:i] + (entry,) + rest[i:], m)))
+            if t.op.kind in ("w", "arw"):
+                key = (ti, mem)
+                moves = fresh_moves.get(key)
+                if moves is None:
+                    moves = fresh_moves[key] = fill_fresh(t, mem)
+                for entry, m in moves:
+                    if entry is None:
+                        out.append((Step(n, t), None))
+                    else:
+                        i = bisect_left(procs, entry)
+                        out.append((Step(i, t), ParamConfig(procs[:i] + (entry,) + procs[i:], m)))
+        for p, (state, buf) in enumerate(procs):
+            key = (state, buf, mem)
+            moves = local_moves.get(key)
+            if moves is None:
+                moves = local_moves[key] = fill_local(state, buf, mem)
+            rest = rests[p]
+            for cls, args, entry in moves:
+                if entry is None:
+                    out.append((cls(p, *args), None))
+                else:
+                    i = bisect_left(rest, entry)
+                    out.append((cls(i, *args), ParamConfig(rest[:i] + (entry,) + rest[i:], mem)))
+        return out
 
     return fixpoint(
         seeds,

@@ -26,6 +26,7 @@ from dualmc.translate import SEMANTICS
 
 from conftest import CORPUS, corpus_program
 from test_acceptance import PINNED_EXPLORER_COUNTERS, PINNED_EXPLORERS
+from test_param import wide_writer
 
 
 def invoke(capsys, *argv):
@@ -244,6 +245,15 @@ def test_max_nodes_caps_the_seeds(capsys, monkeypatch, tmp_path, mode):
     code, _out, err = invoke(capsys, mode, str(tmp_path / "wide.lit"), "--max-nodes", "10")
     assert code == 3 and "exceeded" in err
     assert inserts <= 11
+
+
+def test_fresh_writer_words_exit_3(capsys, tmp_path):
+    """A template whose seeds fit --max-nodes but whose fresh writers
+    hold about 1.3e9 words exits 3 with one `dualmc:` line."""
+    (tmp_path / "wide.lit").write_text(wide_writer(12))
+    code, _out, err = invoke(capsys, "param", str(tmp_path / "wide.lit"), "--max-nodes", "10000")
+    assert code == 3
+    assert err.startswith("dualmc: ") and "exceeded" in err and err.count("\n") == 1, err
 
 
 def test_reports_deterministic_except_time(capsys):

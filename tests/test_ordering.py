@@ -17,6 +17,7 @@ from dualmc import (
 
 from dualmc.backward import backward_coder, coded_leq
 from dualmc.ordering import word_table
+from dualmc.param import param_dominance
 
 from conftest import pad_with_plains, param_leq_oracle, random_dtso_config, random_program, random_word
 
@@ -189,6 +190,42 @@ def test_minor_insert_basics():
     assert m.insert(smaller) is True
     assert m.elements() == [smaller]
     assert w not in m and smaller in m and len(m) == 1
+
+
+@pytest.mark.parametrize("prefilter", ["sig", "dom"])
+def test_equal_member_is_refused_without_leq(prefilter):
+    """Offering a copy of a member, equal but not the same object, is
+    refused with no leq call and leaves the members as they were, under
+    either pre-filter; a new element is still compared."""
+    calls = []
+
+    def leq(a, b):
+        calls.append((a, b))
+        return (word_leq if prefilter == "sig" else param_leq)(a, b)
+
+    if prefilter == "sig":
+        minors = MinorSet(leq, sig=lambda w: own_decompose(w).delimiters)
+        items = [(own("x", 1), plain("y", 0)), (plain("x", 0),), (own("y", 1),)]
+        fresh = (plain("x", 0), plain("y", 1))
+    else:
+        minors = MinorSet(leq, key=lambda a: a.mem, dom=param_dominance({"q0", "q1"}))
+        items = [
+            ParamConfig((("q0", ()), ("q1", (plain("x", 0),))), (0,)),
+            ParamConfig((("q1", ()),), (1,)),
+            ParamConfig((("q0", (own("x", 1),)),), (0,)),
+        ]
+        fresh = ParamConfig((("q0", ()), ("q1", (plain("x", 1), plain("x", 0)))), (0,))
+    for item in items:
+        assert minors.insert(item)
+    before = minors.elements()
+    calls.clear()
+    for item in items:
+        copy = type(item)(*item) if prefilter == "dom" else tuple(list(item))
+        assert copy == item and copy is not item
+        assert minors.insert(copy) is False
+    assert calls == [] and minors.elements() == before
+    minors.insert(fresh)
+    assert calls
 
 
 def test_minor_min_idempotent_and_order_free():

@@ -547,6 +547,51 @@ def test_per_move_liveness_marks_exactly_the_dead_candidates(monkeypatch):
     assert checked > 1000 and dead > 0
 
 
+def test_move_tables_match_the_oracle_on_random_templates(monkeypatch):
+    """The random twin of the corpus test above: on random templates,
+    atomic read-writes and dead fresh processes included, the engine's
+    preds lists predecessor_candidates' candidates for every live minor
+    of its antichain, each dead one marked None and every other one
+    through _canonical_step."""
+    searches = []
+    fixpoint = dualmc.param.fixpoint
+
+    def spy(minors, preds, *rest):
+        searches.append((minors, preds))
+        return fixpoint(minors, preds, *rest)
+
+    monkeypatch.setattr(dualmc.param, "fixpoint", spy)
+    rng = random.Random(41)
+    checked = 0
+    fresh: Counter = Counter()
+    for _ in range(500):
+        prog = random_param_program(rng)
+        targets = (rng.choice(sorted(prog.template.states)),)
+        try:
+            param_backward_reach(prog, targets, max_nodes=3000)
+        except ResourceLimitError:
+            pass
+        minors, preds = searches.pop()
+        own_ok = removable_own(prog.template)
+        live = live_filter(prog, own_ok)
+        for alpha in minors:
+            if not live(alpha):
+                continue
+            expected = [
+                _canonical_step(a, pred) if live(pred) else (a, None)
+                for a, pred in predecessor_candidates(alpha, prog, False, own_ok)
+            ]
+            assert preds(alpha) == expected, (prog.template.transitions, alpha)
+            n = len(alpha.procs)
+            for a, pred in expected:
+                # a fresh process: a dead one is named at the end
+                if isinstance(a, Step) and (a.proc == n if pred is None else len(pred.procs) > n):
+                    fresh[a.t.op.kind, pred is None] += 1
+            checked += 1
+    assert checked > 1000, checked
+    assert all(fresh[kind, dead] > 0 for kind in ("w", "arw") for dead in (False, True)), fresh
+
+
 # parameterized store buffering over values 0 1 2 with only 2 ever
 # written: 4 of the 9 memory valuations are writable
 SB_WRITES_TWO = """
@@ -572,3 +617,73 @@ def test_dead_seeds_are_never_built():
     assert s.verdict == "Reachable" and len(s.chain) == 9
     assert (s.configs_generated, s.inserted, s.minors) == (595, 143, 115)
     assert (s.iterations, s.frontier_peak, s.dead, s.subsumed, s.evicted) == (102, 50, 199, 253, 28)
+
+
+def test_move_tables_fill_each_key_once(monkeypatch):
+    """Within one search of each param file, rule_preds runs exactly
+    once per distinct (transition, buffer, memory) and buffer_preds once
+    per distinct (state, buffer, memory); a second search of the same
+    program makes the same calls again and returns equal stats, so no
+    table outlives its search."""
+    rule_keys, local_keys, tables = [], [], []
+    rule_preds, buffer_preds = dualmc.param.rule_preds, dualmc.param.buffer_preds
+    removable = dualmc.param.removable_own
+
+    def counting_rule(t, buf, mem, program):
+        rule_keys.append((t, buf, mem))
+        return rule_preds(t, buf, mem, program)
+
+    def counting_buffer(p, buf, mem, program, allowed=None):
+        # the state is the one whose removable_own set the search passes
+        state = next(s for s, own_ok in tables[-1].items() if own_ok is allowed)
+        local_keys.append((state, buf, mem))
+        return buffer_preds(p, buf, mem, program, allowed)
+
+    def recording_removable(auto):
+        tables.append(removable(auto))
+        return tables[-1]
+
+    monkeypatch.setattr(dualmc.param, "rule_preds", counting_rule)
+    monkeypatch.setattr(dualmc.param, "buffer_preds", counting_buffer)
+    monkeypatch.setattr(dualmc.param, "removable_own", recording_removable)
+    files = sorted(CORPUS.glob("*-param.lit"))
+    for path in files:
+        prog = corpus_program(path.name)
+        runs = []
+        for _ in range(2):
+            rule_keys.clear()
+            local_keys.clear()
+            stats = param_backward_reach(prog)
+            assert len(rule_keys) == len(set(rule_keys)) > 0, path.name
+            assert len(local_keys) == len(set(local_keys)) > 0, path.name
+            runs.append((stats, rule_keys[:], local_keys[:]))
+        assert runs[0] == runs[1], path.name
+    assert len(tables) == 2 * len(files)
+
+
+def wide_writer(n: int) -> str:
+    """A template whose process writes 1 to each of n variables in a
+    self-loop, so a fresh writer at q0 may hold any ordered subset of
+    those writes: about e * n! words."""
+    names = " ".join(f"x{i}" for i in range(n))
+    writes = "".join(f"  trans q0 q0 w x{i} 1\n" for i in range(n))
+    return f"vars {names}\nvalues 0 1\nprocess proc\n  init q0\n{writes}  trans q0 q1 r x0 1\nend\nptarget q1\n"
+
+
+def test_fresh_writer_words_count_against_max_nodes(monkeypatch):
+    """With 12 variables a fresh writer at q0 has about 1.3e9 words; the
+    4,096 seeds fit under max_nodes, and the search lists at most
+    max_nodes + 1 of the words before it raises ResourceLimitError."""
+    listed = 0
+    words = dualmc.param._fresh_writer_buffers
+
+    def counting(program, allowed=None):
+        nonlocal listed
+        for w in words(program, allowed):
+            listed += 1
+            yield w
+
+    monkeypatch.setattr(dualmc.param, "_fresh_writer_buffers", counting)
+    with pytest.raises(ResourceLimitError):
+        param_backward_reach(parse_program(wide_writer(12)), max_nodes=10_000)
+    assert listed == 10_001
