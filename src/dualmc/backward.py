@@ -30,7 +30,7 @@ from functools import partial
 from typing import Callable
 
 from .dtso import DtsoConfig, dtso_successors, initial_dtso_config
-from .model import ConcurrentProgram
+from .model import ConcurrentProgram, check_target
 from .ordering import MinorSet, Word, config_leq, own_decompose, word_table
 from .runs import Coder, Delete, Propagate, ResourceLimitError, Run, RunError, Step, _set, drive, fire, tabled, unwind
 
@@ -60,11 +60,11 @@ def _config_key(c: DtsoConfig):
     return (c.states, c.mem)
 
 
-def seed_memories(program, automata, max_nodes: int | None):
+def seed_memories(program, max_nodes: int | None):
     """The seeds' memories, in product order over each variable's
     writable_values (an empty-buffer seed holding any other is dead);
     more than max_nodes raise the resource limit before any is built."""
-    writable = writable_values(automata, program.vars)
+    writable = writable_values(program)
     pools = [[v for v in program.values if v in writable[x]] for x in program.vars]
     if max_nodes is not None and math.prod(map(len, pools)) > max_nodes:
         raise ResourceLimitError(f"backward search exceeded {max_nodes} configurations")
@@ -77,7 +77,7 @@ def target_to_minors(program: ConcurrentProgram, target: tuple[str, ...], max_no
     antichain under config_leq."""
     minors = MinorSet(config_leq, key=_config_key)
     buffers = tuple(() for _ in program.processes)
-    for mem in seed_memories(program, program.processes, max_nodes):
+    for mem in seed_memories(program, max_nodes):
         minors.insert(DtsoConfig(tuple(target), buffers, mem))
     return minors
 
@@ -160,11 +160,12 @@ def buffer_preds(
     return out
 
 
-def local_preds(program: ConcurrentProgram, removable, live, p: int, state, buf: Word, mem):
+def local_preds(program, removable, live, p: int, state, buf: Word, mem):
     """Process p's backward moves at (state, buf, mem), in order: its
     transitions into state, then propagate and delete; each is (action,
     source state or None if kept, buffer or None if kept, memory), as
-    runs.tabled and runs.Coder.moves read them.
+    runs.tabled and runs.Coder.moves read them.  Both engines read
+    their moves here, the parameterized one as the template's, p = 0.
 
     With `removable`, the per-process removable_own tables, only the
     delete predecessors live_filter keeps are listed.  With `live`, the
@@ -263,10 +264,10 @@ def minpre_config(c: DtsoConfig, program: ConcurrentProgram) -> MinorSet:
     return minors
 
 
-def writable_values(automata, variables) -> dict[str, set[int]]:
+def writable_values(program) -> dict[str, set[int]]:
     """Values memory can ever hold per variable: 0 plus stored values."""
-    writable: dict[str, set[int]] = {x: {0} for x in variables}
-    for auto in automata:
+    writable: dict[str, set[int]] = {x: {0} for x in program.vars}
+    for auto in program.processes:
         for t in auto.transitions:
             if t.op.kind == "w":
                 writable[t.op.var].add(t.op.val)
@@ -305,19 +306,19 @@ def removable_own(auto) -> dict[str, set[tuple[str, int]]]:
     return out
 
 
-def live_kernel(automata, program):
+def live_kernel(program):
     """The liveness check both engines share, as live(mem, state, buf,
     table): the memory and one process entry, at `state` holding `buf`,
     with `table` the removable_own table of its process.
 
     Memory values and buffer messages must be producible: memory only
-    ever holds 0 or a value some write or atomic read-write of
-    `automata` stores to that variable, and an own-message must be
+    ever holds 0 or a value some write or atomic read-write of the
+    program stores to that variable, and an own-message must be
     consumable from its process's state per removable_own.  A
     configuration violating this is dead weight in the fixpoint: no
     backward path from it reaches all-zero memory and empty buffers.
     """
-    writable = writable_values(automata, program.vars)
+    writable = writable_values(program)
     var_index = program.var_index
 
     def live(mem, state, buf, table) -> bool:
@@ -340,7 +341,7 @@ def live_filter(program: ConcurrentProgram, own_ok):
     """Predicate for configurations that can still cover the initial
     one, live_kernel on every process entry; `own_ok` holds one
     removable_own table per process."""
-    live = live_kernel(program.processes, program)
+    live = live_kernel(program)
     return lambda c: all(map(live, itertools.repeat(c.mem), c.states, c.buffers, own_ok))
 
 
@@ -435,7 +436,9 @@ def backward_reach(
     configuration covers the initial one, code 0, only if it is the
     initial one, since word_leq(w, ()) only for w == ().  The seeds are
     target_to_minors' configurations, encoded in their order; the
-    witness chain is decoded once, at the end."""
+    witness chain is decoded once, at the end.  A target that does not
+    name one state of each process raises ValueError."""
+    target = check_target(program, target)
     own_ok = [removable_own(auto) for auto in program.processes]
     coder = backward_coder(program)
     minors = MinorSet(
@@ -446,7 +449,7 @@ def backward_reach(
     top = coder.top_shift
     stats = fixpoint(
         minors,
-        coded_preds(coder, partial(local_preds, program, own_ok, live_kernel(program.processes, program))),
+        coded_preds(coder, partial(local_preds, program, own_ok, live_kernel(program))),
         lambda code: code == 0,
         lambda code: code >> top,
         max_nodes,

@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import partial
 from typing import NamedTuple
 
-from .model import ConcurrentProgram, Transition
+from .model import ConcurrentProgram, Transition, check_target
 from .ordering import Word
 from .runs import BoundedResult, Delete, Propagate, Step, _set, bounded_bfs, tabled
 
@@ -114,9 +114,10 @@ def dtso_bounded_reach(
     target: tuple[str, ...],
     max_nodes: int | None = None,
 ) -> BoundedResult:
-    """Bounded search for the target global state with empty buffers."""
+    """Bounded search for the target global state with empty buffers;
+    a target that is not one state of each process raises ValueError."""
     init = initial_dtso_config(program)
-    return bounded_bfs("dtso", init, _local, program, bound, max_nodes, tuple(target))[0]
+    return bounded_bfs("dtso", init, _local, program, bound, max_nodes, check_target(program, target))[0]
 
 
 def dtso_reachable_empty_buffer_states(

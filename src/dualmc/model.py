@@ -100,6 +100,11 @@ class ParamProgram:
     def __post_init__(self) -> None:
         object.__setattr__(self, "var_index", {x: i for i, x in enumerate(self.vars)})
 
+    @property
+    def processes(self) -> tuple[Automaton]:
+        """The template as the one process the per-process kernels read."""
+        return (self.template,)
+
 
 def instantiate(program: ParamProgram, n: int, target: tuple[str, ...] | None = None) -> ConcurrentProgram:
     """Fixed-size instance with n copies of the template.
@@ -310,18 +315,13 @@ def validate(program: ConcurrentProgram | ParamProgram) -> list[str]:
         diags.append("domain must contain 0")
     values = set(program.values)
     variables = set(program.vars)
+    names = [a.name for a in program.processes]
+    if len(set(names)) != len(names):
+        diags.append("duplicate process name")
+    if not names:
+        diags.append("program declares no process")
 
-    if isinstance(program, ParamProgram):
-        automata = [program.template]
-    else:
-        automata = list(program.processes)
-        names = [a.name for a in automata]
-        if len(set(names)) != len(names):
-            diags.append("duplicate process name")
-        if not automata:
-            diags.append("program declares no process")
-
-    for a in automata:
+    for a in program.processes:
         seen = set()
         for t in a.transitions:
             if t in seen:
@@ -333,30 +333,37 @@ def validate(program: ConcurrentProgram | ParamProgram) -> list[str]:
             for v in (op.val, op.wval):
                 if v is not None and v not in values:
                     diags.append(f"undeclared value {v} in process {a.name!r}")
+    return diags + target_errors(program, program.target)
 
+
+def target_errors(program: ConcurrentProgram | ParamProgram, target) -> list[str]:
+    """What is wrong with `target` as a target of program; empty iff it
+    names one state of each process in order (fixed mode), or any
+    number of template states, none included (parameterized mode)."""
     if isinstance(program, ParamProgram):
-        for s in program.target:
-            if s not in program.template.states:
-                diags.append(f"ptarget names unknown state {s!r}")
-    else:
-        if len(program.target) != len(program.processes):
-            diags.append("target must name one state per process")
-        else:
-            for a, s in zip(program.processes, program.target):
-                if s not in a.states:
-                    diags.append(f"target names unknown state {s!r} of process {a.name!r}")
-    return diags
+        return [f"ptarget names unknown state {s!r}" for s in target if s not in program.template.states]
+    if len(target) != program.n:
+        return ["target must name one state per process"]
+    return [
+        f"target names unknown state {s!r} of process {a.name!r}"
+        for a, s in zip(program.processes, target)
+        if s not in a.states
+    ]
+
+
+def check_target(program: ConcurrentProgram | ParamProgram, target) -> tuple[str, ...]:
+    """target as a tuple, or ValueError with target_errors' first."""
+    errors = target_errors(program, target)
+    if errors:
+        raise ValueError(errors[0])
+    return tuple(target)
 
 
 def format_program(program: ConcurrentProgram | ParamProgram) -> str:
     """Canonical text form; parse(format(p)) is structurally equal to p."""
     out = ["vars " + " ".join(program.vars)]
     out.append("values " + " ".join(str(v) for v in program.values))
-    if isinstance(program, ParamProgram):
-        automata = [program.template]
-    else:
-        automata = list(program.processes)
-    for a in automata:
+    for a in program.processes:
         out.append(f"process {a.name}")
         out.append(f"  init {a.init}")
         for t in a.transitions:

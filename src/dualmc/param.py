@@ -3,28 +3,28 @@
 A parameterized configuration is an ordered sequence of (local state,
 load buffer) pairs plus a memory valuation; the ordering embeds a
 smaller configuration into a larger one by an order-preserving
-injection.  One backward step computes the minimal same-size
-predecessors of every rule with the fixed-size engine's per-process
-rule kernel (backward.rule_preds and backward.buffer_preds), and
-additionally predecessors that introduce one fresh process: a writer
-whose buffer is any sequence of own-messages over pairwise-distinct
-variables (every subset, value choice, order, and insertion position),
-or an empty-buffer process performing an atomic read-write.
+injection.  One backward step is the fixed-size engine's: each
+process's moves come from its per-process kernel, backward.local_preds,
+read for the template as process 0 (ParamProgram.processes), plus the
+predecessors that add one fresh process: a writer whose buffer is any
+sequence of own-messages over pairwise-distinct variables (every
+subset, value choice, order and insertion position), or an empty-buffer
+process performing an atomic read-write.  Fresh processes are added
+for every write and atomic read-write with a matching memory value,
+not only when no existing process matches the rule: the narrower
+variant misses minimal predecessors (the one-step oracle tests show
+them).
 
-Fresh-process predecessors are enumerated for every write and atomic
-read-write with a matching memory value, not only when no existing
-process matches the rule pattern; the narrower variant misses minimal
-predecessors (the one-step oracle tests in the suite exhibit them).
-The search itself is the fixed-size engine's backward.fixpoint, from
-its live seeds (backward.seed_memories), run under the parameterized
-ordering with symmetry canonicalisation: every minor is kept with its
-processes sorted (`canonical`).  A move depends only on the entry it
+The search is backward.fixpoint from the live seeds
+(backward.seed_memories) under the parameterized ordering, with every
+minor kept with its processes sorted (`canonical`), which the symmetry
+of identical processes allows.  A move depends only on the entry it
 changes (or the fresh process it adds) and the memory, so the search
-derives each move once, in tables it owns, and places each live
-candidate's new entry into the minor's sorted other entries by one
-bisection.  `predecessor_candidates` with `_canonical_step`, which
-lists the same candidates and sorts them the same way through whole
-configurations, is the reference the tests compare the tables with.
+tables each entry's moves once and places a candidate's new entry into
+the minor's sorted other entries by one bisection.
+`predecessor_candidates` with `_canonical_step`, which list the same
+candidates through whole configurations, are the reference the tests
+compare the tables with.
 """
 from __future__ import annotations
 
@@ -38,11 +38,12 @@ from .backward import (
     buffer_preds,
     fixpoint,
     live_kernel,
+    local_preds,
     removable_own,
     rule_preds,
     seed_memories,
 )
-from .model import ParamProgram
+from .model import ParamProgram, check_target
 from .ordering import Dominance, MinorSet, Word, param_leq, word_table
 from .runs import ResourceLimitError, Step, _set
 
@@ -108,7 +109,7 @@ def param_target_to_minors(program: ParamProgram, targets: tuple[str, ...], max_
     param_antichain."""
     minors = param_antichain(program)
     procs = tuple((s, ()) for s in targets)
-    for mem in seed_memories(program, [program.template], max_nodes):
+    for mem in seed_memories(program, max_nodes):
         minors.insert(ParamConfig(procs, mem))
     return minors
 
@@ -214,7 +215,7 @@ def live_filter(program: ParamProgram, own_ok):
     """Predicate mirroring the fixed-size engine's liveness cut,
     backward.live_kernel on every process entry, or on an idle one if
     there is none; every process runs the template, own_ok its table."""
-    live = live_kernel([program.template], program)
+    live = live_kernel(program)
     idle = ((program.template.init, ()),)
     return lambda a: all(live(a.mem, s, b, own_ok) for s, b in a.procs or idle)
 
@@ -263,43 +264,36 @@ def param_backward_reach(
     max_nodes: int | None = 10**7,
 ) -> BackwardStats:
     """Backward fixpoint under the parameterized ordering, weighted by
-    process count plus buffered messages.  preds lists the engine's
-    candidates in predecessor_candidates(alpha, program, False,
-    removable_own) order, a dead one as (action, None) and a live one
-    as _canonical_step gives it, so that every minor is in canonical
-    process order.
+    process count plus buffered messages.  preds lists the candidates in
+    predecessor_candidates(alpha, program, False, removable_own) order,
+    a dead one as (action, None) and a live one as _canonical_step
+    gives it, so that every minor is in canonical process order.
 
-    Each move depends on one entry and the memory only, so the search
-    owns three tables of them, each filled once per key: rule moves
-    per (transition index, buffer, memory), fresh-process moves per
-    (transition index, memory) and propagate and delete moves per
-    (state, buffer, memory).  A move is stored with its new entry, or
-    None if it is dead: as backward.local_preds does, liveness is
-    decided from the memory and that entry, which is exact since every
-    expanded minor is live, the seeds by seed_memories.  A live entry
-    is placed by one bisection into the minor's other entries (all of
-    them for a fresh process), where _canonical_step would put it.
-    A fresh writer's words are listed per state when first needed, and
-    more than max_nodes of them raise the resource limit: each word is
-    at least one candidate of the expansion that needs them, so the cap
-    would stop the search there anyway.  The search also owns its
-    antichain's word_table."""
+    The search owns two move tables, each key filled once: per (state,
+    buffer, memory), an entry's local_preds, split into its rule moves
+    per transition index and its propagate and delete moves; per
+    memory, the fresh processes each transition adds, a write's or an
+    atomic read-write's.  A move is (action class, arguments, new entry,
+    memory), the entry None if the move is dead, which the tables
+    decide from the memory and the entry alone: every expanded minor is
+    live, the seeds by seed_memories.  One loop places every live entry
+    by bisection into the minor's other entries (all of them for a
+    fresh process) and names the action there.  A fresh writer's words
+    are listed per state when first needed; more than max_nodes of
+    them raise the resource limit, since each is at least one candidate
+    of that expansion.  Targets that are not template states raise
+    ValueError."""
     if targets is None:
         targets = program.target
     # every seed buffer is empty, so sorted targets are canonical
-    seeds = param_target_to_minors(program, tuple(sorted(targets)), max_nodes)
+    seeds = param_target_to_minors(program, tuple(sorted(check_target(program, targets))), max_nodes)
     own_ok = removable_own(program.template)
-    live = live_kernel([program.template], program)
-    transitions = list(enumerate(program.template.transitions))
-    rule_moves: dict = {}
+    live = live_kernel(program)
+    transitions = program.template.transitions
+    index = {t: ti for ti, t in enumerate(transitions)}
+    entry_moves: dict = {}
     fresh_moves: dict = {}
-    local_moves: dict = {}
     words: dict = {}
-
-    def marked(state, pairs) -> list:
-        """(buffer, memory) pairs of a process at state as table moves:
-        (new entry, memory), the entry None if the move is dead."""
-        return [((state, b), m) if live(m, state, b, own_ok) else (None, m) for b, m in pairs]
 
     def writer_words(state) -> list:
         found = words.get(state)
@@ -310,66 +304,59 @@ def param_backward_reach(
                 raise ResourceLimitError(f"backward search exceeded {max_nodes} configurations")
         return found
 
+    def fill_entry(state, buf, mem) -> tuple[list, list]:
+        rules: list = [[] for _ in transitions]
+        local: list = []
+        for action, src, b, m in local_preds(program, [own_ok], live, 0, state, buf, mem):
+            entry = None if m is None else (state if src is None else src, buf if b is None else b)
+            move = (type(action), action[1:], entry, m)
+            if type(action) is Step:
+                rules[index[action.t]].append(move)
+            else:
+                local.append(move)
+        return [moves or () for moves in rules], local
+
     def fill_fresh(t, mem) -> list:
         op = t.op
-        xi = program.var_index[op.var]
-        if op.kind == "arw":
-            pairs = [((), _set(mem, xi, op.val))] if mem[xi] == op.wval else []
-        elif mem[xi] == op.val:
+        xi = program.var_index.get(op.var)
+        pairs = []
+        if op.kind == "arw" and mem[xi] == op.wval:
+            pairs = [((), _set(mem, xi, op.val))]
+        elif op.kind == "w" and mem[xi] == op.val:
             pairs = [(b, _set(mem, xi, prior)) for prior in program.values for b in writer_words(t.src)]
-        else:
-            pairs = []
-        return marked(t.src, pairs)
-
-    def fill_local(state, buf, mem) -> list:
-        return [
-            (type(action), action[1:], (state, b) if live(mem, state, b, own_ok) else None)
-            for action, b in buffer_preds(0, buf, mem, program, own_ok[state])
-        ]
+        return [(Step, (t,), (t.src, b) if live(m, t.src, b, own_ok) else None, m) for b, m in pairs]
 
     def preds(alpha: ParamConfig) -> list:
         procs, mem = alpha
         n = len(procs)
-        rests = [procs[:p] + procs[p + 1 :] for p in range(n)]
-        out: list = []
-        for ti, t in transitions:
-            for p, (state, buf) in enumerate(procs):
-                if state != t.dst:
-                    continue
-                key = (ti, buf, mem)
-                moves = rule_moves.get(key)
-                if moves is None:
-                    moves = rule_moves[key] = marked(t.src, rule_preds(t, buf, mem, program))
-                rest = rests[p]
-                for entry, m in moves:
-                    if entry is None:
-                        out.append((Step(p, t), None))
-                    else:
-                        i = bisect_left(rest, entry)
-                        out.append((Step(i, t), ParamConfig(rest[:i] + (entry,) + rest[i:], m)))
-            if t.op.kind in ("w", "arw"):
-                key = (ti, mem)
-                moves = fresh_moves.get(key)
-                if moves is None:
-                    moves = fresh_moves[key] = fill_fresh(t, mem)
-                for entry, m in moves:
-                    if entry is None:
-                        out.append((Step(n, t), None))
-                    else:
-                        i = bisect_left(procs, entry)
-                        out.append((Step(i, t), ParamConfig(procs[:i] + (entry,) + procs[i:], m)))
-        for p, (state, buf) in enumerate(procs):
+        tables = []
+        for state, buf in procs:
             key = (state, buf, mem)
-            moves = local_moves.get(key)
+            moves = entry_moves.get(key)
             if moves is None:
-                moves = local_moves[key] = fill_local(state, buf, mem)
-            rest = rests[p]
-            for cls, args, entry in moves:
+                moves = entry_moves[key] = fill_entry(state, buf, mem)
+            tables.append(moves)
+        fresh = fresh_moves.get(mem)
+        if fresh is None:
+            fresh = fresh_moves[mem] = [fill_fresh(t, mem) for t in transitions]
+        rests = [procs[:p] + procs[p + 1 :] for p in range(n)]
+        # (process named by a dead move, entries a live one goes among, moves)
+        groups = []
+        for ti, born in enumerate(fresh):
+            for p, (rules, _local) in enumerate(tables):
+                if rules[ti]:
+                    groups.append((p, rests[p], rules[ti]))
+            if born:
+                groups.append((n, procs, born))
+        groups += [(p, rests[p], local) for p, (_rules, local) in enumerate(tables)]
+        out: list = []
+        for p, rest, moves in groups:
+            for cls, args, entry, m in moves:
                 if entry is None:
                     out.append((cls(p, *args), None))
                 else:
                     i = bisect_left(rest, entry)
-                    out.append((cls(i, *args), ParamConfig(rest[:i] + (entry,) + rest[i:], mem)))
+                    out.append((cls(i, *args), ParamConfig(rest[:i] + (entry,) + rest[i:], m)))
         return out
 
     return fixpoint(

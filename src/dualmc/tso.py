@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import partial
 from typing import NamedTuple
 
-from .model import ConcurrentProgram, Transition
+from .model import ConcurrentProgram, Transition, check_target
 from .runs import BoundedResult, Step, Update, _set, bounded_bfs, tabled
 
 
@@ -109,10 +109,11 @@ def tso_bounded_reach(
     over configurations whose buffers never exceed `bound`.
 
     A reachable verdict carries a shortest witness run.  A safe verdict
-    is only bound-relative when bound_exceeded is set.
+    is only bound-relative when bound_exceeded is set.  A target that
+    does not name one state of each process raises ValueError.
     """
     init = initial_tso_config(program)
-    return bounded_bfs("tso", init, _local, program, bound, max_nodes, tuple(target))[0]
+    return bounded_bfs("tso", init, _local, program, bound, max_nodes, check_target(program, target))[0]
 
 
 def tso_reachable_empty_buffer_states(

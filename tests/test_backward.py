@@ -321,7 +321,7 @@ def test_seeds_are_live_and_one_per_writable_memory(monkeypatch):
     monkeypatch.setattr(dualmc.param, "fixpoint", keep_seeds)
     monkeypatch.setattr(dualmc.backward, "backward_coder", keep_coder)
 
-    def seeded(prog, automata, search, decode) -> list:
+    def seeded(prog, search, decode) -> list:
         """The seeds search(prog) starts from, checked for their count
         and product order."""
         try:
@@ -329,7 +329,7 @@ def test_seeds_are_live_and_one_per_writable_memory(monkeypatch):
         except ResourceLimitError:
             pass
         built = [decode(c) for c in seeds.pop()]
-        writable = writable_values(automata, prog.vars)
+        writable = writable_values(prog)
         mems = [c.mem for c in built]
         assert len(mems) == math.prod(len(writable[x]) for x in prog.vars), prog
         assert mems == sorted(set(mems)), prog
@@ -341,7 +341,7 @@ def test_seeds_are_live_and_one_per_writable_memory(monkeypatch):
         prog = random_program(rng, n_vals=3)
         live = live_filter(prog, [removable_own(auto) for auto in prog.processes])
         search = lambda p: backward_reach(p, p.target, max_nodes=2000)
-        built = seeded(prog, prog.processes, search, lambda code: coders[-1].decode(code))
+        built = seeded(prog, search, lambda code: coders[-1].decode(code))
         for c in built:
             assert c.states == prog.target and not any(c.buffers) and live(c), (prog, c)
         dead += len(prog.values) ** len(prog.vars) - len(built)
@@ -349,7 +349,7 @@ def test_seeds_are_live_and_one_per_writable_memory(monkeypatch):
         pprog = ParamProgram(prog.vars, prog.values, tpl, (tpl.init,))
         plive = dualmc.param.live_filter(pprog, removable_own(tpl))
         search = lambda p: param_backward_reach(p, max_nodes=2000)
-        for a in seeded(pprog, [tpl], search, lambda a: a):
+        for a in seeded(pprog, search, lambda a: a):
             assert a.procs == ((tpl.init, ()),) and plive(a), (pprog, a)
     assert dead > 0
 
@@ -435,7 +435,7 @@ def test_move_table_liveness_marks_exactly_the_dead_candidates():
         prog = random_program(rng, n_procs=2, max_states=3)
         own_ok = [removable_own(auto) for auto in prog.processes]
         live = live_filter(prog, own_ok)
-        kernel = live_kernel(prog.processes, prog)
+        kernel = live_kernel(prog)
         coder = backward_coder(prog)
         fills: list = []
         preds = coded_preds(coder, _counted_fill(prog, own_ok, kernel, fills))
@@ -463,7 +463,7 @@ def test_coded_candidates_reencode_to_their_codes():
         own_ok = [removable_own(auto) for auto in prog.processes]
         live = live_filter(prog, own_ok)
         coder = backward_coder(prog)
-        preds = coded_preds(coder, partial(local_preds, prog, own_ok, live_kernel(prog.processes, prog)))
+        preds = coded_preds(coder, partial(local_preds, prog, own_ok, live_kernel(prog)))
         for _ in range(40):
             c = random_dtso_config(rng, prog, max_buf=2)
             if not live(c):

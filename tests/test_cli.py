@@ -379,6 +379,29 @@ def test_text_witness_line(capsys):
     assert second == "witness=" + ";".join(json.loads(json_out)["witness"])
 
 
+THREE_WRITERS = "vars x\nvalues 0 1\nprocess proc\n  init q0\n  trans q0 q1 w x 1\nend\nptarget q1 q1 q1\n"
+
+
+def test_param_witness_labels_are_positions(capsys, tmp_path):
+    """In a param witness, #k is the acting process's position in the
+    minor the step is taken from (chain[i]), which keeps its processes
+    sorted: each writer is #1 at q0 and, holding its write, sorts last
+    among the three, so it deletes as #3."""
+    path = tmp_path / "writers.lit"
+    path.write_text(THREE_WRITERS)
+    code, out, _ = invoke(capsys, "param", str(path), "--witness")
+    assert code == 1
+    assert out.splitlines()[1] == "witness=" + ";".join(["#1 w x 1 q1", "#3 delete"] * 3)
+    stats = dualmc.param_backward_reach(parse_program(THREE_WRITERS))
+    written = ("q1", (("x", 1, True),))
+    for i, action in enumerate(stats.witness):
+        k = action.proc
+        if isinstance(action, Step):
+            assert stats.chain[i].procs[k] == ("q0", ()) and stats.chain[i + 1].procs[2] == written
+        else:
+            assert stats.chain[i].procs[k] == written
+
+
 def test_explore_safe_within_bound(capsys, tmp_path):
     """A program without writes never fills a store buffer: an
     unreachable target is safe within the bound, not bound-exceeded."""

@@ -49,3 +49,46 @@ def test_own_decompose_is_the_only_process_wide_cache():
         for name in _cached(ast.parse(path.read_text(), str(path)))
     ]
     assert found == ["ordering.own_decompose"]
+
+
+KERNEL = {"rule_preds", "buffer_preds"}
+
+
+def _users(tree: ast.AST, names: set[str], scope: str = "") -> set[str]:
+    """Dotted names of the functions in tree that refer to one of
+    `names`, by plain name or as an attribute; a nested function is
+    named under its outer one and its references are its own, and a
+    reference outside any function is under ''."""
+    found = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found |= _users(node, names, f"{scope}.{node.name}" if scope else node.name)
+            continue
+        name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+        if name in names:
+            found.add(scope)
+        found |= _users(node, names, scope)
+    return found
+
+
+def test_reference_scan_names_the_innermost_function():
+    text = (
+        "from m import rule_preds\ndef a():\n    return rule_preds(1)\n"
+        "def b():\n    def c():\n        return m.buffer_preds\n    return c\n"
+        "class K:\n    def d(self):\n        return map(rule_preds, [])\n"
+        "def rule_preds(): pass\n"
+    )
+    assert _users(ast.parse(text), KERNEL) == {"a", "b.c", "K.d"}
+
+
+def test_only_the_kernel_and_its_oracle_call_the_rule_and_buffer_moves():
+    """Both engines read their per-process moves through
+    backward.local_preds; param.predecessor_candidates, the reference
+    the parameterized tables are tested against, is the one other
+    function that calls rule_preds or buffer_preds."""
+    found = {
+        f"{path.stem}.{name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in _users(ast.parse(path.read_text(), str(path)), KERNEL)
+    }
+    assert found == {"backward.local_preds", "param.predecessor_candidates"}

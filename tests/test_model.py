@@ -4,11 +4,15 @@ from dualmc import (
     ConcurrentProgram,
     ParamProgram,
     ParseError,
+    backward_reach,
+    dtso_bounded_reach,
     format_program,
     initial_dtso_config,
     initial_tso_config,
     instantiate,
+    param_backward_reach,
     parse_program,
+    tso_bounded_reach,
     validate,
 )
 from dualmc.model import Automaton, Op, Transition
@@ -149,3 +153,44 @@ def test_instantiate_param_program():
     assert all(a.init == param.template.init for a in inst.processes)
     c = initial_dtso_config(inst)
     assert c.states == ("q0", "q0", "q0") and c.mem == (0, 0)
+
+
+FIXED_ENGINES = {
+    "backward": lambda p, target: backward_reach(p, target, max_nodes=10_000),
+    "tso": lambda p, target: tso_bounded_reach(p, 1, target),
+    "dtso": lambda p, target: dtso_bounded_reach(p, 1, target),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(FIXED_ENGINES))
+@pytest.mark.parametrize(
+    "target, message",
+    [
+        (("CS",), "target must name one state per process"),
+        (("CS", "CS", "zz"), "target must name one state per process"),
+        (("nope", "nope"), "target names unknown state 'nope' of process 'p0'"),
+        (("CS", "nope"), "target names unknown state 'nope' of process 'p1'"),
+    ],
+)
+def test_fixed_engines_reject_a_malformed_target(engine, target, message):
+    """A target that would fail validate as the program's own raises
+    ValueError with validate's first message in every fixed-mode
+    engine.  Unchecked, too short a target is encoded into the buffer
+    fields and reads as unreachable, and too long a one or an unknown
+    state raises IndexError or KeyError."""
+    prog = corpus_program("dekker-simple.lit")
+    with pytest.raises(ValueError) as err:
+        FIXED_ENGINES[engine](prog, target)
+    assert str(err.value) == message
+    FIXED_ENGINES[engine](prog, prog.target)  # the program's own is accepted
+
+
+def test_param_engine_rejects_unknown_target_states():
+    """Unknown template states raise ValueError, not a KeyError from
+    the dominance fields; an empty target stays valid (the zero-process
+    configuration covers the initial one)."""
+    prog = corpus_program("sb-param.lit")
+    with pytest.raises(ValueError, match="ptarget names unknown state 'nope'"):
+        param_backward_reach(prog, ("nope",))
+    assert param_backward_reach(prog, ()).verdict == "Reachable"
+    assert validate(ParamProgram(prog.vars, prog.values, prog.template, ())) == []

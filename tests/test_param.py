@@ -620,45 +620,32 @@ def test_dead_seeds_are_never_built():
 
 
 def test_move_tables_fill_each_key_once(monkeypatch):
-    """Within one search of each param file, rule_preds runs exactly
-    once per distinct (transition, buffer, memory) and buffer_preds once
-    per distinct (state, buffer, memory); a second search of the same
-    program makes the same calls again and returns equal stats, so no
-    table outlives its search."""
-    rule_keys, local_keys, tables = [], [], []
-    rule_preds, buffer_preds = dualmc.param.rule_preds, dualmc.param.buffer_preds
-    removable = dualmc.param.removable_own
+    """Within one search of each param file, backward.local_preds, the
+    per-process kernel both engines share, runs exactly once per
+    distinct (state, buffer, memory) entry, as process 0 of the
+    template; a second search of the same program makes the same calls
+    again and returns equal stats, so no table outlives its search."""
+    keys = []
+    local_preds = dualmc.param.local_preds
 
-    def counting_rule(t, buf, mem, program):
-        rule_keys.append((t, buf, mem))
-        return rule_preds(t, buf, mem, program)
+    def counting(program, removable, live, p, state, buf, mem):
+        assert p == 0 and program.processes == (program.template,)
+        keys.append((state, buf, mem))
+        return local_preds(program, removable, live, p, state, buf, mem)
 
-    def counting_buffer(p, buf, mem, program, allowed=None):
-        # the state is the one whose removable_own set the search passes
-        state = next(s for s, own_ok in tables[-1].items() if own_ok is allowed)
-        local_keys.append((state, buf, mem))
-        return buffer_preds(p, buf, mem, program, allowed)
-
-    def recording_removable(auto):
-        tables.append(removable(auto))
-        return tables[-1]
-
-    monkeypatch.setattr(dualmc.param, "rule_preds", counting_rule)
-    monkeypatch.setattr(dualmc.param, "buffer_preds", counting_buffer)
-    monkeypatch.setattr(dualmc.param, "removable_own", recording_removable)
-    files = sorted(CORPUS.glob("*-param.lit"))
-    for path in files:
+    monkeypatch.setattr(dualmc.param, "local_preds", counting)
+    fills = 0
+    for path in sorted(CORPUS.glob("*-param.lit")):
         prog = corpus_program(path.name)
         runs = []
         for _ in range(2):
-            rule_keys.clear()
-            local_keys.clear()
+            keys.clear()
             stats = param_backward_reach(prog)
-            assert len(rule_keys) == len(set(rule_keys)) > 0, path.name
-            assert len(local_keys) == len(set(local_keys)) > 0, path.name
-            runs.append((stats, rule_keys[:], local_keys[:]))
+            assert len(keys) == len(set(keys)) > 0, path.name
+            runs.append((stats, keys[:]))
         assert runs[0] == runs[1], path.name
-    assert len(tables) == 2 * len(files)
+        fills += len(keys)
+    assert fills == 663
 
 
 def wide_writer(n: int) -> str:
