@@ -12,7 +12,6 @@ from .backward import (
     backward_reach,
     concretize_witness,
     minpre_config,
-    target_to_minors,
 )
 from .dtso import (
     DtsoConfig,
@@ -47,7 +46,6 @@ from .param import (
     param_backward_reach,
     param_covers_initial,
     param_minpre,
-    param_target_to_minors,
 )
 from .runs import Delete, Propagate, ResourceLimitError, Run, RunError, Step, Update, replay
 from .translate import (

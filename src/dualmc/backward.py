@@ -6,7 +6,8 @@ minimal configurations.  One backward step computes, for a minimal
 configuration, the minimal predecessors under every rule; the target is
 the set of empty-buffer configurations at the target global state over
 all memory valuations, of which only the live ones, those the writes
-can produce, are built (seed_memories).  The search is reachable as
+can produce, are built (seed_memories), straight into the antichain
+the search saturates.  The search is reachable as
 soon as a generated minimal configuration covers the initial
 configuration, and unreachable when the antichain reaches a fixpoint.
 
@@ -69,17 +70,6 @@ def seed_memories(program, max_nodes: int | None):
     if max_nodes is not None and math.prod(map(len, pools)) > max_nodes:
         raise ResourceLimitError(f"backward search exceeded {max_nodes} configurations")
     return itertools.product(*pools)
-
-
-def target_to_minors(program: ConcurrentProgram, target: tuple[str, ...], max_nodes: int | None) -> MinorSet:
-    """Empty-buffer configurations at the target state, one per
-    seed_memories memory, pairwise incomparable by construction, in an
-    antichain under config_leq."""
-    minors = MinorSet(config_leq, key=_config_key)
-    buffers = tuple(() for _ in program.processes)
-    for mem in seed_memories(program, max_nodes):
-        minors.insert(DtsoConfig(tuple(target), buffers, mem))
-    return minors
 
 
 def _splits_without_own(w: Word, var: str):
@@ -434,18 +424,21 @@ def backward_reach(
     by the memory and states fields, its signature pre-filter is the
     own-delimiter fields and the weight is the top field.  A
     configuration covers the initial one, code 0, only if it is the
-    initial one, since word_leq(w, ()) only for w == ().  The seeds are
-    target_to_minors' configurations, encoded in their order; the
-    witness chain is decoded once, at the end.  A target that does not
-    name one state of each process raises ValueError."""
+    initial one, since word_leq(w, ()) only for w == ().  The seeds,
+    one empty-buffer configuration at the target per seed_memories
+    memory, go into that antichain encoded, in that order; their
+    memories differ, so each is inserted.  The witness chain is decoded
+    once, at the end.  A target that does not name one state of each
+    process raises ValueError."""
     target = check_target(program, target)
     own_ok = [removable_own(auto) for auto in program.processes]
     coder = backward_coder(program)
     minors = MinorSet(
         coded_leq(coder), key=coder.memory_and_states_mask.__and__, sig=coder.summaries_mask.__and__
     )
-    for c in target_to_minors(program, target, max_nodes):
-        minors.insert(coder.encode(c))
+    buffers = tuple(() for _ in program.processes)
+    for mem in seed_memories(program, max_nodes):
+        minors.insert(coder.encode(DtsoConfig(target, buffers, mem)))
     top = coder.top_shift
     stats = fixpoint(
         minors,

@@ -109,17 +109,18 @@ class ParamProgram:
 def instantiate(program: ParamProgram, n: int, target: tuple[str, ...] | None = None) -> ConcurrentProgram:
     """Fixed-size instance with n copies of the template.
 
-    `target` must give one local state per copy; it defaults to the
-    template's init state everywhere, which is rarely what a caller
-    wants for a reachability query.
+    `target` must give one template state per copy (check_target,
+    ValueError otherwise); it defaults to the template's init state
+    everywhere, which is rarely what a caller wants for a reachability
+    query.
     """
     t = program.template
     procs = tuple(Automaton(f"{t.name}{i + 1}", t.init, t.transitions) for i in range(n))
     if target is None:
         target = tuple(t.init for _ in range(n))
-    if len(target) != n:
-        raise ValueError("instance target must name one state per process")
-    return ConcurrentProgram(program.vars, program.values, procs, target)
+    inst = ConcurrentProgram(program.vars, program.values, procs, tuple(target))
+    check_target(inst, inst.target)
+    return inst
 
 
 class ParseError(Exception):

@@ -16,7 +16,8 @@ variant misses minimal predecessors (the one-step oracle tests show
 them).
 
 The search is backward.fixpoint from the live seeds
-(backward.seed_memories) under the parameterized ordering, with every
+(backward.seed_memories), built straight into the param_antichain it
+saturates, under the parameterized ordering, with every
 minor kept with its processes sorted (`canonical`), which the symmetry
 of identical processes allows.  A move depends only on the entry it
 changes (or the fresh process it adds) and the memory, so the search
@@ -103,17 +104,6 @@ def param_antichain(program: ParamProgram) -> MinorSet:
     return MinorSet(leq, key=lambda a: a.mem, dom=param_dominance(program.template.states))
 
 
-def param_target_to_minors(program: ParamProgram, targets: tuple[str, ...], max_nodes: int | None) -> MinorSet:
-    """One empty-buffer configuration per backward.seed_memories memory,
-    with exactly the listed target states in the listed order, in a
-    param_antichain."""
-    minors = param_antichain(program)
-    procs = tuple((s, ()) for s in targets)
-    for mem in seed_memories(program, max_nodes):
-        minors.insert(ParamConfig(procs, mem))
-    return minors
-
-
 def param_covers_initial(alpha: ParamConfig, program: ParamProgram) -> bool:
     """True iff alpha embeds into the initial configuration of every
     large-enough instance: all processes initial with empty buffers,
@@ -134,16 +124,6 @@ def _fresh_writer_buffers(program: ParamProgram, allowed=None):
                 yield tuple((x, v, True) for x, v in zip(xs, vs))
 
 
-def fresh_writer_table(program: ParamProgram, removable=None) -> dict[str, list[Word]]:
-    """Per source state of a template write, the buffers a fresh writer
-    may hold there: over the own-messages in that state's `removable`
-    set if given, over all own-messages if not."""
-    return {
-        s: list(_fresh_writer_buffers(program, None if removable is None else removable[s]))
-        for s in {t.src for t in program.template.transitions if t.op.kind == "w"}
-    }
-
-
 def predecessor_candidates(
     alpha: ParamConfig,
     program: ParamProgram,
@@ -157,15 +137,14 @@ def predecessor_candidates(
     engine, which canonicalizes minors by sorting, passes
     all_positions=False (one insertion position per fresh process
     represents its whole permutation orbit) and passes the template's
-    removable_own table as `removable`, so that fresh writers hold and
-    delete predecessors re-append only own-messages consumable from
-    their state.  This is the oracle the engine's move tables
-    (param_backward_reach) are tested against.
+    removable_own table as `removable`, so that fresh writers hold, at
+    the write's source state, and delete predecessors re-append only
+    own-messages consumable from their state.  This is the oracle the
+    engine's move tables (param_backward_reach) are tested against.
     """
     values = program.values
     procs = alpha.procs
     out: list[tuple[object, ParamConfig]] = []
-    fresh = fresh_writer_table(program, removable)
 
     for t in program.template.transitions:
         op = t.op
@@ -181,9 +160,10 @@ def predecessor_candidates(
             xi = program.var_index[op.var]
             if alpha.mem[xi] != op.val:
                 continue
+            words = list(_fresh_writer_buffers(program, None if removable is None else removable[t.src]))
             for prior in values:
                 mem = _set(alpha.mem, xi, prior)
-                for fresh_buf in fresh[t.src]:
+                for fresh_buf in words:
                     for pos in positions:
                         pred = ParamConfig(procs[:pos] + ((t.src, fresh_buf),) + procs[pos:], mem)
                         out.append((Step(pos, t), pred))
@@ -267,7 +247,10 @@ def param_backward_reach(
     process count plus buffered messages.  preds lists the candidates in
     predecessor_candidates(alpha, program, False, removable_own) order,
     a dead one as (action, None) and a live one as _canonical_step
-    gives it, so that every minor is in canonical process order.
+    gives it, so that every minor is in canonical process order.  The
+    seeds, the sorted targets with empty buffers over each
+    seed_memories memory in its order, go straight into the
+    param_antichain the search saturates.
 
     The search owns two move tables, each key filled once: per (state,
     buffer, memory), an entry's local_preds, split into its rule moves
@@ -286,7 +269,10 @@ def param_backward_reach(
     if targets is None:
         targets = program.target
     # every seed buffer is empty, so sorted targets are canonical
-    seeds = param_target_to_minors(program, tuple(sorted(check_target(program, targets))), max_nodes)
+    seeds = param_antichain(program)
+    at_target = tuple((s, ()) for s in sorted(check_target(program, targets)))
+    for mem in seed_memories(program, max_nodes):
+        seeds.insert(ParamConfig(at_target, mem))
     own_ok = removable_own(program.template)
     live = live_kernel(program)
     transitions = program.template.transitions

@@ -72,6 +72,38 @@ def corpus_program(name: str):
 OP_KINDS = ("r", "w", "r", "w", "nop", "fence", "arw")
 
 
+class _Seeded(Exception):
+    """Stops a search once it has handed fixpoint its seeds."""
+
+
+def engine_seeds(monkeypatch, search) -> list:
+    """The seeds search() hands backward.fixpoint, in their order; the
+    search stops there.  A fixed-size search's seeds are decoded by its
+    own backward_coder, a parameterized one's are ParamConfigs."""
+    import dualmc.backward
+    import dualmc.param
+
+    seeds: list = []
+    coders: list = []
+    real_coder = dualmc.backward.backward_coder
+
+    def keep_seeds(minors, preds, covers, weight, max_nodes):
+        seeds.extend(minors.elements())
+        raise _Seeded
+
+    def keep_coder(program):
+        coders.append(real_coder(program))
+        return coders[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(dualmc.backward, "fixpoint", keep_seeds)
+        m.setattr(dualmc.param, "fixpoint", keep_seeds)
+        m.setattr(dualmc.backward, "backward_coder", keep_coder)
+        with pytest.raises(_Seeded):
+            search()
+    return [coders[-1].decode(c) for c in seeds] if coders else seeds
+
+
 def random_program(
     rng: random.Random,
     n_procs: int = 2,

@@ -20,7 +20,6 @@ from dualmc import (
     initial_dtso_config,
     minpre_config,
     replay,
-    target_to_minors,
     tso_bounded_reach,
 )
 from dualmc.backward import (
@@ -32,32 +31,39 @@ from dualmc.backward import (
     local_preds,
     predecessor_candidates,
     removable_own,
+    seed_memories,
     writable_values,
 )
 from dualmc.model import ParamProgram, parse_program
 from dualmc.param import param_backward_reach
-from dualmc.runs import ResourceLimitError
 
-from conftest import config_down, corpus_program, pad_with_plains, random_dtso_config, random_program
+from conftest import (
+    config_down,
+    corpus_program,
+    engine_seeds,
+    pad_with_plains,
+    random_dtso_config,
+    random_program,
+)
 
 own = lambda x, v: (x, v, True)
 plain = lambda x, v: (x, v, False)
 
 
-def test_target_minor_count(sb2):
-    minors = target_to_minors(sb2, ("q2", "q3"), None)
+def test_target_minor_count(sb2, monkeypatch):
+    seeds = engine_seeds(monkeypatch, lambda: backward_reach(sb2, ("q2", "q3")))
     # one seed per writable memory: x in {0, 1, 2}, y in {0, 1}
-    assert len(minors) == 6
-    assert [c.mem for c in minors] == [(x, y) for x in (0, 1, 2) for y in (0, 1)]
-    for c in minors:
+    assert len(seeds) == 6
+    assert [c.mem for c in seeds] == [(x, y) for x in (0, 1, 2) for y in (0, 1)]
+    for c in seeds:
         assert c.states == ("q2", "q3") and c.buffers == ((), ())
         padded = DtsoConfig(c.states, ((plain("x", 0),), ()), c.mem)
         assert config_leq(c, padded)
 
 
-def test_target_minor_count_single_value():
+def test_target_minor_count_single_value(monkeypatch):
     prog = parse_program("vars x\nvalues 0\nprocess P\n init q0\nend\ntarget P=q0\n")
-    assert len(target_to_minors(prog, ("q0",), None)) == 1
+    assert len(engine_seeds(monkeypatch, lambda: backward_reach(prog, ("q0",)))) == 1
 
 
 def test_covers_initial(sb2):
@@ -221,12 +227,12 @@ def _full_fixpoint(prog):
     final antichain under the engine's liveness cut."""
     from collections import deque
 
-    from dualmc.ordering import MinorSet
-
     live = live_filter(prog, [removable_own(auto) for auto in prog.processes])
     minors = MinorSet(config_leq, key=lambda c: (c.states, c.mem))
     work = deque()
-    for tc in target_to_minors(prog, prog.target, None).elements():
+    buffers = tuple(() for _ in prog.processes)
+    for mem in seed_memories(prog, None):
+        tc = DtsoConfig(prog.target, buffers, mem)
         minors.insert(tc)
         if live(tc):
             work.append(tc)
@@ -305,30 +311,11 @@ def test_seeds_are_live_and_one_per_writable_memory(monkeypatch):
     """Both engines hand fixpoint one empty-buffer seed at the target
     per memory over each variable's writable_values, in product order,
     and every seed passes live_filter."""
-    seeds = []
-    coders = []
-    real, real_coder = dualmc.backward.fixpoint, dualmc.backward.backward_coder
 
-    def keep_seeds(minors, *rest):
-        seeds.append(minors.elements())
-        return real(minors, *rest)
-
-    def keep_coder(program):
-        coders.append(real_coder(program))
-        return coders[-1]
-
-    monkeypatch.setattr(dualmc.backward, "fixpoint", keep_seeds)
-    monkeypatch.setattr(dualmc.param, "fixpoint", keep_seeds)
-    monkeypatch.setattr(dualmc.backward, "backward_coder", keep_coder)
-
-    def seeded(prog, search, decode) -> list:
+    def seeded(prog, search) -> list:
         """The seeds search(prog) starts from, checked for their count
         and product order."""
-        try:
-            search(prog)
-        except ResourceLimitError:
-            pass
-        built = [decode(c) for c in seeds.pop()]
+        built = engine_seeds(monkeypatch, lambda: search(prog))
         writable = writable_values(prog)
         mems = [c.mem for c in built]
         assert len(mems) == math.prod(len(writable[x]) for x in prog.vars), prog
@@ -341,7 +328,7 @@ def test_seeds_are_live_and_one_per_writable_memory(monkeypatch):
         prog = random_program(rng, n_vals=3)
         live = live_filter(prog, [removable_own(auto) for auto in prog.processes])
         search = lambda p: backward_reach(p, p.target, max_nodes=2000)
-        built = seeded(prog, search, lambda code: coders[-1].decode(code))
+        built = seeded(prog, search)
         for c in built:
             assert c.states == prog.target and not any(c.buffers) and live(c), (prog, c)
         dead += len(prog.values) ** len(prog.vars) - len(built)
@@ -349,7 +336,7 @@ def test_seeds_are_live_and_one_per_writable_memory(monkeypatch):
         pprog = ParamProgram(prog.vars, prog.values, tpl, (tpl.init,))
         plive = dualmc.param.live_filter(pprog, removable_own(tpl))
         search = lambda p: param_backward_reach(p, max_nodes=2000)
-        for a in seeded(pprog, search, lambda a: a):
+        for a in seeded(pprog, search):
             assert a.procs == ((tpl.init, ()),) and plive(a), (pprog, a)
     assert dead > 0
 

@@ -54,21 +54,37 @@ def test_own_decompose_is_the_only_process_wide_cache():
 KERNEL = {"rule_preds", "buffer_preds"}
 
 
-def _users(tree: ast.AST, names: set[str], scope: str = "") -> set[str]:
-    """Dotted names of the functions in tree that refer to one of
-    `names`, by plain name or as an attribute; a nested function is
-    named under its outer one and its references are its own, and a
-    reference outside any function is under ''."""
+def _name(node: ast.AST) -> str | None:
+    """The name a plain name or an attribute refers to, else None."""
+    return node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+
+
+def _scopes(tree: ast.AST, hit, scope: str = "") -> set[str]:
+    """Dotted names of the functions in tree holding a node that
+    hit(node) accepts; a nested function is named under its outer one
+    and its nodes are its own, and a node outside any function is
+    under ''."""
     found = set()
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            found |= _users(node, names, f"{scope}.{node.name}" if scope else node.name)
+            found |= _scopes(node, hit, f"{scope}.{node.name}" if scope else node.name)
             continue
-        name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
-        if name in names:
+        if hit(node):
             found.add(scope)
-        found |= _users(node, names, scope)
+        found |= _scopes(node, hit, scope)
     return found
+
+
+def _users(tree: ast.AST, names: set[str]) -> set[str]:
+    """The functions in tree that refer to one of `names`, by plain
+    name or as an attribute."""
+    return _scopes(tree, lambda node: _name(node) in names)
+
+
+def _callers(tree: ast.AST, name: str) -> set[str]:
+    """The functions in tree that call `name`, by plain name or as an
+    attribute; annotations and other references do not count."""
+    return _scopes(tree, lambda node: isinstance(node, ast.Call) and _name(node.func) == name)
 
 
 def test_reference_scan_names_the_innermost_function():
@@ -92,3 +108,26 @@ def test_only_the_kernel_and_its_oracle_call_the_rule_and_buffer_moves():
         for name in _users(ast.parse(path.read_text(), str(path)), KERNEL)
     }
     assert found == {"backward.local_preds", "param.predecessor_candidates"}
+
+
+def test_call_scan_ignores_annotations_and_plain_references():
+    text = (
+        "from m import MinorSet\ndef a() -> MinorSet:\n    return MinorSet(1)\n"
+        "def b(x: MinorSet):\n    def c():\n        return m.MinorSet(2)\n    return MinorSet\n"
+        "class K:\n    def d(self):\n        return [MinorSet]\n"
+        "E = MinorSet(3)\n"
+    )
+    assert _callers(ast.parse(text), "MinorSet") == {"a", "b.c", ""}
+
+
+def test_each_engine_builds_the_one_antichain_it_searches():
+    """The fixed-size engine builds its antichain in backward_reach and
+    the parameterized one through param_antichain, and both put their
+    seeds straight into it; backward.minpre_config, the one-step
+    reference, is the only other function that makes a MinorSet."""
+    found = {
+        f"{path.stem}.{name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in _callers(ast.parse(path.read_text(), str(path)), "MinorSet")
+    }
+    assert found == {"backward.backward_reach", "backward.minpre_config", "param.param_antichain"}

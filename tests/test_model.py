@@ -155,6 +155,25 @@ def test_instantiate_param_program():
     assert c.states == ("q0", "q0", "q0") and c.mem == (0, 0)
 
 
+def test_instantiate_rejects_an_unknown_target_state():
+    """An instance target naming a state the template lacks raises
+    ValueError where the instance is made, with the message validate
+    would give for the instance; a known one passes validate."""
+    param = corpus_program("sb-param.lit")
+    with pytest.raises(ValueError, match="^target names unknown state 'nope' of process 'proc1'$"):
+        instantiate(param, 2, ("nope", "nope"))
+    with pytest.raises(ValueError, match="^target names unknown state 'zz' of process 'proc2'$"):
+        instantiate(param, 2, ["a2", "zz"])
+    assert validate(instantiate(param, 2, ["a2", "b2"])) == []
+
+
+@pytest.mark.parametrize("target", [(), ("a2",), ("a2", "b2", "a2")])
+def test_instantiate_rejects_a_target_of_the_wrong_length(target):
+    param = corpus_program("sb-param.lit")
+    with pytest.raises(ValueError, match="^target must name one state per process$"):
+        instantiate(param, 2, target)
+
+
 FIXED_ENGINES = {
     "backward": lambda p, target: backward_reach(p, target, max_nodes=10_000),
     "tso": lambda p, target: tso_bounded_reach(p, 1, target),

@@ -16,7 +16,6 @@ from dualmc import (
     param_covers_initial,
     param_leq,
     param_minpre,
-    param_target_to_minors,
     parse_program,
     subword,
 )
@@ -34,6 +33,7 @@ from dualmc.param import (
 from conftest import (
     CORPUS,
     corpus_program,
+    engine_seeds,
     param_down,
     param_successors,
     random_param_config,
@@ -48,26 +48,25 @@ def tiny_template(transitions, variables=("x",), values=(0, 1)) -> ParamProgram:
     return ParamProgram(tuple(variables), tuple(values), auto, ())
 
 
-def test_target_minors_shape():
+def test_target_minors_shape(monkeypatch):
     prog = tiny_template(
         [Transition("q0", Op("w", "x", 1), "q2"), Transition("q0", Op("nop"), "q3")]
     )
-    minors = param_target_to_minors(prog, ("q2", "q3"), None)
-    assert len(minors) == 2  # one seed per writable memory: x in {0, 1}
-    for alpha in minors:
+    elems = engine_seeds(monkeypatch, lambda: param_backward_reach(prog, ("q2", "q3")))
+    assert len(elems) == 2  # one seed per writable memory: x in {0, 1}
+    for alpha in elems:
         assert [s for s, _b in alpha.procs] == ["q2", "q3"]
         assert all(b == () for _s, b in alpha.procs)
-    elems = minors.elements()
     assert not param_leq(elems[0], elems[1])
     assert not param_leq(elems[1], elems[0])
 
 
-def test_empty_target_covers_initial_only_with_zero_memory():
+def test_empty_target_covers_initial_only_with_zero_memory(monkeypatch):
     prog = tiny_template([Transition("q0", Op("w", "x", 1), "q1")])
-    minors = param_target_to_minors(prog, (), None)
+    seeds = engine_seeds(monkeypatch, lambda: param_backward_reach(prog, ()))
     zero = ParamConfig((), (0,))
     one = ParamConfig((), (1,))
-    assert zero in minors.elements() and one in minors.elements()
+    assert zero in seeds and one in seeds
     assert param_covers_initial(zero, prog)
     assert not param_covers_initial(one, prog)
 
