@@ -19,20 +19,27 @@ The search is backward.fixpoint from the live seeds
 (backward.seed_memories), built straight into the param_antichain it
 saturates, under the parameterized ordering, with every
 minor kept with its processes sorted (`canonical`), which the symmetry
-of identical processes allows.  A move depends only on the entry it
-changes (or the fresh process it adds) and the memory, so the search
-tables each entry's moves once and places a candidate's new entry into
-the minor's sorted other entries by one bisection.
+of identical processes allows.  It runs over coded configurations
+from a ParamCoder it owns: each (state, buffer) entry is interned to a
+small id, a minor is (entry ids, memory), and the ordering
+(coded_param_leq), the dominance pre-filter, the worklist weight and
+the covers-initial test read per-id values fixed when the id was
+interned.  A move depends only on the entry it changes (or the fresh
+process it adds) and the memory, so the search tables each entry id's
+moves once and places a candidate's new entry into the minor's sorted
+other entries by one bisection.
 `predecessor_candidates` with `_canonical_step`, which list the same
-candidates through whole configurations, are the reference the tests
-compare the tables with.
+candidates through whole configurations, and param_leq and
+param_dominance on them, are the references the tests compare the
+coded search with.
 """
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
 from functools import partial
-from typing import NamedTuple
+from operator import itemgetter
+from typing import Callable, NamedTuple
 
 from .backward import (
     BackwardStats,
@@ -45,7 +52,7 @@ from .backward import (
     seed_memories,
 )
 from .model import ParamProgram, check_target
-from .ordering import Dominance, MinorSet, Word, param_leq, word_table
+from .ordering import Dominance, MinorSet, Word, param_leq, word_leq, word_table
 from .runs import ResourceLimitError, Step, _set
 
 FIELD_BITS = 32  # width of one dominance field, guard bit not counted
@@ -96,12 +103,111 @@ def param_dominance(states) -> Dominance:
     return Dominance(pack, guard)
 
 
-def param_antichain(program: ParamProgram) -> MinorSet:
-    """An empty antichain under param_leq over a word_table it owns,
-    bucketed by memory, with the dominance pre-filter of the template's
-    states."""
-    leq = partial(param_leq, wleq=word_table())
-    return MinorSet(leq, key=lambda a: a.mem, dom=param_dominance(program.template.states))
+def param_antichain(leq, dom: Dominance) -> MinorSet:
+    """An empty antichain of parameterized minors, ParamConfigs or
+    ParamCoder minors, under `leq`, bucketed by memory (field 1 of
+    either), with the dominance pre-filter `dom`."""
+    return MinorSet(leq, key=itemgetter(1), dom=dom)
+
+
+class ParamCoder:
+    """Parameterized configurations of one template as minors (entry
+    ids, memory), owned by one search.
+
+    Each (state, buffer) entry is interned to a small id on first
+    sight, the initial entry (init, ()) first, so a minor covers the
+    initial configuration of every large-enough instance iff its
+    memory and its ids are all 0.  An id gets, when it is interned,
+    what param_dominance's pack adds for its entry, its fields and its
+    support bit, and its weight, one process plus its buffered
+    messages; `pack` and `weight` sum those over a minor's ids.  A
+    minor keeps its ids in the order of their entries, so it decodes to
+    the canonical ParamConfig it codes.
+    """
+
+    def __init__(self, program: ParamProgram):
+        dom = param_dominance(program.template.states)
+        self._dom = dom
+        self.dominance = Dominance(self.pack, dom.guard)
+        self.entries: list = []  # id -> (state, buffer)
+        self.ids: dict = {}
+        self.fields: list = []
+        self.bits: list = []
+        self.weights: list = []
+        self.id((program.template.init, ()))
+
+    def id(self, entry) -> int:
+        """entry's id, interned on first sight."""
+        i = self.ids.get(entry)
+        if i is None:
+            fields, bit = self._dom.pack(ParamConfig((entry,), ()))
+            i = self.ids[entry] = len(self.entries)
+            self.entries.append(entry)
+            self.fields.append(fields)
+            self.bits.append(bit)
+            self.weights.append(1 + len(entry[1]))
+        return i
+
+    def encode(self, alpha: ParamConfig) -> tuple:
+        return tuple(map(self.id, alpha.procs)), alpha.mem
+
+    def decode(self, minor) -> ParamConfig:
+        return ParamConfig(tuple(map(self.entries.__getitem__, minor[0])), minor[1])
+
+    def weight(self, minor) -> int:
+        return sum(map(self.weights.__getitem__, minor[0]))
+
+    def covers_initial(self, minor) -> bool:
+        """param_covers_initial of the decoded minor."""
+        return not any(minor[1]) and not any(minor[0])
+
+    def pack(self, minor) -> tuple[int, int]:
+        """param_dominance's pack of the decoded minor, with its check of
+        the total size against the field width."""
+        fields, bits, weights = self.fields, self.bits, self.weights
+        d = mask = size = 0
+        for e in minor[0]:
+            d += fields[e]
+            mask |= bits[e]
+            size += weights[e]
+        if size >> FIELD_BITS:
+            raise ResourceLimitError(f"configuration size {size} overflows the dominance fields")
+        return d, mask
+
+
+def coded_param_leq(coder: ParamCoder) -> Callable:
+    """param_leq over `coder`'s minors: equal memory and the greedy
+    earliest match of ids, where id e matches e2 if e == e2 or their
+    entries have equal states and word_leq buffers, which leq decides
+    once per (e, e2) pair, in a memo it owns."""
+    entries = coder.entries
+    memo: dict = {}
+
+    def leq(a, b) -> bool:
+        ids, mem = a
+        ids2, mem2 = b
+        n2 = len(ids2)
+        if mem != mem2 or len(ids) > n2:
+            return False
+        j = 0
+        for e in ids:
+            while j < n2:
+                e2 = ids2[j]
+                j += 1
+                if e == e2:
+                    break
+                key = (e, e2)
+                found = memo.get(key)
+                if found is None:
+                    (state, buf), (state2, buf2) = entries[e], entries[e2]
+                    found = memo[key] = state == state2 and word_leq(buf, buf2)
+                if found:
+                    break
+            else:
+                return False
+        return True
+
+    return leq
 
 
 def param_covers_initial(alpha: ParamConfig, program: ParamProgram) -> bool:
@@ -184,7 +290,7 @@ def predecessor_candidates(
 
 def param_minpre(alpha: ParamConfig, program: ParamProgram) -> MinorSet:
     """Minimal elements of predecessors-plus-self of the closure of alpha."""
-    minors = param_antichain(program)
+    minors = param_antichain(partial(param_leq, wleq=word_table()), param_dominance(program.template.states))
     minors.insert(alpha)
     for _action, pred in predecessor_candidates(alpha, program):
         minors.insert(pred)
@@ -249,30 +355,36 @@ def param_backward_reach(
     a dead one as (action, None) and a live one as _canonical_step
     gives it, so that every minor is in canonical process order.  The
     seeds, the sorted targets with empty buffers over each
-    seed_memories memory in its order, go straight into the
+    seed_memories memory in its order, go encoded straight into the
     param_antichain the search saturates.
 
-    The search owns two move tables, each key filled once: per (state,
-    buffer, memory), an entry's local_preds, split into its rule moves
-    per transition index and its propagate and delete moves; per
-    memory, the fresh processes each transition adds, a write's or an
-    atomic read-write's.  A move is (action class, arguments, new entry,
-    memory), the entry None if the move is dead, which the tables
-    decide from the memory and the entry alone: every expanded minor is
-    live, the seeds by seed_memories.  One loop places every live entry
-    by bisection into the minor's other entries (all of them for a
-    fresh process) and names the action there.  A fresh writer's words
-    are listed per state when first needed; more than max_nodes of
-    them raise the resource limit, since each is at least one candidate
-    of that expansion.  Targets that are not template states raise
-    ValueError."""
+    The search runs over the minors of a ParamCoder it owns, (entry
+    ids, memory), under its own coded_param_leq; the antichain's
+    dominance pre-filter, the worklist weight and the covers-initial
+    test sum or test what each id got when it was interned.  It owns
+    two move tables, each key filled once: per (entry id, memory), the
+    entry's local_preds, split into its rule moves per transition index
+    and its propagate and delete moves; per memory, the fresh processes
+    each transition adds, a write's or an atomic read-write's.  A move
+    is (action class, arguments, new entry id, memory), the id None if
+    the move is dead, which the tables decide from the memory and the
+    entry alone: every expanded minor is live, the seeds by
+    seed_memories.  One loop places every live entry by bisection on
+    the entries into the minor's other ids (all of them for a fresh
+    process) and names the action there.  A fresh writer's words are
+    listed per state when first needed; more than max_nodes of them
+    raise the resource limit, since each is at least one candidate of
+    that expansion.  The witness chain is decoded once, at the end.
+    Targets that are not template states raise ValueError."""
     if targets is None:
         targets = program.target
     # every seed buffer is empty, so sorted targets are canonical
-    seeds = param_antichain(program)
     at_target = tuple((s, ()) for s in sorted(check_target(program, targets)))
+    coder = ParamCoder(program)
+    entries, intern = coder.entries, coder.id
+    minors = param_antichain(coded_param_leq(coder), coder.dominance)
     for mem in seed_memories(program, max_nodes):
-        seeds.insert(ParamConfig(at_target, mem))
+        minors.insert(coder.encode(ParamConfig(at_target, mem)))
     own_ok = removable_own(program.template)
     live = live_kernel(program)
     transitions = program.template.transitions
@@ -290,12 +402,13 @@ def param_backward_reach(
                 raise ResourceLimitError(f"backward search exceeded {max_nodes} configurations")
         return found
 
-    def fill_entry(state, buf, mem) -> tuple[list, list]:
+    def fill_entry(e, mem) -> tuple[list, list]:
+        state, buf = entries[e]
         rules: list = [[] for _ in transitions]
         local: list = []
         for action, src, b, m in local_preds(program, [own_ok], live, 0, state, buf, mem):
-            entry = None if m is None else (state if src is None else src, buf if b is None else b)
-            move = (type(action), action[1:], entry, m)
+            e2 = None if m is None else intern((state if src is None else src, buf if b is None else b))
+            move = (type(action), action[1:], e2, m)
             if type(action) is Step:
                 rules[index[action.t]].append(move)
             else:
@@ -310,45 +423,42 @@ def param_backward_reach(
             pairs = [((), _set(mem, xi, op.val))]
         elif op.kind == "w" and mem[xi] == op.val:
             pairs = [(b, _set(mem, xi, prior)) for prior in program.values for b in writer_words(t.src)]
-        return [(Step, (t,), (t.src, b) if live(m, t.src, b, own_ok) else None, m) for b, m in pairs]
+        return [(Step, (t,), intern((t.src, b)) if live(m, t.src, b, own_ok) else None, m) for b, m in pairs]
 
-    def preds(alpha: ParamConfig) -> list:
-        procs, mem = alpha
-        n = len(procs)
+    def preds(minor) -> list:
+        ids, mem = minor
+        n = len(ids)
         tables = []
-        for state, buf in procs:
-            key = (state, buf, mem)
+        for e in ids:
+            key = (e, mem)
             moves = entry_moves.get(key)
             if moves is None:
-                moves = entry_moves[key] = fill_entry(state, buf, mem)
+                moves = entry_moves[key] = fill_entry(e, mem)
             tables.append(moves)
         fresh = fresh_moves.get(mem)
         if fresh is None:
             fresh = fresh_moves[mem] = [fill_fresh(t, mem) for t in transitions]
-        rests = [procs[:p] + procs[p + 1 :] for p in range(n)]
-        # (process named by a dead move, entries a live one goes among, moves)
+        rests = [ids[:p] + ids[p + 1 :] for p in range(n)]
+        # (process named by a dead move, ids a live one goes among, moves)
         groups = []
         for ti, born in enumerate(fresh):
             for p, (rules, _local) in enumerate(tables):
                 if rules[ti]:
                     groups.append((p, rests[p], rules[ti]))
             if born:
-                groups.append((n, procs, born))
+                groups.append((n, ids, born))
         groups += [(p, rests[p], local) for p, (_rules, local) in enumerate(tables)]
         out: list = []
         for p, rest, moves in groups:
-            for cls, args, entry, m in moves:
-                if entry is None:
+            for cls, args, e, m in moves:
+                if e is None:
                     out.append((cls(p, *args), None))
                 else:
-                    i = bisect_left(rest, entry)
-                    out.append((cls(i, *args), ParamConfig(rest[:i] + (entry,) + rest[i:], m)))
+                    i = bisect_left(rest, entries[e], key=entries.__getitem__)
+                    out.append((cls(i, *args), (rest[:i] + (e,) + rest[i:], m)))
         return out
 
-    return fixpoint(
-        seeds,
-        preds,
-        lambda a: param_covers_initial(a, program),
-        lambda a: len(a.procs) + sum(len(b) for _s, b in a.procs),
-        max_nodes,
-    )
+    stats = fixpoint(minors, preds, coder.covers_initial, coder.weight, max_nodes)
+    if stats.chain is not None:
+        stats.chain = tuple(map(coder.decode, stats.chain))
+    return stats

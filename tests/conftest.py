@@ -78,30 +78,36 @@ class _Seeded(Exception):
 
 def engine_seeds(monkeypatch, search) -> list:
     """The seeds search() hands backward.fixpoint, in their order; the
-    search stops there.  A fixed-size search's seeds are decoded by its
-    own backward_coder, a parameterized one's are ParamConfigs."""
+    search stops there.  They are decoded by the search's own coder, a
+    fixed-size search's backward_coder or a parameterized one's
+    ParamCoder."""
     import dualmc.backward
     import dualmc.param
 
     seeds: list = []
     coders: list = []
     real_coder = dualmc.backward.backward_coder
+    real_param_coder = dualmc.param.ParamCoder
 
     def keep_seeds(minors, preds, covers, weight, max_nodes):
         seeds.extend(minors.elements())
         raise _Seeded
 
-    def keep_coder(program):
-        coders.append(real_coder(program))
-        return coders[-1]
+    def keep_coder(make):
+        def made(program):
+            coders.append(make(program))
+            return coders[-1]
+
+        return made
 
     with monkeypatch.context() as m:
         m.setattr(dualmc.backward, "fixpoint", keep_seeds)
         m.setattr(dualmc.param, "fixpoint", keep_seeds)
-        m.setattr(dualmc.backward, "backward_coder", keep_coder)
+        m.setattr(dualmc.backward, "backward_coder", keep_coder(real_coder))
+        m.setattr(dualmc.param, "ParamCoder", keep_coder(real_param_coder))
         with pytest.raises(_Seeded):
             search()
-    return [coders[-1].decode(c) for c in seeds] if coders else seeds
+    return [coders[-1].decode(c) for c in seeds]
 
 
 def random_program(

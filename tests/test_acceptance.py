@@ -364,19 +364,23 @@ def test_witness_provenance_survives_eviction(monkeypatch):
         antichains.append(minors)
         return real(minors, *args)
 
-    def keep_coder(program):
-        coders.append(real_coder(program))
-        return coders[-1]
+    def keep_coder(make):
+        def made(program):
+            coders.append(make(program))
+            return coders[-1]
+
+        return made
 
     monkeypatch.setattr(dualmc.backward, "fixpoint", keep_antichain)
     monkeypatch.setattr(dualmc.param, "fixpoint", keep_antichain)
-    # the fixed-size antichain holds codes: look each chain minor's up
-    monkeypatch.setattr(dualmc.backward, "backward_coder", keep_coder)
+    # both antichains hold codes: each chain minor's, interned by the search
+    monkeypatch.setattr(dualmc.backward, "backward_coder", keep_coder(real_coder))
+    monkeypatch.setattr(dualmc.param, "ParamCoder", keep_coder(dualmc.param.ParamCoder))
     for name, expected in EVICTED_CHAIN_MINORS.items():
         prog = corpus_program(name)
         param = name in PARAM_EXPECTED
         s = param_backward_reach(prog) if param else backward_reach(prog, prog.target)
-        held = s.chain if param else [coders[-1].lookup(c) for c in s.chain]
+        held = [coders[-1].encode(c) for c in s.chain]
         assert (len(s.chain), sum(c not in antichains[-1] for c in held)) == expected, name
         if not param:
             replay(concretize_witness(prog, s), prog, dtso_successors)

@@ -1,8 +1,10 @@
 """Checks on the package source itself."""
 import ast
+import importlib
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "dualmc"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "dualmc"
 CACHES = {"lru_cache", "cache", "cached_property"}
 
 
@@ -131,3 +133,29 @@ def test_each_engine_builds_the_one_antichain_it_searches():
         for name in _callers(ast.parse(path.read_text(), str(path)), "MinorSet")
     }
     assert found == {"backward.backward_reach", "backward.minpre_config", "param.param_antichain"}
+
+
+def _traced_names() -> list[tuple[str, str]]:
+    """The (module, attribute path) of every layer in perfbench's
+    tracer LAYERS, read from the file, not imported."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "LAYERS" for t in node.targets):
+            return [(layer.elts[1].value, layer.elts[2].value) for layer in node.value.elts]
+    raise AssertionError("perfbench/tracer.py has no LAYERS")
+
+
+def test_every_name_the_benchmark_traces_resolves():
+    """Every (module, path) the benchmark's tracer wraps, and the
+    own_decompose cache its worker probes, names an attribute of the
+    package: a name that went away would make the benchmark list it as
+    missing and report its metrics as null."""
+    names = _traced_names() + [("ordering", "own_decompose.cache_info")]
+    missing = []
+    for module, path in names:
+        owner = importlib.import_module(f"dualmc.{module}")
+        for part in path.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.append(f"{module}.{path}")
+    assert len(names) > 10 and missing == []

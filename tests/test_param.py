@@ -23,8 +23,10 @@ from dualmc.model import Automaton, Op, ParamProgram, Transition
 from dualmc.backward import removable_own
 from dualmc.param import (
     FIELD_BITS,
+    ParamCoder,
     _canonical_step,
     canonical,
+    coded_param_leq,
     live_filter,
     param_dominance,
     predecessor_candidates,
@@ -487,29 +489,135 @@ def test_dominance_fields_at_the_boundaries():
         MinorSet(param_leq, dom=dom).insert(oversized)
 
 
+def test_coded_pack_at_the_size_boundary():
+    """The coded pack sums its ids' fields as param_dominance's pack
+    walks the configuration, up to a total size of 2**FIELD_BITS - 1
+    over entries each interned well below it; one process more raises
+    ResourceLimitError, as does interning one entry of that size."""
+    prog = tiny_template([Transition("q0", Op("nop"), "q1")])
+    coder = ParamCoder(prog)
+    dom = param_dominance(prog.template.states)
+    big = ("q0", _Buffer(2**FIELD_BITS - 3))  # one process plus its messages: 2**FIELD_BITS - 2
+    largest = ParamConfig((big, ("q1", ())), ())
+    assert coder.pack(coder.encode(largest)) == dom.pack(largest)
+
+    oversized = coder.encode(ParamConfig((big, ("q1", ()), ("q1", ())), ()))
+    with pytest.raises(ResourceLimitError):
+        coder.pack(oversized)
+    with pytest.raises(ResourceLimitError):
+        dualmc.param.param_antichain(coded_param_leq(coder), coder.dominance).insert(oversized)
+    with pytest.raises(ResourceLimitError):
+        coder.id(("q1", _Buffer(2**FIELD_BITS - 1)))
+
+
+def test_coded_param_leq_agrees_with_param_leq():
+    """The search's coded_param_leq on two configurations' minors is
+    param_leq on the configurations, the second time (from its memo) as
+    the first: on random templates, for configurations grown from and
+    shrunk to others and unrelated ones, over one memory or two."""
+    rng = random.Random(47)
+    outcomes = set()
+    for _ in range(60):
+        prog = random_param_program(rng)
+        coder = ParamCoder(prog)
+        leq = coded_param_leq(coder)
+        mem = tuple(rng.choice(prog.values) for _ in prog.vars)
+        for _ in range(40):
+            a = random_param_config(rng, prog, rng.randint(0, 3), 2)._replace(mem=mem)
+            other = random_param_config(rng, prog, rng.randint(0, 4), 2)
+            for b in (a, _grow(rng, prog, a), _shrink(rng, a), other, other._replace(mem=mem)):
+                expected = param_leq(a, b)
+                outcomes.add(expected)
+                x, y = coder.encode(a), coder.encode(b)
+                assert leq(x, y) == expected, (a, b)
+                assert leq(x, y) == expected, (a, b)
+    assert outcomes == {True, False}
+
+
+def test_coded_minors_agree_with_the_tuple_forms(monkeypatch):
+    """Every minor of the param corpus's final antichains decodes,
+    through the search's coder, to a canonical configuration that
+    encodes and decodes back to itself, and the coder's pack, weight
+    and covers-initial test on the minor equal param_dominance's pack,
+    the process count plus buffered messages and param_covers_initial
+    on that configuration."""
+    searches = spy_searches(monkeypatch)
+    checked = covering = 0
+    for path in sorted(CORPUS.glob("*-param.lit")):
+        prog = corpus_program(path.name)
+        param_backward_reach(prog)
+        minors, _preds, coder = searches.pop()
+        dom = param_dominance(prog.template.states)
+        for alpha in minors:
+            c = coder.encode(alpha)
+            assert coder.decode(c) == alpha == canonical(alpha), path.name
+            assert coder.pack(c) == dom.pack(alpha), (path.name, alpha)
+            assert coder.weight(c) == len(alpha.procs) + sum(len(b) for _s, b in alpha.procs)
+            assert coder.covers_initial(c) == param_covers_initial(alpha, prog), (path.name, alpha)
+            covering += coder.covers_initial(c)
+            checked += 1
+    assert checked > 1000 and covering > 0
+
+
 def test_param_leq_calls_per_insert_on_wrwc_param(monkeypatch):
-    """The dominance pre-filter leaves at most 20 param_leq calls per
-    antichain insert on wrwc-param (about 114 without it)."""
+    """The dominance pre-filter leaves at most 20 calls of the search's
+    coded_param_leq per antichain insert on wrwc-param (about 114
+    without it), and the search makes some."""
     calls = inserts = 0
-    leq = dualmc.param.param_leq
+    factory = dualmc.param.coded_param_leq
     insert = MinorSet.insert
 
-    def counting_leq(a, b, **kwargs):
-        nonlocal calls
-        calls += 1
-        return leq(a, b, **kwargs)
+    def counting_factory(coder):
+        leq = factory(coder)
+
+        def counting_leq(a, b):
+            nonlocal calls
+            calls += 1
+            return leq(a, b)
+
+        return counting_leq
 
     def counting_insert(minors, elem):
         nonlocal inserts
         inserts += 1
         return insert(minors, elem)
 
-    monkeypatch.setattr(dualmc.param, "param_leq", counting_leq)
+    monkeypatch.setattr(dualmc.param, "coded_param_leq", counting_factory)
     monkeypatch.setattr(MinorSet, "insert", counting_insert)
     stats = param_backward_reach(corpus_program("wrwc-param.lit"))
     assert stats.verdict == "Reachable"
     assert inserts > 1000
-    assert calls / inserts <= 20
+    assert 0 < calls / inserts <= 20
+
+
+def spy_searches(monkeypatch) -> list:
+    """Each param_backward_reach's final antichain and preds, decoded by
+    the search's own ParamCoder, appended as (minors, preds, coder) when
+    its fixpoint returns: minors as a list of ParamConfigs, and preds
+    taking and listing ParamConfigs."""
+    searches = []
+    fixpoint = dualmc.param.fixpoint
+    coders = []
+    make = dualmc.param.ParamCoder
+
+    def keep_coder(program):
+        coders.append(make(program))
+        return coders[-1]
+
+    def spy(minors, preds, *rest):
+        coder = coders[-1]
+
+        def decoded(alpha):
+            return [(a, None if c is None else coder.decode(c)) for a, c in preds(coder.encode(alpha))]
+
+        try:
+            return fixpoint(minors, preds, *rest)
+        finally:
+            searches.append(([coder.decode(c) for c in minors], decoded, coder))
+
+    monkeypatch.setattr(dualmc.param, "ParamCoder", keep_coder)
+    monkeypatch.setattr(dualmc.param, "fixpoint", spy)
+    return searches
 
 
 def test_per_move_liveness_marks_exactly_the_dead_candidates(monkeypatch):
@@ -518,19 +626,12 @@ def test_per_move_liveness_marks_exactly_the_dead_candidates(monkeypatch):
     action names, lists the candidates of predecessor_candidates(alpha,
     prog, False, own_ok) in order, each one live_filter rejects marked
     dead (None) and every other one through _canonical_step."""
-    searches = []
-    fixpoint = dualmc.param.fixpoint
-
-    def spy(minors, preds, *rest):
-        searches.append((minors, preds))
-        return fixpoint(minors, preds, *rest)
-
-    monkeypatch.setattr(dualmc.param, "fixpoint", spy)
+    searches = spy_searches(monkeypatch)
     checked = dead = 0
     for path in sorted(CORPUS.glob("*-param.lit")):
         prog = corpus_program(path.name)
         param_backward_reach(prog)
-        minors, preds = searches.pop()
+        minors, preds, _coder = searches.pop()
         own_ok = removable_own(prog.template)
         live = live_filter(prog, own_ok)
         for alpha in minors:
@@ -552,14 +653,7 @@ def test_move_tables_match_the_oracle_on_random_templates(monkeypatch):
     preds lists predecessor_candidates' candidates for every live minor
     of its antichain, each dead one marked None and every other one
     through _canonical_step."""
-    searches = []
-    fixpoint = dualmc.param.fixpoint
-
-    def spy(minors, preds, *rest):
-        searches.append((minors, preds))
-        return fixpoint(minors, preds, *rest)
-
-    monkeypatch.setattr(dualmc.param, "fixpoint", spy)
+    searches = spy_searches(monkeypatch)
     rng = random.Random(41)
     checked = 0
     fresh: Counter = Counter()
@@ -570,7 +664,7 @@ def test_move_tables_match_the_oracle_on_random_templates(monkeypatch):
             param_backward_reach(prog, targets, max_nodes=3000)
         except ResourceLimitError:
             pass
-        minors, preds = searches.pop()
+        minors, preds, _coder = searches.pop()
         own_ok = removable_own(prog.template)
         live = live_filter(prog, own_ok)
         for alpha in minors:
