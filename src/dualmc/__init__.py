@@ -7,12 +7,7 @@ unboundedly many identical processes, provides bounded forward
 explorers for both semantics as oracles, and translates complete
 witness runs between the two semantics.
 """
-from .backward import (
-    BackwardStats,
-    backward_reach,
-    concretize_witness,
-    minpre_config,
-)
+from .backward import BackwardStats, backward_reach, concretize_witness
 from .dtso import (
     DtsoConfig,
     dtso_bounded_reach,
@@ -41,12 +36,7 @@ from .ordering import (
     subword,
     word_leq,
 )
-from .param import (
-    ParamConfig,
-    param_backward_reach,
-    param_covers_initial,
-    param_minpre,
-)
+from .param import ParamConfig, param_backward_reach
 from .runs import Delete, Propagate, ResourceLimitError, Run, RunError, Step, Update, replay
 from .translate import (
     PhaseTables,

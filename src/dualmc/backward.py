@@ -17,9 +17,7 @@ code 0, and each buffer's own-delimiters and the total buffer length
 are fields of the code, so the antichain's bucket key, its signature
 pre-filter and the worklist weight are each one mask or shift.  The
 per-process rule kernel is written on configurations, once, and
-tabled per process into code deltas (`coded_preds`); `minpre_config`
-and `predecessor_candidates`, the oracles the tests compare with, list
-the same moves as configurations.
+tabled per process into code deltas (`coded_preds`).
 """
 from __future__ import annotations
 
@@ -55,10 +53,6 @@ class BackwardStats:
     subsumed: int = 0
     inserted: int = 0
     evicted: int = 0
-
-
-def _config_key(c: DtsoConfig):
-    return (c.states, c.mem)
 
 
 def seed_memories(program, max_nodes: int | None):
@@ -243,15 +237,6 @@ def coded_leq(coder: Coder) -> Callable[[int, int], bool]:
         return True
 
     return leq
-
-
-def minpre_config(c: DtsoConfig, program: ConcurrentProgram) -> MinorSet:
-    """Minimal elements of predecessors-plus-self of the closure of c."""
-    minors = MinorSet(config_leq, key=_config_key)
-    minors.insert(c)
-    for _action, pred in predecessor_candidates(c, program):
-        minors.insert(pred)
-    return minors
 
 
 def writable_values(program) -> dict[str, set[int]]:

@@ -32,20 +32,12 @@ class OwnDecomposition(NamedTuple):
     """Fragments around the most-recent own-message per variable.
 
     fragments has one more entry than delimiters; interleaving them in
-    order reconstructs the original word.
+    order, each delimiter (x, v) as the own-message (x, v, True),
+    reconstructs the original word.
     """
 
     fragments: tuple[Word, ...]
     delimiters: tuple[tuple[str, int], ...]
-
-    def rebuild(self) -> Word:
-        word: list[Msg] = []
-        for i, frag in enumerate(self.fragments):
-            word.extend(frag)
-            if i < len(self.delimiters):
-                x, v = self.delimiters[i]
-                word.append((x, v, True))
-        return tuple(word)
 
 
 @lru_cache(maxsize=None)
@@ -106,10 +98,9 @@ def config_leq(c, c2) -> bool:
     return True
 
 
-def param_leq(a, a2, wleq=word_leq) -> bool:
+def param_leq(a, a2) -> bool:
     """Parameterized ordering: equal memory plus an order-preserving
-    injection matching states exactly and buffers by `wleq` (the
-    buffer-word ordering, or a word_table of it).
+    injection matching states exactly and buffers by word_leq.
 
     Decided by greedy earliest-match, which is complete for
     order-preserving injections with per-element predicates.
@@ -123,7 +114,7 @@ def param_leq(a, a2, wleq=word_leq) -> bool:
         while j < len(a2.procs):
             state2, buf2 = a2.procs[j]
             j += 1
-            if state == state2 and (buf is buf2 or wleq(buf, buf2)):
+            if state == state2 and (buf is buf2 or word_leq(buf, buf2)):
                 break
         else:
             return False

@@ -28,16 +28,11 @@ interned.  A move depends only on the entry it changes (or the fresh
 process it adds) and the memory, so the search tables each entry id's
 moves once and places a candidate's new entry into the minor's sorted
 other entries by one bisection.
-`predecessor_candidates` with `_canonical_step`, which list the same
-candidates through whole configurations, and param_leq and
-param_dominance on them, are the references the tests compare the
-coded search with.
 """
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from functools import partial
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
@@ -52,7 +47,7 @@ from .backward import (
     seed_memories,
 )
 from .model import ParamProgram, check_target
-from .ordering import Dominance, MinorSet, Word, param_leq, word_leq, word_table
+from .ordering import Dominance, MinorSet, Word, word_leq
 from .runs import ResourceLimitError, Step, _set
 
 FIELD_BITS = 32  # width of one dominance field, guard bit not counted
@@ -158,7 +153,7 @@ class ParamCoder:
         return sum(map(self.weights.__getitem__, minor[0]))
 
     def covers_initial(self, minor) -> bool:
-        """param_covers_initial of the decoded minor."""
+        """oracle.param_covers_initial of the decoded minor."""
         return not any(minor[1]) and not any(minor[0])
 
     def pack(self, minor) -> tuple[int, int]:
@@ -208,16 +203,6 @@ def coded_param_leq(coder: ParamCoder) -> Callable:
         return True
 
     return leq
-
-
-def param_covers_initial(alpha: ParamConfig, program: ParamProgram) -> bool:
-    """True iff alpha embeds into the initial configuration of every
-    large-enough instance: all processes initial with empty buffers,
-    all-zero memory.  The zero-process configuration qualifies."""
-    if any(v != 0 for v in alpha.mem):
-        return False
-    init = program.template.init
-    return all(s == init and not b for s, b in alpha.procs)
 
 
 def _fresh_writer_buffers(program: ParamProgram, allowed=None):
@@ -288,15 +273,6 @@ def predecessor_candidates(
     return out
 
 
-def param_minpre(alpha: ParamConfig, program: ParamProgram) -> MinorSet:
-    """Minimal elements of predecessors-plus-self of the closure of alpha."""
-    minors = param_antichain(partial(param_leq, wleq=word_table()), param_dominance(program.template.states))
-    minors.insert(alpha)
-    for _action, pred in predecessor_candidates(alpha, program):
-        minors.insert(pred)
-    return minors
-
-
 def live_filter(program: ParamProgram, own_ok):
     """Predicate mirroring the fixed-size engine's liveness cut,
     backward.live_kernel on every process entry, or on an idle one if
@@ -320,30 +296,6 @@ def canonical(alpha: ParamConfig) -> ParamConfig:
     return ParamConfig(tuple(sorted(alpha.procs)), alpha.mem)
 
 
-def _canonical_step(action, pred: ParamConfig):
-    """(action, pred) with pred in canonical form and the action renamed
-    to the first position of its process's entry there, provided pred
-    is canonical but for the entry action.proc names.
-
-    Every minor the engine expands is canonical, and each of its
-    candidates differs from it only in the entry its action names (a
-    fresh process is inserted at the end), so that entry is taken out
-    and bisected back into the sorted rest: bisect_left puts it where
-    sorted would, before any equal entry, at the position tuple.index
-    finds.  When that is where it already is, both come back as given.
-    The engine places its table entries the same way without building
-    the intermediate configuration; this is the reference.
-    """
-    p = action.proc
-    procs = pred.procs
-    entry = procs[p]
-    rest = procs[:p] + procs[p + 1 :]
-    i = bisect_left(rest, entry)
-    if i == p:
-        return action, pred
-    return action._replace(proc=i), ParamConfig(rest[:i] + (entry,) + rest[i:], pred.mem)
-
-
 def param_backward_reach(
     program: ParamProgram,
     targets: tuple[str, ...] | None = None,
@@ -352,8 +304,9 @@ def param_backward_reach(
     """Backward fixpoint under the parameterized ordering, weighted by
     process count plus buffered messages.  preds lists the candidates in
     predecessor_candidates(alpha, program, False, removable_own) order,
-    a dead one as (action, None) and a live one as _canonical_step
-    gives it, so that every minor is in canonical process order.  The
+    a dead one as (action, None) and a live one in canonical form,
+    its action renamed to its entry's first position there, so that
+    every minor is in canonical process order.  The
     seeds, the sorted targets with empty buffers over each
     seed_memories memory in its order, go encoded straight into the
     param_antichain the search saturates.

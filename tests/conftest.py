@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from itertools import combinations, product
 from pathlib import Path
 
@@ -182,6 +183,16 @@ def pad_with_plains(rng: random.Random, program, c: DtsoConfig, extra: int) -> D
     return DtsoConfig(c.states, tuple(buffers), c.mem)
 
 
+def rebuild(d: OwnDecomposition) -> tuple:
+    """The word d decomposes: its fragments in order, each delimiter
+    (x, v) between two of them as the own-message (x, v, True)."""
+    word = list(d.fragments[0])
+    for (x, v), frag in zip(d.delimiters, d.fragments[1:]):
+        word.append((x, v, True))
+        word.extend(frag)
+    return tuple(word)
+
+
 def word_down(w) -> list:
     """All words below w: same delimiters, any fragment subsequences."""
     d = own_decompose(w)
@@ -191,7 +202,7 @@ def word_down(w) -> list:
         for mask in range(1 << len(frag)):
             subs.add(tuple(frag[i] for i in range(len(frag)) if mask >> i & 1))
         frag_choices.append(sorted(subs))
-    out = {OwnDecomposition(combo, d.delimiters).rebuild() for combo in product(*frag_choices)}
+    out = {rebuild(OwnDecomposition(combo, d.delimiters)) for combo in product(*frag_choices)}
     return sorted(out)
 
 
@@ -256,6 +267,30 @@ def param_leq_oracle(a: ParamConfig, b: ParamConfig) -> bool:
         ):
             return True
     return not a.procs
+
+
+def canonical_step(action, pred: ParamConfig):
+    """(action, pred) with pred in canonical form and the action renamed
+    to the first position of its process's entry there, provided pred
+    is canonical but for the entry action.proc names.
+
+    Every minor the parameterized engine expands is canonical, and each
+    of its candidates differs from it only in the entry its action
+    names (a fresh process is inserted at the end), so that entry is
+    taken out and bisected back into the sorted rest: bisect_left puts
+    it where sorted would, before any equal entry, at the position
+    tuple.index finds.  When that is where it already is, both come
+    back as given.  The engine places its table entries the same way
+    without building the intermediate configuration.
+    """
+    p = action.proc
+    procs = pred.procs
+    entry = procs[p]
+    rest = procs[:p] + procs[p + 1 :]
+    i = bisect_left(rest, entry)
+    if i == p:
+        return action, pred
+    return action._replace(proc=i), ParamConfig(rest[:i] + (entry,) + rest[i:], pred.mem)
 
 
 def sc_reachable_states(program) -> frozenset:

@@ -31,6 +31,7 @@ from dualmc import (
     replay,
 )
 from dualmc import Delete, Step
+from dualmc.oracle import param_covers_initial
 from dualmc.param import canonical
 
 from conftest import (
@@ -41,6 +42,7 @@ from conftest import (
     random_dtso_config,
     random_program,
     random_word,
+    rebuild,
 )
 from test_backward import minpre_oracle_mismatches
 from test_param import param_oracle_mismatches
@@ -385,7 +387,7 @@ def test_witness_provenance_survives_eviction(monkeypatch):
         if not param:
             replay(concretize_witness(prog, s), prog, dtso_successors)
             continue
-        assert dualmc.param_covers_initial(s.chain[0], prog), name
+        assert param_covers_initial(s.chain[0], prog), name
         for i, action in enumerate(s.witness):
             assert any(
                 canonical(pred) == s.chain[i]
@@ -696,7 +698,7 @@ def test_criterion_8_ordering_laws(sb2):
     for _ in range(1000):
         w = rand_word()
         d = own_decompose(w)
-        assert d.rebuild() == w
+        assert rebuild(d) == w
         assert word_leq(w, w)
 
     for _ in range(1000):

@@ -18,7 +18,6 @@ from dualmc import (
     dtso_bounded_reach,
     dtso_successors,
     initial_dtso_config,
-    minpre_config,
     replay,
     tso_bounded_reach,
 )
@@ -35,6 +34,7 @@ from dualmc.backward import (
     writable_values,
 )
 from dualmc.model import ParamProgram, parse_program
+from dualmc.oracle import minpre_config
 from dualmc.param import param_backward_reach
 
 from conftest import (

@@ -3,6 +3,9 @@ import ast
 import importlib
 from pathlib import Path
 
+import dualmc
+from dualmc import oracle
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "dualmc"
 CACHES = {"lru_cache", "cache", "cached_property"}
@@ -125,14 +128,56 @@ def test_call_scan_ignores_annotations_and_plain_references():
 def test_each_engine_builds_the_one_antichain_it_searches():
     """The fixed-size engine builds its antichain in backward_reach and
     the parameterized one through param_antichain, and both put their
-    seeds straight into it; backward.minpre_config, the one-step
+    seeds straight into it; oracle.minpre_config, the one-step
     reference, is the only other function that makes a MinorSet."""
     found = {
         f"{path.stem}.{name}"
         for path in sorted(SRC.glob("*.py"))
         for name in _callers(ast.parse(path.read_text(), str(path)), "MinorSet")
     }
-    assert found == {"backward.backward_reach", "backward.minpre_config", "param.param_antichain"}
+    assert found == {"backward.backward_reach", "oracle.minpre_config", "param.param_antichain"}
+
+
+def _imported(tree: ast.AST) -> set[str]:
+    """The package modules tree imports, by their name in the package:
+    `from .m import x`, `from . import m`, `import dualmc.m`, `from
+    dualmc.m import x` and `from dualmc import m` all give m."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            full = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["dualmc" if node.level else "", node.module]))
+            full = [f"{module}.{a.name}" for a in node.names] if module == "dualmc" else [module]
+        else:
+            continue
+        found |= {name.split(".")[1] for name in full if name.startswith("dualmc.")}
+    return found
+
+
+def test_import_scan_names_every_form():
+    text = (
+        "from .a import x\nfrom . import b, c\nimport dualmc.d\nfrom dualmc import e\n"
+        "from dualmc.f import y\nimport os.path\nfrom os import g\n"
+        "def h():\n    from .i import z\n"
+    )
+    assert _imported(ast.parse(text)) == {"a", "b", "c", "d", "e", "f", "i"}
+
+
+def test_no_engine_imports_the_oracles():
+    """dualmc.oracle reads the engines and no module of the package
+    imports it, the package's __init__ included, so the public API
+    exports none of its names."""
+    importers = [
+        path.stem
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "oracle" and "oracle" in _imported(ast.parse(path.read_text(), str(path)))
+    ]
+    assert importers == []
+    assert {"backward", "param"} <= _imported(ast.parse((SRC / "oracle.py").read_text()))
+    own = {name for name, f in vars(oracle).items() if getattr(f, "__module__", None) == oracle.__name__}
+    assert own == {"minpre_config", "param_minpre", "param_covers_initial"}
+    assert own.isdisjoint(dualmc.__all__) and "oracle" not in dualmc.__all__
 
 
 def _traced_names() -> list[tuple[str, str]]:

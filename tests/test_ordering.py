@@ -19,7 +19,7 @@ from dualmc.backward import backward_coder, coded_leq
 from dualmc.ordering import word_table
 from dualmc.param import param_dominance
 
-from conftest import pad_with_plains, param_leq_oracle, random_dtso_config, random_program, random_word
+from conftest import pad_with_plains, param_leq_oracle, random_dtso_config, random_program, random_word, rebuild
 
 # small message alphabet for the property suites
 MSGS = [(x, v, own) for x in "xy" for v in (0, 1) for own in (False, True)]
@@ -72,7 +72,7 @@ def test_own_decompose_masked_own_is_not_delimiter():
 @given(words)
 def test_decompose_roundtrip(w):
     d = own_decompose(w)
-    assert d.rebuild() == w
+    assert rebuild(d) == w
     assert len(d.fragments) == len(d.delimiters) + 1
     # delimiters are on pairwise distinct variables
     names = [x for x, _ in d.delimiters]

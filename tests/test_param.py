@@ -13,18 +13,16 @@ from dualmc import (
     backward_reach,
     instantiate,
     param_backward_reach,
-    param_covers_initial,
     param_leq,
-    param_minpre,
     parse_program,
     subword,
 )
 from dualmc.model import Automaton, Op, ParamProgram, Transition
 from dualmc.backward import removable_own
+from dualmc.oracle import param_covers_initial, param_minpre
 from dualmc.param import (
     FIELD_BITS,
     ParamCoder,
-    _canonical_step,
     canonical,
     coded_param_leq,
     live_filter,
@@ -34,6 +32,7 @@ from dualmc.param import (
 
 from conftest import (
     CORPUS,
+    canonical_step,
     corpus_program,
     engine_seeds,
     param_down,
@@ -301,7 +300,7 @@ def test_removable_table_drops_exactly_dead_deletes():
 
 def test_canonical_step_matches_sort_and_relabel():
     """On canonical configurations, some with repeated (state, buffer)
-    entries, every engine candidate through _canonical_step is its
+    entries, every engine candidate through canonical_step is its
     canonical form, with the action renamed to the first position of
     its process's entry there, as a sort and a tuple.index rename give
     them; the action comes back as given exactly when its entry keeps
@@ -320,7 +319,7 @@ def test_canonical_step_matches_sort_and_relabel():
             for a, pred in predecessor_candidates(alpha, prog, False, own_ok):
                 canon = canonical(pred)
                 renamed = a._replace(proc=canon.procs.index(pred.procs[a.proc]))
-                got = _canonical_step(a, pred)
+                got = canonical_step(a, pred)
                 assert got == (renamed, canon), (alpha, a, pred)
                 assert (got[0] is a) == (renamed.proc == a.proc)
                 checked += 1
@@ -625,7 +624,7 @@ def test_per_move_liveness_marks_exactly_the_dead_candidates(monkeypatch):
     engine's preds, which checks only the memory and the entry an
     action names, lists the candidates of predecessor_candidates(alpha,
     prog, False, own_ok) in order, each one live_filter rejects marked
-    dead (None) and every other one through _canonical_step."""
+    dead (None) and every other one through canonical_step."""
     searches = spy_searches(monkeypatch)
     checked = dead = 0
     for path in sorted(CORPUS.glob("*-param.lit")):
@@ -638,7 +637,7 @@ def test_per_move_liveness_marks_exactly_the_dead_candidates(monkeypatch):
             if not live(alpha):
                 continue
             expected = [
-                _canonical_step(a, pred) if live(pred) else (a, None)
+                canonical_step(a, pred) if live(pred) else (a, None)
                 for a, pred in predecessor_candidates(alpha, prog, False, own_ok)
             ]
             assert preds(alpha) == expected, (path.name, alpha)
@@ -652,7 +651,7 @@ def test_move_tables_match_the_oracle_on_random_templates(monkeypatch):
     atomic read-writes and dead fresh processes included, the engine's
     preds lists predecessor_candidates' candidates for every live minor
     of its antichain, each dead one marked None and every other one
-    through _canonical_step."""
+    through canonical_step."""
     searches = spy_searches(monkeypatch)
     rng = random.Random(41)
     checked = 0
@@ -671,7 +670,7 @@ def test_move_tables_match_the_oracle_on_random_templates(monkeypatch):
             if not live(alpha):
                 continue
             expected = [
-                _canonical_step(a, pred) if live(pred) else (a, None)
+                canonical_step(a, pred) if live(pred) else (a, None)
                 for a, pred in predecessor_candidates(alpha, prog, False, own_ok)
             ]
             assert preds(alpha) == expected, (prog.template.transitions, alpha)
