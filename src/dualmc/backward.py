@@ -18,15 +18,30 @@ are fields of the code, so the antichain's bucket key, its signature
 pre-filter and the worklist weight are each one mask or shift.  The
 per-process rule kernel is written on configurations, once, and
 tabled per process into code deltas (`coded_preds`).
+
+A program may be symmetric: an automorphism (`automorphisms`) permutes
+the processes together with a renaming of the variables, mapping each
+automaton onto its image's and the target onto itself.  The rules, the
+word ordering, removable_own, liveness and the target set are then
+invariant under the group, and the initial configuration is fixed by it
+(values are never renamed), so any member of a candidate's orbit
+stands for the candidate exactly, and the wqo still ends the search.
+The search keeps one representative per orbit (`Canonicaliser`), seeds
+included, and turns the chain of representatives back into a witness
+of real processes once, at the end (Emerson and Sistla, "Symmetry and
+Model Checking", and Ip and Dill, "Better Verification Through
+Symmetry", FMSD 9, 1996).
 """
 from __future__ import annotations
 
 import heapq
 import itertools
 import math
+import struct
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from operator import itemgetter, lshift
+from typing import Callable, NamedTuple
 
 from .dtso import DtsoConfig, dtso_successors, initial_dtso_config
 from .model import ConcurrentProgram, check_target
@@ -190,12 +205,14 @@ def predecessor_candidates(c: DtsoConfig, program: ConcurrentProgram, removable=
     return tabled(c, partial(local_preds, program, removable, None))
 
 
-def backward_coder(program: ConcurrentProgram) -> Coder:
+def backward_coder(program: ConcurrentProgram, group: Symmetry) -> Coder:
     """The fixed-size search's coder: initial configuration code 0,
     with each buffer's own-delimiters (own_decompose) as its summary,
     which word_leq requires to be equal, and the total buffer length
-    on top."""
-    return Coder(initial_dtso_config(program), lambda w: own_decompose(w).delimiters)
+    on top.  The processes of one orbit of `group`, the program's
+    automorphisms, share their interners (Coder's share), so that an
+    automorphism moves their fields without renumbering states."""
+    return Coder(initial_dtso_config(program), lambda w: own_decompose(w).delimiters, group.share)
 
 
 def coded_preds(coder: Coder, fill: Callable) -> Callable[[int], list]:
@@ -218,6 +235,331 @@ def coded_preds(coder: Coder, fill: Callable) -> Callable[[int], list]:
         return out
 
     return preds
+
+
+class Automorphism(NamedTuple):
+    """A symmetry of a fixed-size program: process p, its variables
+    renamed, is process perm[p], and variable i is renamed to variable
+    renaming[i].  Under it process perm[p]'s automaton is process p's
+    with each variable renamed (same states, initial state and
+    values), and the target state of perm[p] is that of p."""
+
+    perm: tuple[int, ...]
+    renaming: tuple[int, ...]
+
+    def compose(self, other: Automorphism) -> Automorphism:
+        """self after other."""
+        return Automorphism(
+            tuple(self.perm[q] for q in other.perm), tuple(self.renaming[j] for j in other.renaming)
+        )
+
+    def names(self, program) -> dict[str, str]:
+        """Each variable's new name."""
+        return {x: program.vars[j] for x, j in zip(program.vars, self.renaming)}
+
+    def config(self, c: DtsoConfig, program) -> DtsoConfig:
+        """The image of c: process p's state and renamed buffer at
+        perm[p], and variable i's value at renaming[i]."""
+        names = self.names(program)
+        states, buffers, mem = [None] * len(self.perm), [None] * len(self.perm), [None] * len(self.renaming)
+        for p, q in enumerate(self.perm):
+            states[q] = c.states[p]
+            buffers[q] = tuple((names[x], v, own) for x, v, own in c.buffers[p])
+        for i, j in enumerate(self.renaming):
+            mem[j] = c.mem[i]
+        return DtsoConfig(tuple(states), tuple(buffers), tuple(mem))
+
+    def action(self, action, program):
+        """The image of action: the same rule taken by process
+        perm[action.proc], on the renamed variable."""
+        names = self.names(program)
+        q = self.perm[action.proc]
+        if isinstance(action, Step):
+            t = action.t
+            op = t.op if t.op.var is None else t.op._replace(var=names[t.op.var])
+            return Step(q, t._replace(op=op))
+        if isinstance(action, Propagate):
+            return Propagate(q, names[action.var])
+        return action._replace(proc=q)
+
+
+@dataclass(frozen=True)
+class Symmetry:
+    """A group of automorphisms of a fixed-size program, in two parts.
+
+    `classes` partitions the processes into those with equal automata
+    and equal target states; every permutation within the classes,
+    with no variable renamed, is in the group, and forms a normal
+    subgroup N that is kept implicit.  `elements` holds one automorphism
+    per coset of N, identity first.  The group is N times `elements`,
+    of order len(elements) times the product of the classes' sizes'
+    factorials.  `share` names, per process, the least process of its
+    orbit."""
+
+    classes: tuple[tuple[int, ...], ...]
+    elements: tuple[Automorphism, ...]
+
+    @property
+    def order(self) -> int:
+        return len(self.elements) * math.prod(math.factorial(len(c)) for c in self.classes)
+
+    @property
+    def share(self) -> tuple[int, ...]:
+        class_of = {p: c for c in self.classes for p in c}
+        return tuple(min(g.perm[q] for g in self.elements for q in class_of[p]) for p in range(len(class_of)))
+
+
+def _renamings(a, b, sigma: dict[int, int], program):
+    """Each extension of sigma, a partial injective renaming of
+    variable indices, under which automaton a's transitions renamed are
+    automaton b's, each variable tried first as itself.  a and b must
+    have the same initial state and as many transitions, which prunes
+    most candidate images at once."""
+    if a.init != b.init or len(a.transitions) != len(b.transitions):
+        return
+    theirs = set(b.transitions)
+    var_index = program.var_index
+
+    def match(k: int, sigma: dict):
+        """Each extension of sigma matching transitions k on."""
+        for k in range(k, len(a.transitions)):
+            t = a.transitions[k]
+            x = t.op.var
+            if x is None or var_index[x] in sigma:
+                if x is not None:
+                    t = t._replace(op=t.op._replace(var=program.vars[sigma[var_index[x]]]))
+                if t not in theirs:
+                    return
+                continue
+            i = var_index[x]
+            used = set(sigma.values())
+            for j in [i] * (i not in used) + [j for j in range(len(program.vars)) if j != i and j not in used]:
+                if t._replace(op=t.op._replace(var=program.vars[j])) in theirs:
+                    yield from match(k + 1, {**sigma, i: j})
+            return
+        yield sigma
+
+    yield from match(0, sigma)
+
+
+def automorphisms(program: ConcurrentProgram, target: tuple[str, ...]) -> Symmetry:
+    """The automorphisms of program and `target`, a state per process,
+    that keep the name of every variable no process names, as a
+    Symmetry.
+
+    The classes are found by equal (initial state, transition set,
+    target state).  The elements are then found class by class: each
+    class goes to an unused class of its size and target state whose
+    automaton its own equals under an extension of the renaming so far
+    (_renamings), its processes in order.  So N is never listed, a
+    class image is tried only where the transition counts agree, and
+    the identity is found first.
+
+    The search gives up after (k + 1) ** 3 partial assignments of the k
+    classes and keeps the identity alone, with N.  That happens when,
+    say, k processes each use a variable of their own, so that every
+    permutation of them is an automorphism: each candidate would cost
+    k! images.  A ring takes about k ** 2.  The reduction is sound with
+    any automorphisms, and canonical with a group."""
+    found: dict = {}
+    for p, auto in enumerate(program.processes):
+        found.setdefault((auto.init, frozenset(auto.transitions), target[p]), []).append(p)
+    classes = tuple(map(tuple, found.values()))
+    heads = [program.processes[c[0]] for c in classes]
+    elements: list[Automorphism] = []
+    budget = (len(classes) + 1) ** 3
+
+    def assign(i: int, image: tuple, sigma: dict) -> None:
+        nonlocal budget
+        budget -= 1
+        if budget < 0:
+            return
+        if i == len(classes):
+            perm = [0] * program.n
+            for c, j in zip(classes, image):
+                for p, q in zip(c, classes[j]):
+                    perm[p] = q
+            renaming = tuple(sigma.get(x, x) for x in range(len(program.vars)))
+            elements.append(Automorphism(tuple(perm), renaming))
+            return
+        c = classes[i]
+        for j, d in enumerate(classes):
+            if j in image or len(d) != len(c) or target[d[0]] != target[c[0]]:
+                continue
+            for extended in _renamings(heads[i], heads[j], sigma, program):
+                assign(i + 1, image + (j,), extended)
+                if budget < 0:
+                    return
+
+    assign(0, (), {})
+    if budget < 0:
+        del elements[1:]
+    return Symmetry(classes, tuple(elements))
+
+
+def _getter(idx) -> Callable:
+    """itemgetter(*idx), returning a tuple for one index too."""
+    idx = tuple(idx)
+    return itemgetter(*idx) if len(idx) > 1 else lambda s: (s[idx[0]],)
+
+
+class _Images(dict):
+    """ids to their images under each element, made by `image` on
+    first need."""
+
+    def __init__(self, image: Callable):
+        super().__init__()
+        self.image = image
+
+    def __missing__(self, key: int) -> tuple:
+        out = self[key] = self.image(key)
+        return out
+
+
+class Canonicaliser:
+    """One representative code per orbit of `group` over `coder`'s
+    codes, for one search to own.
+
+    A code is read as its fields, unpacked in one call.  The processes
+    of one orbit share their interners, so an element moves process
+    p's fields to process perm[p]'s, keeps its state id and renames
+    only its buffer and summary ids, and renames the memory id.  A
+    memory id's images under every element are made once, and a buffer
+    id's buffer and summary ids under one element once per orbit, each
+    on first need.  Only the elements whose image has the least memory
+    id are taken further.  Each of them gives a key: the image's
+    memory id, its state ids, then its buffer and summary ids process
+    by process, an order in which a summary id, a function of the
+    buffer id, never decides.  Without classes of more than one
+    process, the representative is the image of least key.  With them,
+    each image has each class's entries sorted (a process's state,
+    buffer and summary fields read as one int), and the least code is
+    the representative.  Either is a function of the orbit alone,
+    because the classes' permutations form a normal subgroup N that
+    fixes the memory: the images of two codes in one orbit are the
+    same N-orbits."""
+
+    def __init__(self, program: ConcurrentProgram, group: Symmetry, coder: Coder):
+        self.program = program
+        self.coder = coder
+        self.group = group
+        self.elements = group.elements
+        n = coder.n
+        self._fields = struct.Struct(f"<{1 + 3 * n}I")  # FIELD_BITS = 32: one unsigned int per field
+        self._top = coder.top_shift
+        self._low = (1 << self._top) - 1
+        self._memories = _Images(self._renamed_memories)
+        # per element, its key from the fields: its image's memory id,
+        # then per process its state id, then per process its buffer
+        # and summary ids, read through one id map per orbit
+        share = group.share
+        self._keys = []
+        for g in self.elements:
+            source = [0] * n
+            for p, q in enumerate(g.perm):
+                source[q] = p
+            names = g.names(program)
+            orbits = {o: _Images(partial(self._renamed_buffer, names, o)) for o in set(share)}
+            self._keys.append((
+                _getter(1 + p for p in source),
+                _getter(1 + n + p for p in source),
+                [orbits[share[p]] for p in source],
+            ))
+        # a key's buffer and summary ids back in field order
+        self._order = itemgetter(*range(1 + n), *range(1 + n, 1 + 3 * n, 2), *range(2 + n, 2 + 3 * n, 2))
+        # process 0's state, buffer and summary fields, and each class's
+        # processes' shifts onto them
+        width, field = coder.width, coder.field
+        self._entry = field << width | field << width * (1 + n) | field << width * (1 + 2 * n)
+        self._classes = [tuple(width * q for q in c) for c in group.classes if len(c) > 1]
+
+    def _renamed_buffer(self, names: dict, p: int, b: int) -> tuple:
+        """Process p's buffer id b renamed by `names`, as its buffer id
+        and summary id."""
+        coder = self.coder
+        bf = 1 + coder.n + p
+        renamed = tuple((names[x], v, own) for x, v, own in coder.values[bf][b])
+        return coder.id(bf, renamed), coder.id(bf + coder.n, coder.summary(renamed))
+
+    def _renamed_memories(self, m: int) -> tuple:
+        """A memory id's image under each element."""
+        mem = self.coder.values[0][m]
+        out = []
+        for g in self.elements:
+            image = [0] * len(mem)
+            for i, j in enumerate(g.renaming):
+                image[j] = mem[i]
+            out.append(self.coder.id(0, tuple(image)))
+        return tuple(out)
+
+    def rep(self, code: int) -> int:
+        """code's orbit representative."""
+        top = code >> self._top << self._top
+        if len(self._keys) > 1:
+            fields = self._fields.unpack((code & self._low).to_bytes(self._fields.size, "little"))
+            memories = self._memories[fields[0]]
+            least = min(memories)
+            getitem, flat = dict.__getitem__, itertools.chain.from_iterable
+            keys = [
+                (m,) + states(fields) + tuple(flat(map(getitem, maps, buffers(fields))))
+                for (states, buffers, maps), m in zip(self._keys, memories)
+                if m == least
+            ]
+            if not self._classes:
+                return int.from_bytes(self._fields.pack(*self._order(min(keys))), "little") | top
+            codes = [int.from_bytes(self._fields.pack(*self._order(key)), "little") | top for key in keys]
+        else:
+            codes = [code]
+        return min(map(self._sorted, codes))
+
+    def _sorted(self, code: int) -> int:
+        """code with each class's entries sorted: its processes'
+        state, buffer and summary fields, read together as one int."""
+        entry = self._entry
+        for shifts in self._classes:
+            entries = [code >> s & entry for s in shifts]
+            ordered = sorted(entries)
+            if ordered != entries:
+                code += sum(map(lshift, ordered, shifts)) - sum(map(lshift, entries, shifts))
+        return code
+
+    def element(self, raw: DtsoConfig, canonical: DtsoConfig) -> Automorphism:
+        """An automorphism of the group taking raw to canonical, which
+        lie in one orbit: an element's image of raw, then each class's
+        processes matched to canonical's in the order of their states
+        and buffers."""
+        for g in self.elements:
+            image = g.config(raw, self.program)
+            if image.mem != canonical.mem:
+                continue
+            perm = list(range(len(image.states)))
+            for c in self.group.classes:
+                mine = sorted(c, key=lambda q: (image.states[q], image.buffers[q]))
+                theirs = sorted(c, key=lambda p: (canonical.states[p], canonical.buffers[p]))
+                for q, p in zip(mine, theirs):
+                    perm[q] = p
+            sorter = Automorphism(tuple(perm), tuple(range(len(image.mem))))
+            if sorter.config(image, self.program) == canonical:
+                return sorter.compose(g)
+        raise ValueError("no automorphism takes the candidate to its representative")
+
+    def unwind(self, chain: tuple, witness: tuple) -> tuple[tuple, tuple]:
+        """The decoded chain of representatives and a witness of
+        (action, candidate code) pairs as a real chain and witness.
+
+        witness[i]'s candidate was taken to chain[i] by some element
+        g_i; composing h_i = g_0 ... g_i, the real chain is chain[0]
+        (the initial configuration, which every element fixes), then
+        h_i's image of chain[i + 1], and the real witness h_i's image of
+        each action, since every automorphism maps a step to a step."""
+        program = self.program
+        h = Automorphism(tuple(range(program.n)), tuple(range(len(program.vars))))
+        real_chain, actions = [chain[0]], []
+        for i, (action, raw) in enumerate(witness):
+            h = h.compose(self.element(self.coder.decode(raw), chain[i]))
+            actions.append(h.action(action, program))
+            real_chain.append(h.config(chain[i + 1], program))
+        return tuple(real_chain), tuple(actions)
 
 
 def coded_leq(coder: Coder) -> Callable[[int, int], bool]:
@@ -334,8 +676,8 @@ def fixpoint(
     closer to the empty-buffer initial one, expand first) with generation
     index as the tie break; every seed is queued, the engines building
     live ones only (seed_memories).  `preds(c)` yields (action, element)
-    pairs ready for the antichain, the action naming its process as the
-    element does, or (action, None) for a dead candidate, one that
+    pairs ready for the antichain, the action opaque here and kept in
+    the witness, or (action, None) for a dead candidate, one that
     cannot cover the initial configuration; a dead candidate counts
     toward configs_generated and max_nodes in its place and toward
     `dead`.  These choices leave the verdict unchanged and are
@@ -414,26 +756,42 @@ def backward_reach(
     memory, go into that antichain encoded, in that order; their
     memories differ, so each is inserted.  The witness chain is decoded
     once, at the end.  A target that does not name one state of each
-    process raises ValueError."""
+    process raises ValueError.
+
+    When the program and target have automorphisms other than the
+    identity, the processes of one orbit share their interners, and
+    each seed and live candidate goes into the antichain as its orbit's
+    representative (Canonicaliser.rep), so seeds whose memories are
+    renamings of each other are one.  Each candidate's action is kept
+    with its code as generated; unwinding recovers the automorphism
+    that took it to its representative and composes them, so the chain
+    and witness name real processes and variables."""
     target = check_target(program, target)
     own_ok = [removable_own(auto) for auto in program.processes]
-    coder = backward_coder(program)
+    group = automorphisms(program, target)
+    coder = backward_coder(program, group)
     minors = MinorSet(
         coded_leq(coder), key=coder.memory_and_states_mask.__and__, sig=coder.summaries_mask.__and__
     )
+    preds = coded_preds(coder, partial(local_preds, program, own_ok, live_kernel(program)))
+    rep = None
+    if group.order > 1:
+        canon = Canonicaliser(program, group, coder)
+        rep, moves = canon.rep, preds
+
+        def preds(code: int) -> list:
+            return [(a, None) if d is None else ((a, d), rep(d)) for a, d in moves(code)]
+
     buffers = tuple(() for _ in program.processes)
     for mem in seed_memories(program, max_nodes):
-        minors.insert(coder.encode(DtsoConfig(target, buffers, mem)))
+        code = coder.encode(DtsoConfig(target, buffers, mem))
+        minors.insert(code if rep is None else rep(code))
     top = coder.top_shift
-    stats = fixpoint(
-        minors,
-        coded_preds(coder, partial(local_preds, program, own_ok, live_kernel(program))),
-        lambda code: code == 0,
-        lambda code: code >> top,
-        max_nodes,
-    )
+    stats = fixpoint(minors, preds, lambda code: code == 0, lambda code: code >> top, max_nodes)
     if stats.chain is not None:
         stats.chain = tuple(map(coder.decode, stats.chain))
+        if rep is not None:
+            stats.chain, stats.witness = canon.unwind(stats.chain, stats.witness)
     return stats
 
 

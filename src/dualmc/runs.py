@@ -152,9 +152,14 @@ class Coder:
     `code >> top_shift` is a configuration's total buffer length and
     `code & summaries_mask` equal for equal summaries.  Without it (the
     explorers) the code has the 1 + 2n fields above alone.
+
+    With `share`, one process index per process, process p's state,
+    buffer and summary fields use process share[p]'s interners, so
+    equal parts of the processes sharing them have equal ids; they must
+    start in equal states.
     """
 
-    def __init__(self, init, summary: Callable | None = None):
+    def __init__(self, init, summary: Callable | None = None, share: tuple[int, ...] | None = None):
         n = self.n = len(init.states)
         self.make = type(init)
         self.summary = summary
@@ -162,6 +167,11 @@ class Coder:
         self.field = field = (1 << FIELD_BITS) - 1
         self.values = [[v] for v in self._parts(init)]
         self.ids = [{vals[0]: 0} for vals in self.values]
+        if share is not None:
+            for base in range(1, len(self.values), n):
+                for p, q in enumerate(share):
+                    self.values[base + p] = self.values[base + q]
+                    self.ids[base + p] = self.ids[base + q]
         self.keymask = [field | field << self._shift(1 + p) | field << self._shift(1 + n + p) for p in range(n)]
         self.buffers_mask = sum(field << self._shift(1 + n + p) for p in range(n))
         self.states_and_buffers_mask = (1 << self._shift(2 * n + 1)) - 1 - field
@@ -220,12 +230,16 @@ class Coder:
         fill(p, state, buffer, memory), which lists them as `tabled`
         reads them: each becomes (action, delta), or (action, None)
         where its memory is None.  With a summary, a move that changes
-        the buffer also changes p's summary field and the top field."""
+        the buffer also changes p's summary field and the top field;
+        the old buffer's summary id, interned with the key, is read
+        once."""
         sf, bf, df = 1 + p, 1 + self.n + p, 1 + 2 * self.n + p
         s_shift, b_shift = self._shift(sf), self._shift(bf)
         m_id, s_id, b_id = key & self.field, key >> s_shift & self.field, key >> b_shift & self.field
         buf = self.values[bf][b_id]
         summary = self.summary
+        if summary is not None:
+            d_id = self.id(df, summary(buf))
         out: list[tuple] = []
         for action, s, b, m in fill(p, self.values[sf][s_id], buf, self.values[0][m_id]):
             if m is None:
@@ -237,7 +251,7 @@ class Coder:
             if b is not None:
                 delta += (self.id(bf, b) - b_id) << b_shift
                 if summary is not None:
-                    delta += (self.id(df, summary(b)) - self.id(df, summary(buf))) << self._shift(df)
+                    delta += (self.id(df, summary(b)) - d_id) << self._shift(df)
                     delta += (len(b) - len(buf)) << self.top_shift
             out.append((action, delta))
         return out

@@ -95,8 +95,8 @@ def engine_seeds(monkeypatch, search) -> list:
         raise _Seeded
 
     def keep_coder(make):
-        def made(program):
-            coders.append(make(program))
+        def made(*args):
+            coders.append(make(*args))
             return coders[-1]
 
         return made

@@ -121,17 +121,21 @@ def test_criterion_2_param_verdicts(param_stats):
 # length, sha256 prefix of repr((witness, chain))) per corpus file.  The
 # candidate order and the worklist keys fix every one of these, so an
 # exact refactor or optimisation of the engines leaves them unchanged; a
-# change that moves them must say why it is sound.
+# change that moves them must say why it is sound.  The fixed-size search
+# keeps one representative per orbit of the program's automorphisms
+# (backward.automorphisms), so the rows of sb, lb, rwc, iriw and
+# dekker-simple, the files with a nontrivial group, count the reduced
+# search.
 PINNED_COUNTERS = {
-    "sb.lit": ("Reachable", 156_905, 26_411, 32_300, 56_060, 20, "2ee8f4ccea43"),
-    "lb.lit": ("Unreachable", 2_115, 613, 244, 514, 0, "67c79a8faf11"),
+    "sb.lit": ("Reachable", 31_221, 5_259, 6_462, 11_220, 20, "0902841e73ff"),
+    "lb.lit": ("Unreachable", 759, 225, 100, 176, 0, "67c79a8faf11"),
     "wrc.lit": ("Unreachable", 5_733, 1_352, 703, 1_154, 0, "67c79a8faf11"),
     "isa2.lit": ("Unreachable", 3_263, 860, 404, 769, 0, "67c79a8faf11"),
-    "rwc.lit": ("Reachable", 4_872, 1_173, 811, 1_186, 18, "404ba1e4d949"),
+    "rwc.lit": ("Reachable", 2_075, 482, 292, 576, 18, "7cf731bfbfa5"),
     "wrwc.lit": ("Reachable", 21_789, 4_732, 3_281, 6_340, 16, "2e0599f0ec47"),
-    "iriw.lit": ("Unreachable", 1_426, 365, 182, 325, 0, "67c79a8faf11"),
+    "iriw.lit": ("Unreachable", 754, 192, 98, 171, 0, "67c79a8faf11"),
     "mp.lit": ("Unreachable", 33_849, 6_797, 3_228, 6_146, 0, "67c79a8faf11"),
-    "dekker-simple.lit": ("Reachable", 860, 258, 178, 330, 8, "60af625a9eaf"),
+    "dekker-simple.lit": ("Reachable", 457, 137, 96, 176, 8, "319f7f2c08d1"),
     "dekker.lit": ("Reachable", 23_296, 4_150, 5_335, 9_288, 8, "a52b88049129"),
     "peterson.lit": ("Reachable", 3_304, 770, 614, 1_250, 12, "9889036c2c0e"),
     "peterson-repeat.lit": ("Reachable", 11_610, 2_170, 2_454, 4_564, 12, "9889036c2c0e"),
@@ -156,15 +160,15 @@ def test_pinned_counters(fixed_stats, param_stats):
 
 
 # BackwardStats.dead per corpus file: candidates the search looked at
-# and found dead, seeds not counted.  The fixed-size files sum to 35,292.
+# and found dead, seeds not counted.  The fixed-size files sum to 24,340.
 PINNED_DEAD = {
-    "sb.lit": 12_464,
-    "lb.lit": 768,
+    "sb.lit": 2_496,
+    "lb.lit": 264,
     "wrc.lit": 1_920,
     "isa2.lit": 1_152,
-    "rwc.lit": 512,
+    "rwc.lit": 236,
     "wrwc.lit": 4_708,
-    "iriw.lit": 432,
+    "iriw.lit": 228,
     "mp.lit": 12_288,
     "dekker-simple.lit": 0,
     "dekker.lit": 192,
@@ -184,23 +188,23 @@ PINNED_DEAD = {
 def test_pinned_dead_counts(fixed_stats, param_stats):
     stats = {**fixed_stats, **param_stats}
     assert {name: stats[name].dead for name in PINNED_DEAD} == PINNED_DEAD
-    assert sum(PINNED_DEAD[name] for name in FIXED_EXPECTED) == 35_292
+    assert sum(PINNED_DEAD[name] for name in FIXED_EXPECTED) == 24_340
 
 
 # BackwardStats.subsumed per corpus file: candidates that a member of
 # the antichain lay below.  With configs_generated, dead and minors
 # pinned, the accounting test below then pins inserted and evicted too.
-# The fixed-size files sum to 129,677.
+# The fixed-size files sum to 63,157.
 PINNED_SUBSUMED = {
-    "sb.lit": 80_676,
-    "lb.lit": 592,
+    "sb.lit": 16_116,
+    "lb.lit": 216,
     "wrc.lit": 2_090,
     "isa2.lit": 1_081,
-    "rwc.lit": 2_170,
+    "rwc.lit": 1_039,
     "wrwc.lit": 8_757,
-    "iriw.lit": 540,
+    "iriw.lit": 286,
     "mp.lit": 13_230,
-    "dekker-simple.lit": 424,
+    "dekker-simple.lit": 225,
     "dekker.lit": 12_620,
     "peterson.lit": 1_320,
     "peterson-repeat.lit": 6_177,
@@ -218,7 +222,7 @@ PINNED_SUBSUMED = {
 def test_pinned_subsumed_counts(fixed_stats, param_stats):
     stats = {**fixed_stats, **param_stats}
     assert {name: stats[name].subsumed for name in PINNED_SUBSUMED} == PINNED_SUBSUMED
-    assert sum(PINNED_SUBSUMED[name] for name in FIXED_EXPECTED) == 129_677
+    assert sum(PINNED_SUBSUMED[name] for name in FIXED_EXPECTED) == 63_157
 
 def test_stats_record_accounts_for_every_candidate(fixed_stats, param_stats):
     """Every candidate a search generates is dead, subsumed or inserted
@@ -311,10 +315,10 @@ def test_tso_explorer_shares_no_state():
 # per reachable fixed corpus file.  They pin the run layer the way
 # PINNED_COUNTERS pins the engines.
 PINNED_RUNS = {
-    "sb.lit": ("da00154ae1df", "d388fcb35e34", "ad21771db68e"),
-    "rwc.lit": ("91176ce47d13", "c8e87450c285", "9971410a9c01"),
+    "sb.lit": ("cf0ccdbcc31f", "c4bb25ff6d61", "64009a4755ad"),
+    "rwc.lit": ("1548c572672d", "c8e87450c285", "9971410a9c01"),
     "wrwc.lit": ("e068a00d0f03", "3a69795d1ef9", "5cbda12e1984"),
-    "dekker-simple.lit": ("c2bb4c301a94", "ba40bc397426", "a2931a936191"),
+    "dekker-simple.lit": ("1884a053ad83", "5355bd643fc1", "915871cc44a1"),
     "dekker.lit": ("5bba794165a6", "ba40bc397426", "a2931a936191"),
     "peterson.lit": ("c6a985f7571a", "8376b840ba13", "6b37fd2ef15f"),
     "peterson-repeat.lit": ("c6a985f7571a", "8376b840ba13", "6b37fd2ef15f"),
@@ -339,7 +343,7 @@ def test_pinned_concrete_runs(fixed_stats):
 # after they were queued, yet are links of the witness all the same.
 EVICTED_CHAIN_MINORS = {
     "sb.lit": (21, 5),
-    "rwc.lit": (19, 7),
+    "rwc.lit": (19, 5),
     "wrwc.lit": (17, 4),
     "dekker-simple.lit": (9, 2),
     "dekker.lit": (9, 2),
@@ -359,30 +363,35 @@ def test_witness_provenance_survives_eviction(monkeypatch):
     minor under the recorded action."""
     antichains = []
     coders = []
+    canonicalisers = []
     real = dualmc.backward.fixpoint
-    real_coder = dualmc.backward.backward_coder
 
     def keep_antichain(minors, *args):
         antichains.append(minors)
         return real(minors, *args)
 
-    def keep_coder(make):
-        def made(program):
-            coders.append(make(program))
-            return coders[-1]
+    def keep(make, made_list):
+        def made(*args):
+            made_list.append(make(*args))
+            return made_list[-1]
 
         return made
 
     monkeypatch.setattr(dualmc.backward, "fixpoint", keep_antichain)
     monkeypatch.setattr(dualmc.param, "fixpoint", keep_antichain)
-    # both antichains hold codes: each chain minor's, interned by the search
-    monkeypatch.setattr(dualmc.backward, "backward_coder", keep_coder(real_coder))
-    monkeypatch.setattr(dualmc.param, "ParamCoder", keep_coder(dualmc.param.ParamCoder))
+    # both antichains hold codes: each chain minor's, interned by the
+    # search, and for a program with symmetries its orbit representative's
+    monkeypatch.setattr(dualmc.backward, "backward_coder", keep(dualmc.backward.backward_coder, coders))
+    monkeypatch.setattr(dualmc.param, "ParamCoder", keep(dualmc.param.ParamCoder, coders))
+    monkeypatch.setattr(dualmc.backward, "Canonicaliser", keep(dualmc.backward.Canonicaliser, canonicalisers))
     for name, expected in EVICTED_CHAIN_MINORS.items():
         prog = corpus_program(name)
         param = name in PARAM_EXPECTED
+        canonicalisers.clear()
         s = param_backward_reach(prog) if param else backward_reach(prog, prog.target)
         held = [coders[-1].encode(c) for c in s.chain]
+        if canonicalisers:
+            held = list(map(canonicalisers[-1].rep, held))
         assert (len(s.chain), sum(c not in antichains[-1] for c in held)) == expected, name
         if not param:
             replay(concretize_witness(prog, s), prog, dtso_successors)

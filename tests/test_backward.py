@@ -12,16 +12,22 @@ from dualmc import (
     Delete,
     DtsoConfig,
     MinorSet,
+    ResourceLimitError,
     backward_reach,
     concretize_witness,
     config_leq,
     dtso_bounded_reach,
     dtso_successors,
+    dtso_to_tso,
     initial_dtso_config,
     replay,
     tso_bounded_reach,
+    tso_successors,
 )
 from dualmc.backward import (
+    Automorphism,
+    Canonicaliser,
+    automorphisms,
     backward_coder,
     coded_leq,
     coded_preds,
@@ -33,11 +39,12 @@ from dualmc.backward import (
     seed_memories,
     writable_values,
 )
-from dualmc.model import ParamProgram, parse_program
+from dualmc.model import Automaton, ConcurrentProgram, Op, ParamProgram, Transition, parse_program
 from dualmc.oracle import minpre_config
 from dualmc.param import param_backward_reach
 
 from conftest import (
+    all_global_states,
     config_down,
     corpus_program,
     engine_seeds,
@@ -280,13 +287,9 @@ target P=q3 Q=q3
 """
 
 
-def test_worklist_generation_indices_are_distinct(monkeypatch):
-    """Every worklist entry, seeds and candidates alike, carries its own
-    generation index, so equal weights break ties by generation order
-    alone and never fall through to the configurations.  Only the 4
-    live seeds are built: the 5 dead ones are missing from
-    configs_generated, inserted and minors (582, 277 and 237 with them),
-    and the search is otherwise the same."""
+def _spied_search(monkeypatch, prog) -> tuple:
+    """backward_reach(prog) at its target, with the generation index of
+    every worklist entry, seeds and candidates alike, in push order."""
     seqs = []
 
     def heapify(work):
@@ -299,12 +302,38 @@ def test_worklist_generation_indices_are_distinct(monkeypatch):
 
     spy = SimpleNamespace(heapify=heapify, heappush=heappush, heappop=heapq.heappop)
     monkeypatch.setattr(dualmc.backward, "heapq", spy)
-    prog = parse_program(TIE_BREAK)
-    s = backward_reach(prog, prog.target)
+    return backward_reach(prog, prog.target), seqs
+
+
+def test_worklist_generation_indices_are_distinct(monkeypatch):
+    """Every worklist entry, seeds and candidates alike, carries its own
+    generation index, so equal weights break ties by generation order
+    alone and never fall through to the configurations.  Only the 4
+    live seeds are built: the 5 dead ones are missing from
+    configs_generated, inserted and minors (582, 277 and 237 with them),
+    and the search is otherwise the same.  The program is symmetric, so
+    its states are renamed apart (`unreduced`) to search it unreduced."""
+    s, seqs = _spied_search(monkeypatch, unreduced(parse_program(TIE_BREAK)))
     assert len(seqs) > 100 and len(set(seqs)) == len(seqs)
     assert s.verdict == "Reachable"
     assert (s.configs_generated, s.inserted, s.minors, s.iterations) == (577, 272, 232, 186)
     assert (s.dead, s.subsumed, s.frontier_peak) == (128, 177, 87)
+
+
+def test_symmetric_search_keeps_one_seed_and_candidate_per_orbit(monkeypatch):
+    """TIE_BREAK is symmetric under swapping P and Q with x and y.
+    Searched as written, it keeps one seed per orbit (3 for the 4 live
+    memories) and one representative per candidate's orbit, about half
+    the unreduced search, with distinct generation indices still."""
+    prog = parse_program(TIE_BREAK)
+    assert automorphisms(prog, prog.target).order == 2
+    seeds = engine_seeds(monkeypatch, lambda: backward_reach(prog, prog.target))
+    assert len({c.mem for c in seeds}) == len(seeds) == 3
+    s, seqs = _spied_search(monkeypatch, prog)
+    assert len(seqs) > 50 and len(set(seqs)) == len(seqs)
+    assert s.verdict == "Reachable"
+    assert (s.configs_generated, s.inserted, s.minors, s.iterations) == (312, 145, 122, 100)
+    assert (s.dead, s.subsumed, s.frontier_peak) == (69, 98, 48)
 
 
 def test_seeds_are_live_and_one_per_writable_memory(monkeypatch):
@@ -389,7 +418,7 @@ def test_shared_move_table_gives_fresh_table_candidates():
         prog = random_program(rng, n_procs=2, max_states=3)
         own_ok = [removable_own(auto) for auto in prog.processes]
         live = live_filter(prog, own_ok)
-        coder = backward_coder(prog)
+        coder = backward_coder(prog, automorphisms(prog, prog.target))
         fills: list = []
         preds = coded_preds(coder, _counted_fill(prog, own_ok, None, fills))
         built: dict = {}
@@ -423,7 +452,7 @@ def test_move_table_liveness_marks_exactly_the_dead_candidates():
         own_ok = [removable_own(auto) for auto in prog.processes]
         live = live_filter(prog, own_ok)
         kernel = live_kernel(prog)
-        coder = backward_coder(prog)
+        coder = backward_coder(prog, automorphisms(prog, prog.target))
         fills: list = []
         preds = coded_preds(coder, _counted_fill(prog, own_ok, kernel, fills))
         for _ in range(40):
@@ -449,7 +478,7 @@ def test_coded_candidates_reencode_to_their_codes():
         prog = random_program(rng, n_procs=2, max_states=3)
         own_ok = [removable_own(auto) for auto in prog.processes]
         live = live_filter(prog, own_ok)
-        coder = backward_coder(prog)
+        coder = backward_coder(prog, automorphisms(prog, prog.target))
         preds = coded_preds(coder, partial(local_preds, prog, own_ok, live_kernel(prog)))
         for _ in range(40):
             c = random_dtso_config(rng, prog, max_buf=2)
@@ -474,7 +503,7 @@ def test_coded_leq_agrees_with_config_leq():
     outcomes = set()
     for _ in range(30):
         prog = random_program(rng, n_procs=2, max_states=2)
-        coder = backward_coder(prog)
+        coder = backward_coder(prog, automorphisms(prog, prog.target))
         leq = coded_leq(coder)
         for _ in range(100):
             c = random_dtso_config(rng, prog, max_buf=2)
@@ -557,3 +586,296 @@ def test_monotonicity_recipe():
             probe = succs3[Delete(p)]
         assert found, (prog, c1, action, c3)
         checked += 1
+
+
+def unreduced(prog: ConcurrentProgram) -> ConcurrentProgram:
+    """prog with process p's local states renamed to f"{p}.{state}",
+    its target too, and with process 0 given a read of each variable
+    from a state no transition enters to a state of that variable's
+    own.  The same semantics up to state names, and the same search:
+    no configuration the engine builds holds the new states.  But no
+    two processes share a state, and no renaming maps process 0's new
+    reads onto themselves, so the program's one automorphism is the
+    identity and backward_reach searches it unreduced."""
+    procs = []
+    for p, a in enumerate(prog.processes):
+        rename = f"{p}.{{}}".format
+        transitions = tuple(Transition(rename(t.src), t.op, rename(t.dst)) for t in a.transitions)
+        if p == 0:
+            transitions += tuple(Transition("0.unused", Op("r", x, 0), f"0.{x}") for x in prog.vars)
+        procs.append(Automaton(a.name, rename(a.init), transitions))
+    return ConcurrentProgram(prog.vars, prog.values, tuple(procs), tuple(f"{p}.{s}" for p, s in enumerate(prog.target)))
+
+
+def _rotations(n: int, variables: tuple) -> list:
+    """Each rotation of n processes in a ring with the variables, as
+    (perm, the variables' new names)."""
+    return [
+        (tuple((p + k) % n for p in range(n)), tuple(variables[(i + k) % n] for i in range(n)))
+        for k in range(n)
+    ]
+
+
+# per fixed corpus file with a nontrivial group: its order, its classes
+# of more than one identical process and its elements, one per coset of
+# the permutations within those classes, each as (perm, the variables'
+# new names); the other fixed files have the identity alone
+EXPECTED_GROUPS = {
+    "sb.lit": (5, (), _rotations(5, ("x1", "x2", "x3", "x4", "x5"))),
+    "lb.lit": (3, (), _rotations(3, ("x1", "x2", "x3"))),
+    "rwc.lit": (6, ((1, 2, 3),), [((0, 1, 2, 3, 4), ("x", "y"))]),
+    "iriw.lit": (2, (), [((0, 1, 2, 3), ("x", "y")), ((1, 0, 3, 2), ("y", "x"))]),
+    "dekker-simple.lit": (2, (), [((0, 1), ("f0", "f1")), ((1, 0), ("f1", "f0"))]),
+}
+TRIVIAL_GROUPS = ["dekker.lit", "isa2.lit", "mp.lit", "peterson.lit", "peterson-repeat.lit", "wrc.lit", "wrwc.lit"]
+
+
+def _group(prog) -> tuple:
+    """automorphisms(prog) in the form of EXPECTED_GROUPS."""
+    g = automorphisms(prog, prog.target)
+    named = [(a.perm, tuple(prog.vars[j] for j in a.renaming)) for a in g.elements]
+    return g.order, tuple(c for c in g.classes if len(c) > 1), named
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_GROUPS) + TRIVIAL_GROUPS)
+def test_corpus_groups(name):
+    """Each fixed corpus file gets its expected group; its order is the
+    number of elements times the classes' sizes' factorials."""
+    prog = corpus_program(name)
+    expected = EXPECTED_GROUPS.get(name, (1, (), [(tuple(range(prog.n)), prog.vars)]))
+    assert _group(prog) == expected
+    assert expected[0] == len(expected[2]) * math.prod(math.factorial(len(c)) for c in expected[1])
+
+
+def test_one_changed_transition_breaks_the_ring():
+    """SB with p1's read changed from r x2 0 to r x2 1 has only the
+    identity: no rotation maps p1 to another process."""
+    sb = corpus_program("sb.lit")
+    p1 = sb.processes[0]
+    read = Transition("q1", Op("r", "x2", 0), "q2")
+    assert read in p1.transitions
+    transitions = tuple(t._replace(op=Op("r", "x2", 1)) if t == read else t for t in p1.transitions)
+    changed = Automaton(p1.name, p1.init, transitions)
+    prog = ConcurrentProgram(sb.vars, sb.values, (changed,) + sb.processes[1:], sb.target)
+    assert _group(prog) == (1, (), [(tuple(range(5)), sb.vars)])
+
+
+def _identical(n: int) -> ConcurrentProgram:
+    """n identical store-buffering processes, each at q2 in the target."""
+    body = "  init q0\n  trans q0 q1 w x 1\n  trans q1 q2 r y 0\nend\n"
+    procs = "".join(f"process p{i}\n" + body for i in range(n))
+    target = " ".join(f"p{i}=q2" for i in range(n))
+    return parse_program(f"vars x y\nvalues 0 1\n{procs}target {target}\n")
+
+
+def test_identical_processes_are_sorted_not_enumerated():
+    """Eight identical processes form one class: the group has 8!
+    elements, but the canonicaliser holds the identity alone and sorts
+    the class, and every permutation of a configuration has one
+    representative."""
+    prog = _identical(8)
+    group = automorphisms(prog, prog.target)
+    assert group.order == math.factorial(8)
+    assert group.classes == (tuple(range(8)),)
+    coder = backward_coder(prog, group)
+    canon = Canonicaliser(prog, group, coder)
+    assert len(canon.elements) == 1
+    rng = random.Random(5)
+    for _ in range(50):
+        c = random_dtso_config(rng, prog, max_buf=2)
+        order = list(range(8))
+        rng.shuffle(order)
+        shuffled = Automorphism(tuple(order), (0, 1)).config(c, prog)
+        assert canon.rep(coder.encode(c)) == canon.rep(coder.encode(shuffled))
+
+
+def test_private_variables_are_not_enumerated(monkeypatch):
+    """Eight processes that each write and read a variable of their own
+    have all 8! permutations, with the variables, as automorphisms, and
+    none fixes every variable, so none is sorted.  The search for them
+    gives up after 9 ** 3 partial assignments and keeps the identity;
+    three such processes keep their whole group of 6."""
+    calls = 0
+    renaming = dualmc.backward._renamings
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return renaming(*args)
+
+    monkeypatch.setattr(dualmc.backward, "_renamings", counted)
+    for n, order in ((3, 6), (8, 1)):
+        body = "init q0\n trans q0 q1 w x{0} 1\n trans q1 q2 r x{0} 1\nend\n"
+        procs = "".join(f"process p{i}\n " + body.format(i) for i in range(n))
+        variables = " ".join(f"x{i}" for i in range(n))
+        target = " ".join(f"p{i}=q2" for i in range(n))
+        prog = parse_program(f"vars {variables}\nvalues 0 1\n{procs}target {target}\n")
+        calls = 0
+        group = automorphisms(prog, prog.target)
+        assert (group.order, len(group.elements), group.classes) == (order, order, tuple((p,) for p in range(n)))
+        assert calls <= (n + 1) ** 4
+
+
+def test_one_process_symmetric_in_its_variables():
+    """A single process that writes x or y alike has the renaming of x
+    and y as its one other automorphism; the reduced search agrees with
+    the unreduced one, and its witness names the real variable."""
+    prog = parse_program(
+        "vars x y\nvalues 0 1\nprocess P\n  init q0\n  trans q0 q1 w x 1\n  trans q0 q1 w y 1\n"
+        "  trans q1 q2 r y 1\n  trans q1 q2 r x 1\nend\ntarget P=q2\n"
+    )
+    assert _group(prog) == (2, (), [((0,), ("x", "y")), ((0,), ("y", "x"))])
+    plain = unreduced(prog)
+    assert automorphisms(plain, plain.target).order == 1
+    s = backward_reach(prog, prog.target)
+    assert s.verdict == backward_reach(plain, plain.target).verdict == "Reachable"
+    _check_witness(prog, prog.target, s)
+
+
+def _random_element(rng, group) -> Automorphism:
+    """A random element of group: a coset element after a random
+    permutation within each class."""
+    perm = list(range(sum(map(len, group.classes))))
+    for c in group.classes:
+        images = list(c)
+        rng.shuffle(images)
+        for p, q in zip(c, images):
+            perm[p] = q
+    g = rng.choice(group.elements)
+    return g.compose(Automorphism(tuple(perm), tuple(range(len(g.renaming)))))
+
+
+# two pairs of identical store-buffering processes, one pair the other's
+# image with x and y swapped: both classes and a second element
+PAIRS = """
+vars x y
+values 0 1
+process a1
+  init q0
+  trans q0 q1 w x 1
+  trans q1 q2 r y 0
+end
+process a2
+  init q0
+  trans q0 q1 w x 1
+  trans q1 q2 r y 0
+end
+process b1
+  init q0
+  trans q0 q1 w y 1
+  trans q1 q2 r x 0
+end
+process b2
+  init q0
+  trans q0 q1 w y 1
+  trans q1 q2 r x 0
+end
+target a1=q2 a2=q2 b1=q2 b2=q2
+"""
+
+
+@pytest.mark.parametrize("name", ["sb.lit", "rwc.lit", "iriw.lit", "pairs"])
+def test_representative_is_one_per_orbit(name):
+    """A configuration and any image of it under the group have one
+    representative, and the canonicaliser names an element taking the
+    configuration to its representative's decoding."""
+    prog = parse_program(PAIRS) if name == "pairs" else corpus_program(name)
+    group = automorphisms(prog, prog.target)
+    if name == "pairs":
+        assert (group.order, group.classes, len(group.elements)) == (8, ((0, 1), (2, 3)), 2)
+    coder = backward_coder(prog, group)
+    canon = Canonicaliser(prog, group, coder)
+    rng = random.Random(11)
+    for _ in range(200):
+        c = random_dtso_config(rng, prog, max_buf=3)
+        rep = canon.rep(coder.encode(c))
+        assert canon.rep(coder.encode(_random_element(rng, group).config(c, prog))) == rep
+        assert canon.element(c, coder.decode(rep)).config(c, prog) == coder.decode(rep)
+
+
+# (configs_generated, iterations, minors) of each symmetric corpus file
+# searched unreduced, with its states renamed apart
+UNREDUCED = {
+    "sb.lit": (156_905, 26_411, 56_060),
+    "lb.lit": (2_115, 613, 514),
+    "rwc.lit": (4_872, 1_173, 1_186),
+    "iriw.lit": (1_426, 365, 325),
+    "dekker-simple.lit": (860, 258, 330),
+}
+
+
+def _check_witness(prog, target, s) -> None:
+    """s's witness concretised, replayed under both semantics through
+    dtso_to_tso, ends at target with empty buffers."""
+    run = concretize_witness(prog, s)
+    replay(run, prog, dtso_successors)
+    tso_run = dtso_to_tso(run, prog)
+    replay(tso_run, prog, tso_successors)
+    assert tso_run.final.states == tuple(target) and not any(tso_run.final.buffers)
+
+
+@pytest.mark.parametrize("name", sorted(UNREDUCED))
+def test_reduced_search_agrees_with_unreduced_on_corpus(name):
+    """Each symmetric corpus file gets the unreduced search's verdict
+    from fewer candidates, and a reachable witness, naming real
+    processes, replays under both semantics."""
+    prog = corpus_program(name)
+    plain = unreduced(prog)
+    assert automorphisms(plain, plain.target).order == 1
+    s = backward_reach(prog, prog.target)
+    u = backward_reach(plain, plain.target)
+    assert (u.configs_generated, u.iterations, u.minors) == UNREDUCED[name]
+    assert s.verdict == u.verdict and s.configs_generated < u.configs_generated
+    if s.verdict == "Reachable":
+        _check_witness(prog, prog.target, s)
+
+
+def random_symmetric_program(rng: random.Random, n_procs: int, kind: str) -> ConcurrentProgram:
+    """n_procs copies of one random automaton.  In a "ring", copy i has
+    variable j renamed to variable (i + j) mod n_procs, so rotating the
+    processes with the variables is an automorphism; in "classes" the
+    copies are identical, one class; in "pairs" the second half of the
+    copies has its two variables swapped, so there are two classes and
+    swapping them with the variables is an automorphism."""
+    n_vars = n_procs if kind == "ring" else 2
+    base = random_program(rng, n_procs=1, max_states=3, n_vars=n_vars, n_vals=1)
+    auto, variables = base.processes[0], base.vars
+    procs = []
+    for i in range(n_procs):
+        shift = i if kind == "ring" else 2 * i // n_procs if kind == "pairs" else 0
+        rename = {x: variables[(j + shift) % n_vars] for j, x in enumerate(variables)}
+        transitions = tuple(
+            t if t.op.var is None else t._replace(op=t.op._replace(var=rename[t.op.var])) for t in auto.transitions
+        )
+        procs.append(Automaton(f"p{i + 1}", auto.init, transitions))
+    return ConcurrentProgram(variables, base.values, tuple(procs), tuple(auto.init for _ in procs))
+
+
+def test_reduced_search_agrees_with_unreduced_on_random_symmetric_programs():
+    """On random rings, classes of identical processes and pairs of
+    classes, at every target where each process is in one state, the
+    reduced search and the unreduced one (states renamed apart) agree,
+    and every reachable witness replays under both semantics to the
+    target."""
+    rng = random.Random(2029)
+    checked = reachable = reduced = 0
+    for k in range(60):
+        kind = ("ring", "classes", "pairs")[k % 3]
+        prog = random_symmetric_program(rng, n_procs=4 if kind == "pairs" else 2 + k % 2, kind=kind)
+        for state in sorted(prog.processes[0].states):
+            target = (state,) * prog.n
+            prog = ConcurrentProgram(prog.vars, prog.values, prog.processes, target)
+            plain = unreduced(prog)
+            try:
+                s = backward_reach(prog, target, max_nodes=20_000)
+                u = backward_reach(plain, plain.target, max_nodes=20_000)
+            except ResourceLimitError:
+                continue
+            assert s.verdict == u.verdict, (prog, target)
+            assert automorphisms(plain, plain.target).order == 1
+            reduced += automorphisms(prog, target).order > 1
+            if s.verdict == "Reachable":
+                _check_witness(prog, target, s)
+                reachable += 1
+            checked += 1
+    assert checked > 100 and reachable > 20 and reduced == checked

@@ -15,7 +15,7 @@ from dualmc import (
     word_leq,
 )
 
-from dualmc.backward import backward_coder, coded_leq
+from dualmc.backward import automorphisms, backward_coder, coded_leq
 from dualmc.ordering import word_table
 from dualmc.param import param_dominance
 
@@ -256,7 +256,7 @@ def test_signature_prefilter_is_exact():
     samples = 0
     while samples < 3000:
         prog = random_program(rng, n_procs=2, max_states=2, n_vals=1)
-        coder = backward_coder(prog)
+        coder = backward_coder(prog, automorphisms(prog, prog.target))
         fast = MinorSet(
             coded_leq(coder), key=coder.memory_and_states_mask.__and__, sig=coder.summaries_mask.__and__
         )
