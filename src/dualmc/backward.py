@@ -40,7 +40,7 @@ import math
 import struct
 from dataclasses import dataclass
 from functools import partial
-from operator import itemgetter, lshift
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .dtso import DtsoConfig, dtso_successors, initial_dtso_config
@@ -314,32 +314,37 @@ def _renamings(a, b, sigma: dict[int, int], program):
     variable indices, under which automaton a's transitions renamed are
     automaton b's, each variable tried first as itself.  a and b must
     have the same initial state and as many transitions, which prunes
-    most candidate images at once."""
+    most candidate images at once.  The search is depth first over a's
+    transitions, on an explicit stack."""
     if a.init != b.init or len(a.transitions) != len(b.transitions):
         return
-    theirs = set(b.transitions)
     var_index = program.var_index
-
-    def match(k: int, sigma: dict):
-        """Each extension of sigma matching transitions k on."""
+    # per transition of b with its variable left out, b's variable indices (None for none)
+    theirs: dict = {}
+    for t in b.transitions:
+        theirs.setdefault(_shape(t), set()).add(None if t.op.var is None else var_index[t.op.var])
+    stack = [(0, sigma)]
+    while stack:
+        k, sigma = stack.pop()
         for k in range(k, len(a.transitions)):
             t = a.transitions[k]
             x = t.op.var
+            images = theirs.get(_shape(t), set())
             if x is None or var_index[x] in sigma:
-                if x is not None:
-                    t = t._replace(op=t.op._replace(var=program.vars[sigma[var_index[x]]]))
-                if t not in theirs:
-                    return
+                if (None if x is None else sigma[var_index[x]]) not in images:
+                    break
                 continue
             i = var_index[x]
-            used = set(sigma.values())
-            for j in [i] * (i not in used) + [j for j in range(len(program.vars)) if j != i and j not in used]:
-                if t._replace(op=t.op._replace(var=program.vars[j])) in theirs:
-                    yield from match(k + 1, {**sigma, i: j})
-            return
-        yield sigma
+            free = images - set(sigma.values())
+            stack += [(k + 1, {**sigma, i: j}) for j in reversed([i] * (i in free) + sorted(free - {i}))]
+            break
+        else:
+            yield sigma
 
-    yield from match(0, sigma)
+
+def _shape(t) -> tuple:
+    """Transition t with its variable left out."""
+    return t.src, t.dst, t.op.kind, t.op.val, t.op.wval
 
 
 def automorphisms(program: ConcurrentProgram, target: tuple[str, ...]) -> Symmetry:
@@ -348,59 +353,68 @@ def automorphisms(program: ConcurrentProgram, target: tuple[str, ...]) -> Symmet
     Symmetry.
 
     The classes are found by equal (initial state, transition set,
-    target state).  The elements are then found class by class: each
-    class goes to an unused class of its size and target state whose
-    automaton its own equals under an extension of the renaming so far
-    (_renamings), its processes in order.  So N is never listed, a
-    class image is tried only where the transition counts agree, and
-    the identity is found first.
+    target state).  The elements are then found class by class, depth
+    first on an explicit stack: each class goes to an unused class of
+    its size and target state whose automaton its own equals under an
+    extension of the renaming so far (_renamings), its processes in
+    order.  So N is never listed, a class image is tried only where the
+    transition counts agree, and the identity is found first.
 
     The search gives up after (k + 1) ** 3 partial assignments of the k
-    classes and keeps the identity alone, with N.  That happens when,
-    say, k processes each use a variable of their own, so that every
+    classes, or once it holds more than (k + 1) ** 2 elements, and
+    keeps the identity alone, with N.  That happens when, say, k
+    processes each use a variable of their own, so that every
     permutation of them is an automorphism: each candidate would cost
-    k! images.  A ring takes about k ** 2.  The reduction is sound with
-    any automorphisms, and canonical with a group."""
-    found: dict = {}
+    k! images.  A ring takes about k ** 2 partial assignments for its k
+    elements.  The reduction is sound with any automorphisms, and
+    canonical with a group."""
+    by_key: dict = {}
     for p, auto in enumerate(program.processes):
-        found.setdefault((auto.init, frozenset(auto.transitions), target[p]), []).append(p)
-    classes = tuple(map(tuple, found.values()))
+        by_key.setdefault((auto.init, frozenset(auto.transitions), target[p]), []).append(p)
+    classes = tuple(map(tuple, by_key.values()))
     heads = [program.processes[c[0]] for c in classes]
-    elements: list[Automorphism] = []
-    budget = (len(classes) + 1) ** 3
+    alike: dict = {}  # the classes of each size and target state
+    for j, c in enumerate(classes):
+        alike.setdefault((len(c), target[c[0]]), []).append(j)
+    budget, most = (len(classes) + 1) ** 3 - 1, (len(classes) + 1) ** 2  # the root is one partial assignment
+    image: list[int] = []  # the classes the first len(image) classes go to
+    used: set[int] = set()
+    found = []  # each element as (each class's image, renaming)
 
-    def assign(i: int, image: tuple, sigma: dict) -> None:
-        nonlocal budget
+    def options(i: int, sigma: dict):
+        """Each (class, extended renaming) for class i, reading `used` as it goes."""
+        c = classes[i]
+        for j in alike[len(c), target[c[0]]]:
+            if j not in used:
+                for extended in _renamings(heads[i], heads[j], sigma, program):
+                    yield j, extended
+
+    stack = [options(0, {})]  # one per class assigned, and one for the next
+    while stack and len(found) <= most:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            if image:
+                used.discard(image.pop())
+            continue
         budget -= 1
         if budget < 0:
-            return
-        if i == len(classes):
-            perm = [0] * program.n
-            for c, j in zip(classes, image):
-                for p, q in zip(c, classes[j]):
-                    perm[p] = q
-            renaming = tuple(sigma.get(x, x) for x in range(len(program.vars)))
-            elements.append(Automorphism(tuple(perm), renaming))
-            return
-        c = classes[i]
-        for j, d in enumerate(classes):
-            if j in image or len(d) != len(c) or target[d[0]] != target[c[0]]:
-                continue
-            for extended in _renamings(heads[i], heads[j], sigma, program):
-                assign(i + 1, image + (j,), extended)
-                if budget < 0:
-                    return
-
-    assign(0, (), {})
-    if budget < 0:
-        del elements[1:]
+            break
+        j, sigma = step
+        if len(image) + 1 == len(classes):
+            found.append((image + [j], sigma))
+        else:
+            image.append(j)
+            used.add(j)
+            stack.append(options(len(image), sigma))
+    if budget < 0 or len(found) > most:
+        del found[1:]
+    elements = []
+    for images, sigma in found:
+        perm = dict(pair for c, d in zip(classes, images) for pair in zip(c, classes[d]))
+        renaming = tuple(sigma.get(x, x) for x in range(len(program.vars)))
+        elements.append(Automorphism(tuple(map(perm.get, range(program.n))), renaming))
     return Symmetry(classes, tuple(elements))
-
-
-def _getter(idx) -> Callable:
-    """itemgetter(*idx), returning a tuple for one index too."""
-    idx = tuple(idx)
-    return itemgetter(*idx) if len(idx) > 1 else lambda s: (s[idx[0]],)
 
 
 class _Images(dict):
@@ -418,26 +432,20 @@ class _Images(dict):
 
 class Canonicaliser:
     """One representative code per orbit of `group` over `coder`'s
-    codes, for one search to own.
+    codes, for one search to own: the least image of the code, its
+    fields compared in code order (memory, states, buffers, summaries).
 
-    A code is read as its fields, unpacked in one call.  The processes
-    of one orbit share their interners, so an element moves process
-    p's fields to process perm[p]'s, keeps its state id and renames
-    only its buffer and summary ids, and renames the memory id.  A
-    memory id's images under every element are made once, and a buffer
-    id's buffer and summary ids under one element once per orbit, each
-    on first need.  Only the elements whose image has the least memory
-    id are taken further.  Each of them gives a key: the image's
-    memory id, its state ids, then its buffer and summary ids process
-    by process, an order in which a summary id, a function of the
-    buffer id, never decides.  Without classes of more than one
-    process, the representative is the image of least key.  With them,
-    each image has each class's entries sorted (a process's state,
-    buffer and summary fields read as one int), and the least code is
-    the representative.  Either is a function of the orbit alone,
-    because the classes' permutations form a normal subgroup N that
-    fixes the memory: the images of two codes in one orbit are the
-    same N-orbits."""
+    The processes of one orbit share their interners, so an element
+    moves process p's fields to process perm[p]'s, keeps its state id
+    and renames only its buffer and summary ids, and renames the memory
+    id.  A memory id's images under every element are made once, and a
+    buffer id's buffer and summary ids under one element once per
+    orbit, each on first need.  The classes' permutations, the normal
+    subgroup N, fix the memory and are never listed: each listed
+    element's image has each class's entries sorted, as (summary,
+    buffer, state) ids, which picks one member of its N-orbit.  The
+    images of two codes in one orbit are the same N-orbits, so the
+    least of them is a function of the orbit."""
 
     def __init__(self, program: ConcurrentProgram, group: Symmetry, coder: Coder):
         self.program = program
@@ -449,29 +457,23 @@ class Canonicaliser:
         self._top = coder.top_shift
         self._low = (1 << self._top) - 1
         self._memories = _Images(self._renamed_memories)
-        # per element, its key from the fields: its image's memory id,
-        # then per process its state id, then per process its buffer
-        # and summary ids, read through one id map per orbit
+        # per element, one read of its image's state then buffer ids
+        # from the fields (2n >= 2 of them, so always a tuple), and per
+        # process of the image the id map of its source's orbit
         share = group.share
-        self._keys = []
+        self._moves = []
         for g in self.elements:
             source = [0] * n
             for p, q in enumerate(g.perm):
                 source[q] = p
             names = g.names(program)
             orbits = {o: _Images(partial(self._renamed_buffer, names, o)) for o in set(share)}
-            self._keys.append((
-                _getter(1 + p for p in source),
-                _getter(1 + n + p for p in source),
-                [orbits[share[p]] for p in source],
-            ))
-        # a key's buffer and summary ids back in field order
-        self._order = itemgetter(*range(1 + n), *range(1 + n, 1 + 3 * n, 2), *range(2 + n, 2 + 3 * n, 2))
-        # process 0's state, buffer and summary fields, and each class's
-        # processes' shifts onto them
-        width, field = coder.width, coder.field
-        self._entry = field << width | field << width * (1 + n) | field << width * (1 + 2 * n)
-        self._classes = [tuple(width * q for q in c) for c in group.classes if len(c) > 1]
+            read = itemgetter(*(1 + p for p in source), *(1 + n + p for p in source))
+            self._moves.append((read, [orbits[share[p]] for p in source]))
+        # per class of more than one process, a read of its entries and
+        # their field indices: each process's summary, buffer and state
+        slots = [[i for q in c for i in (1 + 2 * n + q, 1 + n + q, 1 + q)] for c in group.classes if len(c) > 1]
+        self._classes = [(itemgetter(*s), s) for s in slots]
 
     def _renamed_buffer(self, names: dict, p: int, b: int) -> tuple:
         """Process p's buffer id b renamed by `names`, as its buffer id
@@ -493,35 +495,27 @@ class Canonicaliser:
         return tuple(out)
 
     def rep(self, code: int) -> int:
-        """code's orbit representative."""
-        top = code >> self._top << self._top
-        if len(self._keys) > 1:
-            fields = self._fields.unpack((code & self._low).to_bytes(self._fields.size, "little"))
-            memories = self._memories[fields[0]]
-            least = min(memories)
-            getitem, flat = dict.__getitem__, itertools.chain.from_iterable
-            keys = [
-                (m,) + states(fields) + tuple(flat(map(getitem, maps, buffers(fields))))
-                for (states, buffers, maps), m in zip(self._keys, memories)
-                if m == least
-            ]
-            if not self._classes:
-                return int.from_bytes(self._fields.pack(*self._order(min(keys))), "little") | top
-            codes = [int.from_bytes(self._fields.pack(*self._order(key)), "little") | top for key in keys]
-        else:
-            codes = [code]
-        return min(map(self._sorted, codes))
-
-    def _sorted(self, code: int) -> int:
-        """code with each class's entries sorted: its processes'
-        state, buffer and summary fields, read together as one int."""
-        entry = self._entry
-        for shifts in self._classes:
-            entries = [code >> s & entry for s in shifts]
-            ordered = sorted(entries)
-            if ordered != entries:
-                code += sum(map(lshift, ordered, shifts)) - sum(map(lshift, entries, shifts))
-        return code
+        """code's orbit representative: among the elements whose image
+        has the least memory id, the least image with its classes
+        sorted, packed once."""
+        fields = self._fields.unpack((code & self._low).to_bytes(self._fields.size, "little"))
+        memories = self._memories[fields[0]]
+        least = min(memories)
+        n = self.coder.n
+        images = []
+        for (read, maps), m in zip(self._moves, memories):
+            if m != least:
+                continue
+            moved = read(fields)
+            buffers, summaries = zip(*map(dict.__getitem__, maps, moved[n:]))
+            image = [m, *moved[:n], *buffers, *summaries]
+            for entries, slots in self._classes:
+                ids = entries(image)
+                ordered = sorted(zip(ids[::3], ids[1::3], ids[2::3]))
+                for i, v in zip(slots, itertools.chain.from_iterable(ordered)):
+                    image[i] = v
+            images.append(image)
+        return int.from_bytes(self._fields.pack(*min(images)), "little") | code >> self._top << self._top
 
     def element(self, raw: DtsoConfig, canonical: DtsoConfig) -> Automorphism:
         """An automorphism of the group taking raw to canonical, which

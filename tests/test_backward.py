@@ -39,6 +39,7 @@ from dualmc.backward import (
     seed_memories,
     writable_values,
 )
+from dualmc.cli import run
 from dualmc.model import Automaton, ConcurrentProgram, Op, ParamProgram, Transition, parse_program
 from dualmc.oracle import minpre_config
 from dualmc.param import param_backward_reach
@@ -689,12 +690,22 @@ def test_identical_processes_are_sorted_not_enumerated():
         assert canon.rep(coder.encode(c)) == canon.rep(coder.encode(shuffled))
 
 
+def _private_variables(n: int) -> str:
+    """The text of n processes that each write and read a variable of
+    their own, each at q2 in the target."""
+    body = "init q0\n trans q0 q1 w x{0} 1\n trans q1 q2 r x{0} 1\nend\n"
+    procs = "".join(f"process p{i}\n " + body.format(i) for i in range(n))
+    variables = " ".join(f"x{i}" for i in range(n))
+    target = " ".join(f"p{i}=q2" for i in range(n))
+    return f"vars {variables}\nvalues 0 1\n{procs}target {target}\n"
+
+
 def test_private_variables_are_not_enumerated(monkeypatch):
     """Eight processes that each write and read a variable of their own
     have all 8! permutations, with the variables, as automorphisms, and
     none fixes every variable, so none is sorted.  The search for them
-    gives up after 9 ** 3 partial assignments and keeps the identity;
-    three such processes keep their whole group of 6."""
+    gives up once it holds more than 9 ** 2 elements and keeps the
+    identity; three such processes keep their whole group of 6."""
     calls = 0
     renaming = dualmc.backward._renamings
 
@@ -705,15 +716,65 @@ def test_private_variables_are_not_enumerated(monkeypatch):
 
     monkeypatch.setattr(dualmc.backward, "_renamings", counted)
     for n, order in ((3, 6), (8, 1)):
-        body = "init q0\n trans q0 q1 w x{0} 1\n trans q1 q2 r x{0} 1\nend\n"
-        procs = "".join(f"process p{i}\n " + body.format(i) for i in range(n))
-        variables = " ".join(f"x{i}" for i in range(n))
-        target = " ".join(f"p{i}=q2" for i in range(n))
-        prog = parse_program(f"vars {variables}\nvalues 0 1\n{procs}target {target}\n")
+        prog = parse_program(_private_variables(n))
         calls = 0
         group = automorphisms(prog, prog.target)
         assert (group.order, len(group.elements), group.classes) == (order, order, tuple((p,) for p in range(n)))
         assert calls <= (n + 1) ** 4
+
+
+def test_group_search_work_is_bounded_by_its_elements(monkeypatch):
+    """Sixty processes with a variable of their own have 60!
+    automorphisms.  The search gives up once it holds more than 61 ** 2
+    elements and keeps the identity, within a small multiple of 61 ** 2
+    calls of _renamings: its (k + 1) ** 3 partial assignments alone
+    would allow about k ** 4 tries."""
+    calls = 0
+    renaming = dualmc.backward._renamings
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return renaming(*args)
+
+    monkeypatch.setattr(dualmc.backward, "_renamings", counted)
+    prog = parse_program(_private_variables(60))
+    group = automorphisms(prog, prog.target)
+    assert (group.order, len(group.elements)) == (1, 1)
+    assert group.elements[0] == Automorphism(tuple(range(60)), tuple(range(60)))
+    assert calls <= 3 * 61**2
+
+
+def _many_processes(n: int) -> str:
+    """The text of n processes, each with states of its own, that read
+    x as 0 on their way to the target."""
+    procs = "".join(f"process p{i}\n init a{i}\n trans a{i} b{i} r x 0\nend\n" for i in range(n))
+    return f"vars x\nvalues 0 1\n{procs}target {' '.join(f'p{i}=b{i}' for i in range(n))}\n"
+
+
+def _many_variables(n: int) -> str:
+    """The text of one process that reads x0 ... x(n - 1) as 0 in a
+    chain."""
+    reads = "".join(f" trans s{i} s{i + 1} r x{i} 0\n" for i in range(n))
+    variables = " ".join(f"x{i}" for i in range(n))
+    return f"vars {variables}\nvalues 0 1\nprocess p\n init s0\n{reads}end\ntarget p=s{n}\n"
+
+
+@pytest.mark.parametrize(
+    "text", [_many_processes(1100), _many_variables(1100), _private_variables(60)],
+    ids=["1100-processes", "1100-variables", "60-private-variables"],
+)
+def test_large_group_searches_end_at_the_node_limit(text, capsys, tmp_path):
+    """The group search holds no Python frame per class or per renamed
+    variable, and bounds its work: on a thousand classes, a thousand
+    variables or sixty interchangeable processes, `check` stops at
+    --max-nodes with exit 3 and one error line, no traceback."""
+    path = tmp_path / "probe.lit"
+    path.write_text(text)
+    code = run(["check", str(path), "--max-nodes", "1000"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert err.splitlines() == ["dualmc: backward search exceeded 1000 configurations"]
 
 
 def test_one_process_symmetric_in_its_variables():

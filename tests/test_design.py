@@ -204,3 +204,43 @@ def test_every_name_the_benchmark_traces_resolves():
         if owner is None:
             missing.append(f"{module}.{path}")
     assert len(names) > 10 and missing == []
+
+
+def _self_callers(tree: ast.AST) -> list[str]:
+    """Names of the functions in tree that call themselves: by plain
+    name, or as an attribute of anything but super()."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call) or _name(call.func) != node.name:
+                continue
+            owner = getattr(call.func, "value", None)
+            if not (isinstance(owner, ast.Call) and _name(owner.func) == "super"):
+                found.append(node.name)
+                break
+    return found
+
+
+def test_self_call_scan_skips_super():
+    text = (
+        "def a(n):\n    return a(n - 1)\n"
+        "class K(B):\n    def __init__(self):\n        super().__init__()\n"
+        "    def b(self):\n        return self.b()\n"
+        "def c():\n    def d(k):\n        yield from d(k + 1)\n    return d(0)\n"
+        "def e():\n    return f()\n"
+    )
+    assert _self_callers(ast.parse(text)) == ["a", "b", "d"]
+
+
+def test_no_function_calls_itself():
+    """No function of the package recurses: a search that held a Python
+    frame per step would stop at the interpreter's recursion limit, about
+    a thousand deep, with a RecursionError, not a verdict."""
+    found = [
+        f"{path.stem}.{name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in _self_callers(ast.parse(path.read_text(), str(path)))
+    ]
+    assert found == []
