@@ -418,34 +418,35 @@ def automorphisms(program: ConcurrentProgram, target: tuple[str, ...]) -> Symmet
 
 
 class _Images(dict):
-    """ids to their images under each element, made by `image` on
-    first need."""
+    """ids to what `image` makes of them, each made on first need."""
 
     def __init__(self, image: Callable):
         super().__init__()
         self.image = image
 
-    def __missing__(self, key: int) -> tuple:
+    def __missing__(self, key: int):
         out = self[key] = self.image(key)
         return out
 
 
 class Canonicaliser:
     """One representative code per orbit of `group` over `coder`'s
-    codes, for one search to own: the least image of the code, its
-    fields compared in code order (memory, states, buffers, summaries).
+    codes, for one search to own: the least class-sorted image of the
+    code, fields in code order (memory, states, buffers, summaries).
 
     The processes of one orbit share their interners, so an element
     moves process p's fields to process perm[p]'s, keeps its state id
     and renames only its buffer and summary ids, and renames the memory
-    id.  A memory id's images under every element are made once, and a
-    buffer id's buffer and summary ids under one element once per
-    orbit, each on first need.  The classes' permutations, the normal
-    subgroup N, fix the memory and are never listed: each listed
-    element's image has each class's entries sorted, as (summary,
-    buffer, state) ids, which picks one member of its N-orbit.  The
-    images of two codes in one orbit are the same N-orbits, so the
-    least of them is a function of the orbit."""
+    id.  One table, keyed by memory id, holds the memory's least image
+    and the moves of just the elements that reach it, or None where the
+    identity alone does and no class is to be sorted: there a code is
+    its own representative.  The table, and a buffer id's ids under one
+    element per orbit, are filled on first need.  The classes'
+    permutations, the normal subgroup N, fix the memory and are never
+    listed: sorting a class's entries, as (summary, buffer, state) ids,
+    picks one member of an image's N-orbit.  The images of two codes in
+    one orbit are the same N-orbits, so the least is a function of the
+    orbit."""
 
     def __init__(self, program: ConcurrentProgram, group: Symmetry, coder: Coder):
         self.program = program
@@ -454,18 +455,16 @@ class Canonicaliser:
         self.elements = group.elements
         n = coder.n
         self._fields = struct.Struct(f"<{1 + 3 * n}I")  # FIELD_BITS = 32: one unsigned int per field
-        self._top = coder.top_shift
+        self._top, self._memory = coder.top_shift, coder.field
         self._low = (1 << self._top) - 1
-        self._memories = _Images(self._renamed_memories)
-        # per element, one read of its image's state then buffer ids
-        # from the fields (2n >= 2 of them, so always a tuple), and per
-        # process of the image the id map of its source's orbit
+        self._least = _Images(self._least_memory)
+        # per element, None for the identity (first; its image is the
+        # fields), else one read of its image's state then buffer ids
+        # (a tuple: 2n >= 2) and per process the id map of its source's orbit
         share = group.share
-        self._moves = []
-        for g in self.elements:
-            source = [0] * n
-            for p, q in enumerate(g.perm):
-                source[q] = p
+        self._moves = [None]
+        for g in self.elements[1:]:
+            source = sorted(range(n), key=g.perm.__getitem__)  # source[perm[p]] = p
             names = g.names(program)
             orbits = {o: _Images(partial(self._renamed_buffer, names, o)) for o in set(share)}
             read = itemgetter(*(1 + p for p in source), *(1 + n + p for p in source))
@@ -483,32 +482,32 @@ class Canonicaliser:
         renamed = tuple((names[x], v, own) for x, v, own in coder.values[bf][b])
         return coder.id(bf, renamed), coder.id(bf + coder.n, coder.summary(renamed))
 
-    def _renamed_memories(self, m: int) -> tuple:
-        """A memory id's image under each element."""
+    def _least_memory(self, m: int) -> tuple | None:
+        """Memory id m's least image and the moves of the elements
+        reaching it; None for the identity alone and no class."""
         mem = self.coder.values[0][m]
-        out = []
-        for g in self.elements:
-            image = [0] * len(mem)
-            for i, j in enumerate(g.renaming):
-                image[j] = mem[i]
-            out.append(self.coder.id(0, tuple(image)))
-        return tuple(out)
+        images = [self.coder.id(0, tuple(v for _, v in sorted(zip(g.renaming, mem)))) for g in self.elements]
+        least = min(images)
+        moves = [move for move, i in zip(self._moves, images) if i == least]
+        return None if moves == [None] and not self._classes else (least, moves)
 
     def rep(self, code: int) -> int:
-        """code's orbit representative: among the elements whose image
-        has the least memory id, the least image with its classes
-        sorted, packed once."""
+        """code's orbit representative: code itself if its memory's entry
+        is None, else the least image the entry allows, packed once."""
+        entry = self._least[code & self._memory]
+        if entry is None:
+            return code
+        least, moves = entry
         fields = self._fields.unpack((code & self._low).to_bytes(self._fields.size, "little"))
-        memories = self._memories[fields[0]]
-        least = min(memories)
         n = self.coder.n
         images = []
-        for (read, maps), m in zip(self._moves, memories):
-            if m != least:
-                continue
-            moved = read(fields)
-            buffers, summaries = zip(*map(dict.__getitem__, maps, moved[n:]))
-            image = [m, *moved[:n], *buffers, *summaries]
+        for move in moves:
+            if move is None:
+                image = list(fields)
+            else:
+                moved = move[0](fields)
+                buffers, summaries = zip(*map(dict.__getitem__, move[1], moved[n:]))
+                image = [least, *moved[:n], *buffers, *summaries]
             for entries, slots in self._classes:
                 ids = entries(image)
                 ordered = sorted(zip(ids[::3], ids[1::3], ids[2::3]))

@@ -9,7 +9,7 @@ and a multiset of target states.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, NamedTuple
 
 
@@ -109,8 +109,9 @@ class ParamProgram:
 def instantiate(program: ParamProgram, n: int, target: tuple[str, ...] | None = None) -> ConcurrentProgram:
     """Fixed-size instance with n copies of the template.
 
-    `target` must give one template state per copy (check_target,
-    ValueError otherwise); it defaults to the template's init state
+    n must be at least 1 and `target` must give one template state per
+    copy (check_target, ValueError otherwise, as the parser rejects a
+    program with no process); it defaults to the template's init state
     everywhere, which is rarely what a caller wants for a reachability
     query.
     """
@@ -353,8 +354,11 @@ def target_errors(program: ConcurrentProgram | ParamProgram, target) -> list[str
 
 
 def check_target(program: ConcurrentProgram | ParamProgram, target) -> tuple[str, ...]:
-    """target as a tuple, or ValueError with target_errors' first."""
-    errors = target_errors(program, target)
+    """target as a tuple, or ValueError with the first diagnostic
+    validate gives for program with target as its own: so a program
+    built through the library, not the parser, is searched only if the
+    parser would accept it."""
+    errors = validate(replace(program, target=tuple(target)))
     if errors:
         raise ValueError(errors[0])
     return tuple(target)

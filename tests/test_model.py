@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
 from dualmc import (
     ConcurrentProgram,
     ParamProgram,
     ParseError,
+    ResourceLimitError,
     backward_reach,
     dtso_bounded_reach,
     format_program,
@@ -17,7 +20,7 @@ from dualmc import (
 )
 from dualmc.model import Automaton, Op, Transition
 
-from conftest import SB2_TEXT, corpus_program
+from conftest import SB2_TEXT, corpus_program, random_program
 
 
 def test_parse_sb2():
@@ -213,3 +216,96 @@ def test_param_engine_rejects_unknown_target_states():
         param_backward_reach(prog, ("nope",))
     assert param_backward_reach(prog, ()).verdict == "Reachable"
     assert validate(ParamProgram(prog.vars, prog.values, prog.template, ())) == []
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_instantiate_rejects_fewer_than_one_copy(n):
+    """No instance has fewer than one process, as no parsed program
+    does: unchecked, the zero-process instance sent backward_reach
+    into an IndexError while both explorers answered reachable."""
+    with pytest.raises(ValueError, match="^program declares no process$"):
+        instantiate(corpus_program("sb-param.lit"), n, ())
+
+
+def _outcome(search) -> str | bool | None:
+    """search()'s verdict as a bool, or the ValueError's message, or
+    "limit" at a ResourceLimitError; any other exception fails."""
+    try:
+        result = search()
+    except ValueError as err:
+        return str(err)
+    except ResourceLimitError:
+        return "limit"
+    if hasattr(result, "verdict"):
+        return result.verdict == "Reachable"
+    # an explorer's complete safe verdict is exact; a bound-relative one says nothing
+    return True if result.reachable else None if result.bound_exceeded else False
+
+
+def _with_unknown_variable(auto: Automaton) -> Automaton:
+    """auto with one more transition, a write of the undeclared "zz"."""
+    return Automaton(auto.name, auto.init, auto.transitions + (Transition(auto.init, Op("w", "zz", 0), auto.init),))
+
+
+def _mutants(prog: ConcurrentProgram) -> list:
+    """prog with no process, with a transition naming an undeclared
+    variable, and with its first automaton emptied of transitions (its
+    target there its initial state), each as (the ValueError message
+    the engines must raise, or None, program)."""
+    first = prog.processes[0]
+    unknown = _with_unknown_variable(first)
+    empty = Automaton(first.name, first.init, ())
+    rest, target = prog.processes[1:], prog.target
+    return [
+        ("program declares no process", ConcurrentProgram(prog.vars, prog.values, (), ())),
+        (
+            f"undeclared variable 'zz' in process {first.name!r}",
+            ConcurrentProgram(prog.vars, prog.values, (unknown,) + rest, target),
+        ),
+        (None, ConcurrentProgram(prog.vars, prog.values, (empty,) + rest, (first.init,) + target[1:])),
+    ]
+
+
+def test_library_built_programs_get_a_verdict_or_a_value_error():
+    """Programs built through the library, not the parser: instances of
+    random templates at n = 0..3 with random targets, and each instance
+    with no process, with an undeclared variable and with an automaton
+    emptied.  Every engine gives a verdict or raises ValueError or
+    ResourceLimitError, a malformed program raises validate's message
+    in every fixed-mode engine, and the explorers' verdicts are the
+    exact search's wherever both are conclusive."""
+    rng = random.Random(15)
+    verdicts = rejected = 0
+    for _ in range(25):
+        template = random_program(rng, n_procs=1, max_states=3, n_vars=2, n_vals=1).processes[0]
+        states = sorted(template.states)
+        ptarget = tuple(rng.choice(states) for _ in range(rng.randint(0, 2)))
+        param = ParamProgram(("x", "y"), (0, 1), template, ptarget)
+        assert _outcome(lambda: param_backward_reach(param, ptarget, max_nodes=3_000)) in (True, False, "limit")
+        unknown = ParamProgram(param.vars, param.values, _with_unknown_variable(template), ptarget)
+        message = f"undeclared variable 'zz' in process {template.name!r}"
+        assert _outcome(lambda: param_backward_reach(unknown, ptarget)) == message
+        for n in range(4):
+            target = tuple(rng.choice(states) for _ in range(n))
+            if n == 0:
+                with pytest.raises(ValueError, match="^program declares no process$"):
+                    instantiate(param, n, target)
+                continue
+            inst = instantiate(param, n, target)
+            for message, prog in [(None, inst), *_mutants(inst)]:
+                exact = _outcome(lambda: backward_reach(prog, prog.target, max_nodes=3_000))
+                bounded = [
+                    _outcome(lambda: explore(prog, 1, prog.target, max_nodes=3_000))
+                    for explore in (tso_bounded_reach, dtso_bounded_reach)
+                ]
+                if message:
+                    assert exact == bounded[0] == bounded[1] == message
+                    rejected += 1
+                    continue
+                assert exact in (True, False, "limit"), exact
+                for verdict in bounded:
+                    assert verdict in (True, False, None, "limit"), verdict
+                    if exact != "limit" and verdict in (True, False):
+                        assert verdict == exact, (prog, verdict, exact)
+                verdicts += 1
+    assert verdicts > 100 and rejected > 100
