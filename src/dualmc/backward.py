@@ -46,7 +46,9 @@ from typing import Callable, NamedTuple
 from .dtso import DtsoConfig, dtso_successors, initial_dtso_config
 from .model import ConcurrentProgram, check_target
 from .ordering import MinorSet, Word, config_leq, own_decompose, word_table
-from .runs import Coder, Delete, Propagate, ResourceLimitError, Run, RunError, Step, _set, drive, fire, tabled, unwind
+from .runs import (
+    Coder, Delete, Propagate, ResourceLimitError, Run, RunError, Step, Table, _set, drive, fire, tabled, unwind,
+)
 
 
 @dataclass
@@ -220,18 +222,14 @@ def coded_preds(coder: Coder, fill: Callable) -> Callable[[int], list]:
     (action, predecessor code), or (action, None) for a dead move.
 
     Process p's moves come from fill(p, state, buffer, memory), most
-    often local_preds bound to a program, as deltas from Coder.moves,
-    once per key `code & keymask[p]`, in a table preds owns."""
-    procs = [(p, mask, {}) for p, mask in enumerate(coder.keymask)]
+    often local_preds bound to a program, as deltas in the coder's
+    `tables`, which preds owns."""
+    tables = coder.tables(fill)
 
     def preds(code: int) -> list:
         out: list = []
-        for p, mask, table in procs:
-            key = code & mask
-            moves = table.get(key)
-            if moves is None:
-                moves = table[key] = coder.moves(p, key, fill)
-            out += [(action, None if delta is None else code + delta) for action, delta in moves]
+        for mask, table in tables:
+            out += [(action, None if delta is None else code + delta) for action, delta in table[code & mask]]
         return out
 
     return preds
@@ -417,18 +415,6 @@ def automorphisms(program: ConcurrentProgram, target: tuple[str, ...]) -> Symmet
     return Symmetry(classes, tuple(elements))
 
 
-class _Images(dict):
-    """ids to what `image` makes of them, each made on first need."""
-
-    def __init__(self, image: Callable):
-        super().__init__()
-        self.image = image
-
-    def __missing__(self, key: int):
-        out = self[key] = self.image(key)
-        return out
-
-
 class Canonicaliser:
     """One representative code per orbit of `group` over `coder`'s
     codes, for one search to own: the least class-sorted image of the
@@ -437,16 +423,15 @@ class Canonicaliser:
     The processes of one orbit share their interners, so an element
     moves process p's fields to process perm[p]'s, keeps its state id
     and renames only its buffer and summary ids, and renames the memory
-    id.  One table, keyed by memory id, holds the memory's least image
+    id.  One Table, keyed by memory id, holds the memory's least image
     and the moves of just the elements that reach it, or None where the
     identity alone does and no class is to be sorted: there a code is
-    its own representative.  The table, and a buffer id's ids under one
-    element per orbit, are filled on first need.  The classes'
-    permutations, the normal subgroup N, fix the memory and are never
-    listed: sorting a class's entries, as (summary, buffer, state) ids,
-    picks one member of an image's N-orbit.  The images of two codes in
-    one orbit are the same N-orbits, so the least is a function of the
-    orbit."""
+    its own representative.  Per element and orbit, a Table holds a
+    buffer id's renamed ids.  The classes' permutations, the normal
+    subgroup N, fix the memory and are never listed: sorting a class's
+    entries, as (summary, buffer, state) ids, picks one member of an
+    image's N-orbit.  The images of two codes in one orbit are the same
+    N-orbits, so the least is a function of the orbit."""
 
     def __init__(self, program: ConcurrentProgram, group: Symmetry, coder: Coder):
         self.program = program
@@ -457,7 +442,7 @@ class Canonicaliser:
         self._fields = struct.Struct(f"<{1 + 3 * n}I")  # FIELD_BITS = 32: one unsigned int per field
         self._top, self._memory = coder.top_shift, coder.field
         self._low = (1 << self._top) - 1
-        self._least = _Images(self._least_memory)
+        self._least = Table(self._least_memory)
         # per element, None for the identity (first; its image is the
         # fields), else one read of its image's state then buffer ids
         # (a tuple: 2n >= 2) and per process the id map of its source's orbit
@@ -466,7 +451,7 @@ class Canonicaliser:
         for g in self.elements[1:]:
             source = sorted(range(n), key=g.perm.__getitem__)  # source[perm[p]] = p
             names = g.names(program)
-            orbits = {o: _Images(partial(self._renamed_buffer, names, o)) for o in set(share)}
+            orbits = {o: Table(partial(self._renamed_buffer, names, o)) for o in set(share)}
             read = itemgetter(*(1 + p for p in source), *(1 + n + p for p in source))
             self._moves.append((read, [orbits[share[p]] for p in source]))
         # per class of more than one process, a read of its entries and
@@ -567,7 +552,7 @@ def coded_leq(coder: Coder) -> Callable[[int, int], bool]:
         if diff & key_mask:
             return False
         for shift, words in procs:
-            if diff >> shift & field and not wleq(words[a >> shift & field], words[b >> shift & field]):
+            if diff >> shift & field and not wleq[words[a >> shift & field], words[b >> shift & field]]:
                 return False
         return True
 
@@ -738,18 +723,18 @@ def backward_reach(
     not built at all, and the other dead candidates are marked as such
     by their moves.
 
-    The search runs over the codes of a backward_coder it owns, with
-    its own coded_preds tables (each move's liveness decided when it
-    is tabled) and coded_leq's word_table.  The antichain is bucketed
-    by the memory and states fields, its signature pre-filter is the
-    own-delimiter fields and the weight is the top field.  A
-    configuration covers the initial one, code 0, only if it is the
-    initial one, since word_leq(w, ()) only for w == ().  The seeds,
-    one empty-buffer configuration at the target per seed_memories
-    memory, go into that antichain encoded, in that order; their
-    memories differ, so each is inserted.  The witness chain is decoded
-    once, at the end.  A target that does not name one state of each
-    process raises ValueError.
+    The search runs over the codes of a backward_coder it owns, with its
+    own coded_preds tables (each move's liveness decided when it is
+    tabled) and coded_leq's word_table, each a runs.Table.  The
+    antichain is bucketed by the memory and states fields, its signature
+    pre-filter is the own-delimiter fields and the weight is the top
+    field.  A configuration covers the initial one, code 0, only if it
+    is the initial one, since word_leq(w, ()) only for w == ().  The
+    seeds, one empty-buffer configuration at the target per
+    seed_memories memory, go into that antichain encoded, in that order;
+    their memories differ, so each is inserted.  The witness chain is
+    decoded once, at the end.  A target that does not name one state of
+    each process raises ValueError.
 
     When the program and target have automorphisms other than the
     identity, the processes of one orbit share their interners, and

@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 the target is unreachable/safe, 1 reachable/unsafe,
-2 usage or input error, 3 resource limit exceeded.
+2 usage or input error, 3 resource limit exceeded or out of memory,
+4 internal error.
 """
 from __future__ import annotations
 
@@ -108,6 +109,12 @@ def run(argv: list[str]) -> int:
     except runs.RunError as exc:
         print(f"dualmc: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("dualmc: out of memory", file=sys.stderr)
+        return 3
+    except Exception as exc:  # a RecursionError or a bug: never exit 1, the "unsafe" code
+        print(f"dualmc: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 def _dispatch(args) -> int:

@@ -13,6 +13,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
+from .runs import Table
+
 Msg = tuple[str, int, bool]
 Word = tuple[Msg, ...]
 
@@ -69,20 +71,11 @@ def word_leq(w: Word, w2: Word) -> bool:
     return all(subword(fa, fb) for fa, fb in zip(a.fragments, b.fragments))
 
 
-def word_table() -> Callable[[Word, Word], bool]:
-    """word_leq memoised on (w, w2), for one search to own: buffer words
-    repeat heavily, so each distinct pair is decided once.  Its callers
-    test identity first, so it is not repeated here."""
-    memo: dict = {}
-
-    def leq(w: Word, w2: Word) -> bool:
-        key = (w, w2)
-        out = memo.get(key)
-        if out is None:
-            out = memo[key] = word_leq(w, w2)
-        return out
-
-    return leq
+def word_table() -> Table:
+    """word_leq as a Table on (w, w2), for one search to own: buffer
+    words repeat heavily, so each distinct pair is decided once.  Its
+    callers test identity first, so it is not repeated here."""
+    return Table(lambda pair: word_leq(*pair))
 
 
 def config_leq(c, c2) -> bool:

@@ -48,7 +48,7 @@ from .backward import (
 )
 from .model import ParamProgram, check_target
 from .ordering import Dominance, MinorSet, Word, word_leq
-from .runs import ResourceLimitError, Step, _set
+from .runs import ResourceLimitError, Step, Table, _set
 
 FIELD_BITS = 32  # width of one dominance field, guard bit not counted
 
@@ -173,10 +173,15 @@ class ParamCoder:
 def coded_param_leq(coder: ParamCoder) -> Callable:
     """param_leq over `coder`'s minors: equal memory and the greedy
     earliest match of ids, where id e matches e2 if e == e2 or their
-    entries have equal states and word_leq buffers, which leq decides
-    once per (e, e2) pair, in a memo it owns."""
+    entries have equal states and word_leq buffers, which a Table leq
+    owns holds per (e, e2) pair."""
     entries = coder.entries
-    memo: dict = {}
+
+    def fill(pair) -> bool:
+        (state, buf), (state2, buf2) = entries[pair[0]], entries[pair[1]]
+        return state == state2 and word_leq(buf, buf2)
+
+    matches = Table(fill)
 
     def leq(a, b) -> bool:
         ids, mem = a
@@ -189,14 +194,7 @@ def coded_param_leq(coder: ParamCoder) -> Callable:
             while j < n2:
                 e2 = ids2[j]
                 j += 1
-                if e == e2:
-                    break
-                key = (e, e2)
-                found = memo.get(key)
-                if found is None:
-                    (state, buf), (state2, buf2) = entries[e], entries[e2]
-                    found = memo[key] = state == state2 and word_leq(buf, buf2)
-                if found:
+                if e == e2 or matches[e, e2]:
                     break
             else:
                 return False
@@ -311,23 +309,23 @@ def param_backward_reach(
     seed_memories memory in its order, go encoded straight into the
     param_antichain the search saturates.
 
-    The search runs over the minors of a ParamCoder it owns, (entry
-    ids, memory), under its own coded_param_leq; the antichain's
-    dominance pre-filter, the worklist weight and the covers-initial
-    test sum or test what each id got when it was interned.  It owns
-    two move tables, each key filled once: per (entry id, memory), the
-    entry's local_preds, split into its rule moves per transition index
-    and its propagate and delete moves; per memory, the fresh processes
-    each transition adds, a write's or an atomic read-write's.  A move
-    is (action class, arguments, new entry id, memory), the id None if
-    the move is dead, which the tables decide from the memory and the
-    entry alone: every expanded minor is live, the seeds by
-    seed_memories.  One loop places every live entry by bisection on
+    The search runs over the minors of a ParamCoder it owns, (entry ids,
+    memory), under its own coded_param_leq; the antichain's dominance
+    pre-filter, the worklist weight and the covers-initial test sum or
+    test what each id got when it was interned.  It owns three
+    runs.Tables: per (entry id, memory), the entry's local_preds, split
+    into its rule moves per transition index and its propagate and
+    delete moves; per memory, the fresh processes each transition adds,
+    a write's or an atomic read-write's; per state, a fresh writer's
+    words.  A move is (action class, arguments, new entry id, memory),
+    the id None if the move is dead, which the tables decide from the
+    memory and the entry alone: every expanded minor is live, the seeds
+    by seed_memories.  One loop places every live entry by bisection on
     the entries into the minor's other ids (all of them for a fresh
-    process) and names the action there.  A fresh writer's words are
-    listed per state when first needed; more than max_nodes of them
-    raise the resource limit, since each is at least one candidate of
-    that expansion.  The witness chain is decoded once, at the end.
+    process) and names the action there.  More than max_nodes words of
+    one state's fresh writers raise the resource limit, since each is at
+    least one candidate of that expansion.  The witness chain is decoded
+    once, at the end.
     Targets that are not template states raise ValueError."""
     if targets is None:
         targets = program.target
@@ -342,20 +340,16 @@ def param_backward_reach(
     live = live_kernel(program)
     transitions = program.template.transitions
     index = {t: ti for ti, t in enumerate(transitions)}
-    entry_moves: dict = {}
-    fresh_moves: dict = {}
-    words: dict = {}
 
-    def writer_words(state) -> list:
-        found = words.get(state)
-        if found is None:
-            cap = None if max_nodes is None else max_nodes + 1
-            found = words[state] = list(itertools.islice(_fresh_writer_buffers(program, own_ok[state]), cap))
-            if max_nodes is not None and len(found) > max_nodes:
-                raise ResourceLimitError(f"backward search exceeded {max_nodes} configurations")
+    def fill_words(state) -> list:
+        cap = None if max_nodes is None else max_nodes + 1
+        found = list(itertools.islice(_fresh_writer_buffers(program, own_ok[state]), cap))
+        if max_nodes is not None and len(found) > max_nodes:
+            raise ResourceLimitError(f"backward search exceeded {max_nodes} configurations")
         return found
 
-    def fill_entry(e, mem) -> tuple[list, list]:
+    def fill_entry(key) -> tuple[list, list]:
+        e, mem = key
         state, buf = entries[e]
         rules: list = [[] for _ in transitions]
         local: list = []
@@ -375,22 +369,17 @@ def param_backward_reach(
         if op.kind == "arw" and mem[xi] == op.wval:
             pairs = [((), _set(mem, xi, op.val))]
         elif op.kind == "w" and mem[xi] == op.val:
-            pairs = [(b, _set(mem, xi, prior)) for prior in program.values for b in writer_words(t.src)]
+            pairs = [(b, _set(mem, xi, prior)) for prior in program.values for b in writer_words[t.src]]
         return [(Step, (t,), intern((t.src, b)) if live(m, t.src, b, own_ok) else None, m) for b, m in pairs]
+
+    writer_words, entry_moves = Table(fill_words), Table(fill_entry)
+    fresh_moves = Table(lambda mem: [fill_fresh(t, mem) for t in transitions])
 
     def preds(minor) -> list:
         ids, mem = minor
         n = len(ids)
-        tables = []
-        for e in ids:
-            key = (e, mem)
-            moves = entry_moves.get(key)
-            if moves is None:
-                moves = entry_moves[key] = fill_entry(e, mem)
-            tables.append(moves)
-        fresh = fresh_moves.get(mem)
-        if fresh is None:
-            fresh = fresh_moves[mem] = [fill_fresh(t, mem) for t in transitions]
+        tables = [entry_moves[e, mem] for e in ids]
+        fresh = fresh_moves[mem]
         rests = [ids[:p] + ids[p + 1 :] for p in range(n)]
         # (process named by a dead move, ids a live one goes among, moves)
         groups = []

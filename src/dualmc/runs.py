@@ -1,8 +1,9 @@
 """Run objects shared by the explorers, engines, and translators;
 `tabled`, which builds a configuration's steps from per-process moves
 for both one-step rules and the fixed-size predecessor oracle; the
-coded configurations (`Coder`) that the fixed-size backward engine and
-the explorers search over; and the bounded breadth-first search both
+self-filling `Table` every search keeps its memos in; the coded
+configurations (`Coder`) that the fixed-size backward engine and the
+explorers search over; and the bounded breadth-first search both
 explorers run, whose explored set is a `CodedSet`.
 
 A run is a sequence of configurations joined by actions under one of
@@ -119,6 +120,20 @@ def tabled(c, fill: Callable) -> list:
                 ),
             ))
     return out
+
+
+class Table(dict):
+    """A memo for one search to own: `table[key]` is fill(key), filled
+    on first need and kept.  `get` and `in` do not fill, and a fill
+    that raises stores nothing."""
+
+    def __init__(self, fill: Callable):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        out = self[key] = self.fill(key)
+        return out
 
 
 FIELD_BITS = 32  # width of one Coder field
@@ -256,6 +271,11 @@ class Coder:
             out.append((action, delta))
         return out
 
+    def tables(self, fill: Callable) -> list[tuple[int, Table]]:
+        """Per process p, keymask[p] and a Table of p's moves at each
+        key `code & keymask[p]`, from `moves` over fill."""
+        return [(mask, Table(partial(self.moves, p, fill=fill))) for p, mask in enumerate(self.keymask)]
+
 
 class CodedSet:
     """A read-only view of a set of codes as the configurations they
@@ -295,28 +315,26 @@ def bounded_bfs(
     with empty buffers.
 
     The search runs over codes of a `Coder` it owns.  Process p's moves
-    come from the semantics' per-process kernel
-    local(program, bound, p, state, buffer, memory), turned into int
-    deltas once per key `code & keymask[p]` in a table the search owns,
-    and listed in process order, as `tabled` lists them.  The kernel
-    keeps the bound: a move over it is either left out, its place
-    marked by a cut entry (action, None), or, with a plain tuple
-    (action, follow-up) as its action, taken together with a follow-up
-    that ends back within the bound (TSO's write and its update); the
-    over-bound configuration between the two is never built, and its
-    witness link holds None.  Either flags the result bound_exceeded at
-    its place in the search.  Returns the result, with a shortest
-    witness run unwound from the hit's link as actions and rebuilt by
-    `drive` under the unbounded relation, and the explored set as a
-    `CodedSet`, which decodes nothing until it is read.
+    come from the semantics' per-process kernel local(program, bound, p,
+    state, buffer, memory), as int deltas in the coder's `tables`, and
+    are listed in process order, as `tabled` lists them.  The kernel
+    keeps the bound: a move over it is either left out, its place marked
+    by a cut entry (action, None), or, with a plain tuple (action,
+    follow-up) as its action, taken together with a follow-up that ends
+    back within the bound (TSO's write and its update); the over-bound
+    configuration between the two is never built, and its witness link
+    holds None.  Either flags the result bound_exceeded at its place in
+    the search.  Returns the result, with a shortest witness run unwound
+    from the hit's link as actions and rebuilt by `drive` under the
+    unbounded relation, and the explored set as a `CodedSet`, which
+    decodes nothing until it is read.
     The result counts the configurations expanded and the successors
     generated, and the successors after a hit are not looked at.
     """
     if bound < 0:
         raise ValueError(f"buffer bound must be non-negative, got {bound}")
     coder = Coder(init)
-    fill = partial(local, program, bound)
-    procs = [(p, mask, {}) for p, mask in enumerate(coder.keymask)]
+    tables = coder.tables(partial(local, program, bound))
     mask = coder.states_and_buffers_mask
     goal = None if target is None else coder.encode(init._replace(states=target))
     seen = {0}
@@ -328,12 +346,8 @@ def bounded_bfs(
         link = queue.popleft()
         code = link[0]
         expanded += 1
-        for p, keymask, table in procs:
-            key = code & keymask
-            moves = table.get(key)
-            if moves is None:
-                moves = table[key] = coder.moves(p, key, fill)
-            for action, delta in moves:
+        for keymask, table in tables:
+            for action, delta in table[code & keymask]:
                 if delta is None:
                     pruned = True
                     continue

@@ -267,11 +267,12 @@ def test_searches_share_no_state():
     """Each search owns its tables: lb.lit, mp.lit, then lb.lit again in
     one process give the pinned lb.lit result twice, and no module
     attribute of the engine or the orderings grows; likewise for the
-    load-buffer explorer at bound 1 on wrwc.lit, mp.lit, wrwc.lit and
-    the modules of the explorer and its search (no module-level coder or
-    table in either).  (The one process-wide cache left, own_decompose's
-    lru_cache, is not a sized attribute; removing it waits for the
-    benchmark to stop probing it.)"""
+    parameterized engine on mp-param.lit, wrc-param.lit, mp-param.lit
+    and for the load-buffer explorer at bound 1 on wrwc.lit, mp.lit,
+    wrwc.lit and the modules of the explorer and its search (no
+    module-level coder or table in any).  (The one process-wide cache
+    left, own_decompose's lru_cache, is not a sized attribute; removing
+    it waits for the benchmark to stop probing it.)"""
     modules = (dualmc.backward, dualmc.ordering, dualmc.runs)
     before = [_module_sizes(m) for m in modules]
     results = []
@@ -281,6 +282,15 @@ def test_searches_share_no_state():
         assert [_module_sizes(m) for m in modules] == before, name
     assert results[0] == results[2] == PINNED_COUNTERS["lb.lit"]
     assert results[1] == PINNED_COUNTERS["mp.lit"]
+
+    modules = (dualmc.param, dualmc.backward, dualmc.ordering, dualmc.runs)
+    before = [_module_sizes(m) for m in modules]
+    results = []
+    for name in ("mp-param.lit", "wrc-param.lit", "mp-param.lit"):
+        results.append(_pinned(param_backward_reach(corpus_program(name))))
+        assert [_module_sizes(m) for m in modules] == before, name
+    assert results[0] == results[2] == PINNED_COUNTERS["mp-param.lit"]
+    assert results[1] == PINNED_COUNTERS["wrc-param.lit"]
 
     modules = (dualmc.dtso, dualmc.runs)
     before = [_module_sizes(m) for m in modules]

@@ -19,7 +19,7 @@ from dualmc import (
 )
 from dualmc import ResourceLimitError, TsoConfig, dtso, runs, tso
 from dualmc.cli import run as cli_run
-from dualmc.runs import Coder, Step, Update, bounded_bfs, fire, tabled
+from dualmc.runs import Coder, Step, Table, Update, bounded_bfs, fire, tabled
 
 from conftest import CORPUS, random_dtso_config, random_program, random_tso_config
 
@@ -97,18 +97,15 @@ def test_tso_kernel_takes_an_over_bound_write_with_its_update():
     assert pairs > 1000
 
 
-def coded_steps(coder: Coder, tables: list, c, fill) -> list:
+def coded_steps(coder: Coder, tables: list, c) -> list:
     """c's steps as the explorer reads them from its coder and move
-    tables: each entry (action, delta) listed as (action, the decoded
-    code + delta), or (action, None) for a cut entry."""
+    tables (Coder.tables): each entry (action, delta) listed as
+    (action, the decoded code + delta), or (action, None) for a cut
+    entry."""
     code = coder.encode(c)
     steps = []
-    for p, table in enumerate(tables):
-        key = code & coder.keymask[p]
-        moves = table.get(key)
-        if moves is None:
-            moves = table[key] = coder.moves(p, key, fill)
-        steps += [(a, None if delta is None else coder.decode(code + delta)) for a, delta in moves]
+    for mask, table in tables:
+        steps += [(a, None if delta is None else coder.decode(code + delta)) for a, delta in table[code & mask]]
     return steps
 
 
@@ -130,7 +127,7 @@ def test_coded_moves_decode_to_the_kernels_steps():
         prog = random_program(rng)
         for initial, local, random_config, make in kernels:
             coders = [Coder(initial(prog)) for _bound in range(3)]
-            tables = [[{} for _p in prog.processes] for _bound in range(3)]
+            tables = [coder.tables(partial(local, prog, bound)) for bound, coder in enumerate(coders)]
             pool = [random_config(rng, prog, max_buf=3) for _ in range(4)]
             for _ in range(10):
                 parts = [rng.choice(pool) for _ in prog.processes]
@@ -140,9 +137,8 @@ def test_coded_moves_decode_to_the_kernels_steps():
                     rng.choice(pool).mem,
                 )
                 for bound in range(3):
-                    fill = partial(local, prog, bound)
-                    literal = tabled(c, fill)
-                    assert coded_steps(coders[bound], tables[bound], c, fill) == literal
+                    literal = tabled(c, partial(local, prog, bound))
+                    assert coded_steps(coders[bound], tables[bound], c) == literal
                     cuts += any(succ is None for _a, succ in literal)
                     pairs += any(type(a) is tuple for a, _succ in literal)
     assert cuts > 500 and pairs > 500
@@ -163,6 +159,32 @@ def test_coder_field_overflow_raises(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert captured.err.startswith("dualmc: ") and captured.err.count("\n") == 1, captured.err
+
+
+def test_table_fills_each_key_once():
+    """A Table fills a key on its first subscript and never again; `get`
+    and `in` read without filling; a fill that raises stores nothing,
+    so the key is filled afresh on its next subscript."""
+    calls = []
+
+    def fill(key):
+        calls.append(key)
+        if key < 0:
+            raise ResourceLimitError(f"no entry for {key}")
+        return 2 * key
+
+    table = Table(fill)
+    assert [table[k] for k in (1, 2, 1, 2, 3)] == [2, 4, 2, 4, 6]
+    assert calls == [1, 2, 3]
+    assert table.get(5) is None and 5 not in table
+    assert table.get(1) == 2 and 1 in table
+    assert calls == [1, 2, 3]
+    for _ in range(2):
+        with pytest.raises(ResourceLimitError):
+            table[-1]
+        assert -1 not in table
+    assert calls == [1, 2, 3, -1, -1]
+    assert table == {1: 2, 2: 4, 3: 6}
 
 
 def test_pinned_random_explorer_results():

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import shutil
@@ -220,6 +221,41 @@ def test_resource_limit_exit_3(capsys):
     code, _out, err = invoke(capsys, "check", str(CORPUS / "sb.lit"), "--max-nodes", "10")
     assert code == 3
     assert "exceeded" in err
+
+
+@pytest.mark.parametrize(
+    "argv, engine, error, code, line",
+    [
+        (("check", "sb.lit"), "backward.backward_reach", MemoryError(), 3, "dualmc: out of memory"),
+        (
+            ("param", "sb-param.lit"),
+            "param.param_backward_reach",
+            RecursionError("maximum recursion depth exceeded"),
+            4,
+            "dualmc: internal error: RecursionError: maximum recursion depth exceeded",
+        ),
+        (
+            ("explore-dtso", "dekker-simple.lit", "--buffer-bound", "1"),
+            "dtso.dtso_bounded_reach",
+            KeyError("q9"),
+            4,
+            "dualmc: internal error: KeyError: 'q9'",
+        ),
+    ],
+)
+def test_engine_errors_never_exit_1(capsys, monkeypatch, argv, engine, error, code, line):
+    """An error escaping the engine, on a file whose verdict is
+    reachable, exits 3 if it is a MemoryError and 4 otherwise, with one
+    `dualmc:` line and no traceback: never 1, the "unsafe" code."""
+    module, name = engine.split(".")
+
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(importlib.import_module(f"dualmc.{module}"), name, fail)
+    mode, file, *rest = argv
+    got, out, err = invoke(capsys, mode, str(CORPUS / file), *rest)
+    assert (got, out, err) == (code, "", line + "\n")
 
 
 @pytest.mark.parametrize("mode", ["check", "param"])

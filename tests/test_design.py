@@ -244,3 +244,46 @@ def test_no_function_calls_itself():
         for name in _self_callers(ast.parse(path.read_text(), str(path)))
     ]
     assert found == []
+
+
+def _self_filling(tree: ast.AST) -> list[str]:
+    """Names of the classes in tree that define __missing__, by a def or
+    an assignment in the class body."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [item.name]
+            elif isinstance(item, ast.Assign):
+                names = [_name(t) for t in item.targets]
+            else:
+                continue
+            if "__missing__" in names:
+                found.append(node.name)
+                break
+    return found
+
+
+def test_self_filling_scan_finds_defs_and_assignments():
+    text = (
+        "class A(dict):\n    def __missing__(self, k): pass\n"
+        "class B(dict):\n    __missing__ = lambda self, k: k\n"
+        "class C:\n    def get(self, k): pass\n"
+        "def f():\n    class D(dict):\n        def __missing__(self, k): pass\n    return D\n"
+        "def __missing__(k): pass\n"
+    )
+    assert sorted(_self_filling(ast.parse(text))) == ["A", "B", "D"]
+
+
+def test_table_is_the_only_self_filling_dict():
+    """runs.Table is the one class of the package that defines
+    __missing__: every memo a search owns is a Table, so no second
+    self-filling dict comes back beside it."""
+    found = [
+        f"{path.stem}.{name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in _self_filling(ast.parse(path.read_text(), str(path)))
+    ]
+    assert found == ["runs.Table"]

@@ -137,8 +137,8 @@ def test_word_table_agrees_with_word_leq():
         pool += [tuple(list(w)) for w in pool[:4]]  # equal, not identical
         for _ in range(300):
             w, w2 = rng.choice(pool), rng.choice(pool)
-            assert table(w, w2) == word_leq(w, w2), (w, w2)
-            assert table(w, w)
+            assert table[w, w2] == word_leq(w, w2), (w, w2)
+            assert table[w, w]
 
 
 def _pcfg(procs, mem=(0,)):
