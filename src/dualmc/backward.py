@@ -20,12 +20,14 @@ per-process rule kernel is written on configurations, once, and
 tabled per process into code deltas (`coded_preds`).
 
 A program may be symmetric: an automorphism (`automorphisms`) permutes
-the processes together with a renaming of the variables, mapping each
-automaton onto its image's and the target onto itself.  The rules, the
-word ordering, removable_own, liveness and the target set are then
-invariant under the group, and the initial configuration is fixed by it
-(values are never renamed), so any member of a candidate's orbit
-stands for the candidate exactly, and the wqo still ends the search.
+the processes together with a renaming of the variables and of each
+process's states, mapping each automaton onto its image's and the
+target onto itself.  The rules, the word ordering, removable_own,
+liveness and the target set are then invariant under the group, and
+the initial configuration is fixed by it (values are never renamed,
+and initial states go to initial states), so any member of a
+candidate's orbit stands for the candidate exactly, and the wqo still
+ends the search.
 The search keeps one representative per orbit (`Canonicaliser`), seeds
 included, and turns the chain of representatives back into a witness
 of real processes once, at the end (Emerson and Sistla, "Symmetry and
@@ -44,10 +46,11 @@ from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .dtso import DtsoConfig, dtso_successors, initial_dtso_config
-from .model import ConcurrentProgram, check_target
+from .model import ConcurrentProgram, ParamProgram, Transition, check_target
 from .ordering import MinorSet, Word, config_leq, own_decompose, word_table
 from .runs import (
-    Coder, Delete, Propagate, ResourceLimitError, Run, RunError, Step, Table, _set, drive, fire, tabled, unwind,
+    Coder, Delete, Propagate, ResourceLimitError, Run, RunError, Step, Table, _renamed, _set, drive, fire, tabled,
+    unwind,
 )
 
 
@@ -212,9 +215,15 @@ def backward_coder(program: ConcurrentProgram, group: Symmetry) -> Coder:
     with each buffer's own-delimiters (own_decompose) as its summary,
     which word_leq requires to be equal, and the total buffer length
     on top.  The processes of one orbit of `group`, the program's
-    automorphisms, share their interners (Coder's share), so that an
-    automorphism moves their fields without renumbering states."""
-    return Coder(initial_dtso_config(program), lambda w: own_decompose(w).delimiters, group.share)
+    automorphisms, share their interners (Coder's share), their states
+    named as the orbit's least process names its (the group's names),
+    so that an automorphism moves their fields without renumbering
+    states unless it maps a process's states onto others."""
+    names = group.names
+    return Coder(
+        initial_dtso_config(program), lambda w: own_decompose(w).delimiters, group.share,
+        names if any(names) else None,
+    )
 
 
 def coded_preds(coder: Coder, fill: Callable) -> Callable[[int], list]:
@@ -236,19 +245,35 @@ def coded_preds(coder: Coder, fill: Callable) -> Callable[[int], list]:
 
 
 class Automorphism(NamedTuple):
-    """A symmetry of a fixed-size program: process p, its variables
-    renamed, is process perm[p], and variable i is renamed to variable
-    renaming[i].  Under it process perm[p]'s automaton is process p's
-    with each variable renamed (same states, initial state and
-    values), and the target state of perm[p] is that of p."""
+    """A symmetry of a program: process p, its variables and states
+    renamed, is process perm[p], variable i is renamed to variable
+    renaming[i], and states[p] takes each local state of p to one of
+    perm[p]'s, or is None where every state keeps its name; `states`
+    is empty where no process's state is renamed.  Under it process
+    perm[p]'s automaton is process p's with each variable and state
+    renamed, and the target state of perm[p] is the image of p's.  A
+    template's symmetries map its one process to itself."""
 
     perm: tuple[int, ...]
     renaming: tuple[int, ...]
+    states: tuple[dict[str, str] | None, ...] = ()
+
+    def moved(self, p: int) -> dict[str, str] | None:
+        """Process p's state map, None if it keeps every name."""
+        return self.states[p] if self.states else None
+
+    def state(self, p: int, s: str) -> str:
+        """The image of process p's state s, a state of process perm[p]."""
+        moved = self.moved(p)
+        return s if moved is None else moved[s]
 
     def compose(self, other: Automorphism) -> Automorphism:
         """self after other."""
+        states = [_then(other.moved(p), self.moved(q)) for p, q in enumerate(other.perm)]
         return Automorphism(
-            tuple(self.perm[q] for q in other.perm), tuple(self.renaming[j] for j in other.renaming)
+            tuple(self.perm[q] for q in other.perm),
+            tuple(self.renaming[j] for j in other.renaming),
+            tuple(states) if any(m is not None for m in states) else (),
         )
 
     def names(self, program) -> dict[str, str]:
@@ -256,12 +281,12 @@ class Automorphism(NamedTuple):
         return {x: program.vars[j] for x, j in zip(program.vars, self.renaming)}
 
     def config(self, c: DtsoConfig, program) -> DtsoConfig:
-        """The image of c: process p's state and renamed buffer at
+        """The image of c: process p's renamed state and buffer at
         perm[p], and variable i's value at renaming[i]."""
         names = self.names(program)
         states, buffers, mem = [None] * len(self.perm), [None] * len(self.perm), [None] * len(self.renaming)
         for p, q in enumerate(self.perm):
-            states[q] = c.states[p]
+            states[q] = self.state(p, c.states[p])
             buffers[q] = tuple((names[x], v, own) for x, v, own in c.buffers[p])
         for i, j in enumerate(self.renaming):
             mem[j] = c.mem[i]
@@ -269,150 +294,326 @@ class Automorphism(NamedTuple):
 
     def action(self, action, program):
         """The image of action: the same rule taken by process
-        perm[action.proc], on the renamed variable."""
+        perm[action.proc], on the renamed variable and states."""
         names = self.names(program)
-        q = self.perm[action.proc]
+        p = action.proc
+        q = self.perm[p]
         if isinstance(action, Step):
             t = action.t
             op = t.op if t.op.var is None else t.op._replace(var=names[t.op.var])
-            return Step(q, t._replace(op=op))
+            return Step(q, Transition(self.state(p, t.src), op, self.state(p, t.dst)))
         if isinstance(action, Propagate):
             return Propagate(q, names[action.var])
         return action._replace(proc=q)
 
 
+def _then(first: dict | None, then: dict | None) -> dict | None:
+    """The state map `first` followed by `then`, None keeping every name."""
+    if first is None:
+        return then
+    if then is None:
+        return first
+    return {s: then[t] for s, t in first.items()}
+
+
 @dataclass(frozen=True)
 class Symmetry:
-    """A group of automorphisms of a fixed-size program, in two parts.
+    """A group of automorphisms of a program, in two parts.
 
-    `classes` partitions the processes into those with equal automata
-    and equal target states; every permutation within the classes,
-    with no variable renamed, is in the group, and forms a normal
-    subgroup N that is kept implicit.  `elements` holds one automorphism
-    per coset of N, identity first.  The group is N times `elements`,
-    of order len(elements) times the product of the classes' sizes'
-    factorials.  `share` names, per process, the least process of its
-    orbit."""
+    `classes` partitions the processes into those whose automata are
+    one another's with their states renamed (no variable) and their
+    target states too; `to_head` holds, per process, the map of its
+    states onto its class head's, the least process of the class, or
+    None where they are equal.  Every permutation within the classes,
+    its states renamed through the heads, with no variable renamed, is
+    in the group, and forms a normal subgroup N that is kept implicit.
+    `elements` holds one automorphism per coset of N, identity first.
+    The group is N times `elements`, of order len(elements) times the
+    product of the classes' sizes' factorials.  `share` names, per
+    process, the least process of its orbit, and `names` the map of
+    its states onto that process's, or None where they are equal."""
 
     classes: tuple[tuple[int, ...], ...]
     elements: tuple[Automorphism, ...]
+    to_head: tuple[dict[str, str] | None, ...]
 
     @property
     def order(self) -> int:
         return len(self.elements) * math.prod(math.factorial(len(c)) for c in self.classes)
 
+    def _heads(self):
+        """Per class, the least process of its orbit, h, and an element
+        taking the class head to h.  An element takes each class head
+        to a class head, the least process of its class."""
+        for c in self.classes:
+            g = min(self.elements, key=lambda g: g.perm[c[0]])
+            yield c, g.perm[c[0]], g
+
     @property
     def share(self) -> tuple[int, ...]:
-        class_of = {p: c for c in self.classes for p in c}
-        return tuple(min(g.perm[q] for g in self.elements for q in class_of[p]) for p in range(len(class_of)))
+        out = [0] * len(self.to_head)
+        for c, h, _g in self._heads():
+            for p in c:
+                out[p] = h
+        return tuple(out)
+
+    @property
+    def names(self) -> tuple[dict[str, str] | None, ...]:
+        """Per process p, its states in its orbit head h's names: the
+        map of an element taking p's class onto h's, the same for the
+        whole class, then that class's map onto h, so that N only
+        permutes entries named alike."""
+        out: list = [None] * len(self.to_head)
+        for c, _h, g in self._heads():
+            for p in c:
+                into = _then(g.moved(p), self.to_head[g.perm[p]])
+                out[p] = None if into is None or all(s == t for s, t in into.items()) else into
+        return tuple(out)
 
 
-def _renamings(a, b, sigma: dict[int, int], program):
-    """Each extension of sigma, a partial injective renaming of
-    variable indices, under which automaton a's transitions renamed are
-    automaton b's, each variable tried first as itself.  a and b must
-    have the same initial state and as many transitions, which prunes
-    most candidate images at once.  The search is depth first over a's
-    transitions, on an explicit stack."""
-    if a.init != b.init or len(a.transitions) != len(b.transitions):
-        return
-    var_index = program.var_index
-    # per transition of b with its variable left out, b's variable indices (None for none)
-    theirs: dict = {}
-    for t in b.transitions:
-        theirs.setdefault(_shape(t), set()).add(None if t.op.var is None else var_index[t.op.var])
-    stack = [(0, sigma)]
-    while stack:
-        k, sigma = stack.pop()
-        for k in range(k, len(a.transitions)):
-            t = a.transitions[k]
-            x = t.op.var
-            images = theirs.get(_shape(t), set())
-            if x is None or var_index[x] in sigma:
-                if (None if x is None else sigma[var_index[x]]) not in images:
-                    break
+def _identity(program) -> Symmetry:
+    """The group of the identity alone, each process its own class."""
+    n = len(program.processes)
+    elements = (Automorphism(tuple(range(n)), tuple(range(len(program.vars)))),)
+    return Symmetry(tuple((p,) for p in range(n)), elements, (None,) * n)
+
+
+class _Profile(NamedTuple):
+    """What _renamings reads of one automaton (_profile)."""
+
+    init: str
+    size: int  # transitions
+    states: list[str]  # sorted
+    plan: list
+    index: dict
+
+
+def _profile(program, a) -> _Profile:
+    """What _renamings reads of automaton a, read once per process.
+
+    Each transition is read as (source, kind and values, variable index
+    or None, destination).  The plan lists them in the order _renamings
+    matches them: depth first along the listed transitions from the
+    initial state, then from each state not yet reached, in sorted
+    order, each such state listed, as (None, None, None, state), before
+    its transitions.  A transition comes after its source, so its
+    source's image is known when it is matched.  The index holds, per
+    (source, kind, value, written value), the (variable index or None,
+    destination) pairs of those transitions."""
+    states = a.states
+    out: dict = {s: [] for s in states}
+    index: dict = {}
+    for t in a.transitions:
+        move = (t.src, _shape(t), None if t.op.var is None else program.var_index[t.op.var], t.dst)
+        out[t.src].append(move)
+        index.setdefault((t.src, *move[1]), []).append(move[2:])
+    plan: list = []
+    seen: set = set()
+    for root in (a.init, *sorted(states - {a.init})):
+        if root in seen:
+            continue
+        if root != a.init:
+            plan.append((None, None, None, root))
+        seen.add(root)
+        stack = [iter(out[root])]
+        while stack:
+            move = next(stack[-1], None)
+            if move is None:
+                stack.pop()
                 continue
-            i = var_index[x]
-            free = images - set(sigma.values())
-            stack += [(k + 1, {**sigma, i: j}) for j in reversed([i] * (i in free) + sorted(free - {i}))]
-            break
+            plan.append(move)
+            if move[3] not in seen:
+                seen.add(move[3])
+                stack.append(iter(out[move[3]]))
+    return _Profile(a.init, len(a.transitions), sorted(states), plan, index)
+
+
+def _renamings(a: _Profile, b: _Profile, sigma: dict[int, int], budget: list[int]):
+    """Each extension of sigma, a partial injective renaming of
+    variable indices, together with a bijection pi of a's states onto
+    b's that takes a's initial state to b's, under which automaton a's
+    transitions renamed are automaton b's, as (sigma, pi).
+
+    The search matches a's transitions in its plan, each against b's
+    transitions of equal kind and values out of its source's image,
+    each variable and destination state tried first as itself, so the
+    map that renames nothing comes first; a state no path reaches from
+    the initial one is tried against each of b's states left.  a and b
+    must have as many states and transitions, which prunes most
+    candidate images at once.  The search is depth first on an
+    explicit stack; a choice with one option is taken in place, and
+    each partial assignment popped from the stack takes one from
+    budget[0]: once that is spent, the search stops."""
+    if a.size != b.size or len(a.states) != len(b.states):
+        return
+    plan, theirs, everywhere = a.plan, b.index, b.states
+    stack = [(0, dict(sigma), {a.init: b.init})]
+    while stack:
+        budget[0] -= 1
+        if budget[0] < 0:
+            return
+        k, sigma, pi = stack.pop()
+        taken, reached = set(sigma.values()), set(pi.values())
+        while k < len(plan):
+            src, shape, i, own = plan[k]
+            if src is None:  # a state not reached from the initial one
+                options = [(None, d) for d in everywhere if d not in reached]
+            else:
+                j0 = sigma.get(i, i)
+                d0 = pi.get(own)
+                options = [
+                    (j, d)
+                    for j, d in theirs.get((pi[src], *shape), ())
+                    if (j == j0 if i is None or i in sigma else j not in taken)
+                    and (d == d0 if d0 is not None else d not in reached)
+                ]
+            if len(options) > 1:
+                options.sort(key=lambda jd: (jd[0] != i, jd[1] != own, -1 if jd[0] is None else jd[0], jd[1]))
+                stack += [
+                    (k + 1, {**sigma, i: j} if j is not None else sigma.copy(), {**pi, own: d})
+                    for j, d in reversed(options)
+                ]
+                break
+            if not options:
+                break
+            j, d = options[0]
+            if j is not None and i not in sigma:
+                sigma[i] = j
+                taken.add(j)
+            if own not in pi:
+                pi[own] = d
+                reached.add(d)
+            k += 1
         else:
-            yield sigma
+            yield sigma, pi
 
 
 def _shape(t) -> tuple:
-    """Transition t with its variable left out."""
-    return t.src, t.dst, t.op.kind, t.op.val, t.op.wval
+    """Transition t's kind and values, its states and variable left out."""
+    return t.op.kind, t.op.val, t.op.wval
 
 
-def automorphisms(program: ConcurrentProgram, target: tuple[str, ...]) -> Symmetry:
-    """The automorphisms of program and `target`, a state per process,
-    that keep the name of every variable no process names, as a
-    Symmetry.
+def automorphisms(program, target: tuple[str, ...]) -> Symmetry:
+    """The automorphisms of program and `target` that keep the name of
+    every variable no process names, as a Symmetry.  For a fixed-size
+    program `target` names a state per process; a parameterized
+    program's template is searched as one process mapped to itself,
+    and `target`, a multiset of its states, must be fixed.
 
-    The classes are found by equal (initial state, transition set,
-    target state).  The elements are then found class by class, depth
-    first on an explicit stack: each class goes to an unused class of
-    its size and target state whose automaton its own equals under an
-    extension of the renaming so far (_renamings), its processes in
-    order.  So N is never listed, a class image is tried only where the
-    transition counts agree, and the identity is found first.
+    The classes are found first: each process joins the first class
+    with as many transitions and states and the same operations whose
+    head's automaton is its own, or is under a renaming of states alone
+    (_renamings with every variable kept), that takes the head's target
+    state to its own.  The elements are then found class by class,
+    depth first on an explicit stack: each class goes to an unused
+    class of its size and shape (transition and state counts, and
+    operations with variables left out) whose head's automaton its own
+    head's equals under an extension of the variable renaming so far
+    and some map of states (_renamings) that takes target state to
+    target state, its processes in order.  So N is never listed, a
+    class image is tried only where the shapes agree, and the identity
+    is found first.
 
-    The search gives up after (k + 1) ** 3 partial assignments of the k
-    classes, or once it holds more than (k + 1) ** 2 elements, and
-    keeps the identity alone, with N.  That happens when, say, k
+    The search gives up after (k + 1) ** 3 partial assignments, of the
+    classes and within _renamings, k the processes plus their states,
+    or once it holds more than (c + 1) ** 2 elements for c classes, and
+    keeps the identity alone, with N.  That happens when, say, c
     processes each use a variable of their own, so that every
     permutation of them is an automorphism: each candidate would cost
-    k! images.  A ring takes about k ** 2 partial assignments for its k
+    c! images.  A ring takes about c ** 2 partial assignments for its c
     elements.  The reduction is sound with any automorphisms, and
     canonical with a group."""
-    by_key: dict = {}
-    for p, auto in enumerate(program.processes):
-        by_key.setdefault((auto.init, frozenset(auto.transitions), target[p]), []).append(p)
-    classes = tuple(map(tuple, by_key.values()))
-    heads = [program.processes[c[0]] for c in classes]
-    alike: dict = {}  # the classes of each size and target state
-    for j, c in enumerate(classes):
-        alike.setdefault((len(c), target[c[0]]), []).append(j)
-    budget, most = (len(classes) + 1) ** 3 - 1, (len(classes) + 1) ** 2  # the root is one partial assignment
+    procs = program.processes
+    n = len(procs)
+    if isinstance(program, ParamProgram):
+        wanted = sorted(target)
+
+        def fits(p: int, q: int, pi: dict) -> bool:
+            return sorted(map(pi.__getitem__, target)) == wanted
+    else:
+
+        def fits(p: int, q: int, pi: dict) -> bool:
+            return pi[target[p]] == target[q]
+
+    profiles = [_profile(program, auto) for auto in procs]
+    budget = [(n + sum(len(profile.states) for profile in profiles) + 1) ** 3]
+    kept = {i: i for i in range(len(program.vars))}
+    classes: list[list[int]] = []
+    to_head: list = [None] * n
+    by_ops: dict = {}
+    for p, auto in enumerate(procs):
+        ops = (profiles[p].size, len(profiles[p].states), frozenset(t.op for t in auto.transitions))
+        for c in by_ops.setdefault(ops, []):
+            head = classes[c][0]
+            if procs[head].init == auto.init and set(procs[head].transitions) == set(auto.transitions):
+                matches = iter([{s: s for s in profiles[p].states}])  # equal automata: the identity map alone is needed
+            else:
+                matches = (pi for _, pi in _renamings(profiles[head], profiles[p], kept, budget))
+            pi = next((pi for pi in matches if fits(head, p, pi)), None)
+            if pi is not None:
+                classes[c].append(p)
+                if any(s != t for s, t in pi.items()):
+                    to_head[p] = {t: s for s, t in pi.items()}
+                break
+        else:
+            by_ops[ops].append(len(classes))
+            classes.append([p])
+    heads = [profiles[c[0]] for c in classes]
+    # per class its size and shape, and the classes of each
+    shapes = [
+        (len(c), head.size, len(head.states), frozenset(shape for _, shape, _, _ in head.plan))
+        for c, head in zip(classes, heads)
+    ]
+    alike: dict = {}
+    for j, shape in enumerate(shapes):
+        alike.setdefault(shape, []).append(j)
+    most = (len(classes) + 1) ** 2
     image: list[int] = []  # the classes the first len(image) classes go to
+    maps: list[dict] = []  # and each one's head's state map
     used: set[int] = set()
-    found = []  # each element as (each class's image, renaming)
+    found = []  # each element as (each class's image, renaming, each head's state map)
 
     def options(i: int, sigma: dict):
-        """Each (class, extended renaming) for class i, reading `used` as it goes."""
-        c = classes[i]
-        for j in alike[len(c), target[c[0]]]:
+        """Each (class, extended renaming, state map) for class i, reading `used` as it goes."""
+        head = classes[i][0]
+        for j in alike[shapes[i]]:
             if j not in used:
-                for extended in _renamings(heads[i], heads[j], sigma, program):
-                    yield j, extended
+                for extended, pi in _renamings(heads[i], heads[j], sigma, budget):
+                    if fits(head, classes[j][0], pi):
+                        yield j, extended, pi
 
     stack = [options(0, {})]  # one per class assigned, and one for the next
-    while stack and len(found) <= most:
+    while stack and len(found) <= most and budget[0] >= 0:
         step = next(stack[-1], None)
         if step is None:
             stack.pop()
             if image:
                 used.discard(image.pop())
+                maps.pop()
             continue
-        budget -= 1
-        if budget < 0:
-            break
-        j, sigma = step
+        budget[0] -= 1
+        j, sigma, pi = step
         if len(image) + 1 == len(classes):
-            found.append((image + [j], sigma))
+            found.append((image + [j], sigma, maps + [pi]))
         else:
             image.append(j)
+            maps.append(pi)
             used.add(j)
             stack.append(options(len(image), sigma))
-    if budget < 0 or len(found) > most:
-        del found[1:]
+    if budget[0] < 0 or len(found) > most:
+        return Symmetry(tuple(map(tuple, classes)), _identity(program).elements, tuple(to_head))
     elements = []
-    for images, sigma in found:
-        perm = dict(pair for c, d in zip(classes, images) for pair in zip(c, classes[d]))
+    for images, sigma, pis in found:
+        perm, states = [0] * n, [None] * n
+        for c, d, pi in zip(classes, images, pis):
+            for p, q in zip(c, classes[d]):
+                perm[p] = q
+                back = {t: s for s, t in to_head[q].items()} if to_head[q] else None
+                moved = {s: _renamed(back, pi[_renamed(to_head[p], s)]) for s in profiles[p].states}
+                states[p] = None if all(s == t for s, t in moved.items()) else moved
         renaming = tuple(sigma.get(x, x) for x in range(len(program.vars)))
-        elements.append(Automorphism(tuple(map(perm.get, range(program.n))), renaming))
-    return Symmetry(classes, tuple(elements))
+        elements.append(Automorphism(tuple(perm), renaming, tuple(states) if any(states) else ()))
+    return Symmetry(tuple(map(tuple, classes)), tuple(elements), tuple(to_head))
 
 
 class Canonicaliser:
@@ -420,18 +621,21 @@ class Canonicaliser:
     codes, for one search to own: the least class-sorted image of the
     code, fields in code order (memory, states, buffers, summaries).
 
-    The processes of one orbit share their interners, so an element
-    moves process p's fields to process perm[p]'s, keeps its state id
-    and renames only its buffer and summary ids, and renames the memory
-    id.  One Table, keyed by memory id, holds the memory's least image
-    and the moves of just the elements that reach it, or None where the
-    identity alone does and no class is to be sorted: there a code is
-    its own representative.  Per element and orbit, a Table holds a
-    buffer id's renamed ids.  The classes' permutations, the normal
-    subgroup N, fix the memory and are never listed: sorting a class's
-    entries, as (summary, buffer, state) ids, picks one member of an
-    image's N-orbit.  The images of two codes in one orbit are the same
-    N-orbits, so the least is a function of the orbit."""
+    The processes of one orbit share their interners, their states in
+    one naming (backward_coder), so an element moves process p's fields
+    to process perm[p]'s, renames its buffer and summary ids, keeps its
+    state id unless the element maps p's states onto others in that
+    naming, and renames the memory id.  One Table, keyed by memory id,
+    holds the memory's least image and the moves of just the elements
+    that reach it, or None where the identity alone does and no class
+    is to be sorted: there a code is its own representative.  Per
+    element and orbit, a Table holds a buffer id's renamed ids, and per
+    element and process whose states it renames, a state id's image.
+    The classes' permutations, the normal subgroup N, fix the memory
+    and are never listed: sorting a class's entries, as (summary,
+    buffer, state) ids, picks one member of an image's N-orbit.  The
+    images of two codes in one orbit are the same N-orbits, so the
+    least is a function of the orbit."""
 
     def __init__(self, program: ConcurrentProgram, group: Symmetry, coder: Coder):
         self.program = program
@@ -445,15 +649,21 @@ class Canonicaliser:
         self._least = Table(self._least_memory)
         # per element, None for the identity (first; its image is the
         # fields), else one read of its image's state then buffer ids
-        # (a tuple: 2n >= 2) and per process the id map of its source's orbit
+        # (a tuple: 2n >= 2), per process the buffer id map of its
+        # source's orbit, and per process its source's state id map, or
+        # None where the element keeps every state id
         share = group.share
+        self._shared = coder.names or (None,) * n
+        self._real = coder.real or (None,) * n
         self._moves = [None]
         for g in self.elements[1:]:
             source = sorted(range(n), key=g.perm.__getitem__)  # source[perm[p]] = p
             names = g.names(program)
             orbits = {o: Table(partial(self._renamed_buffer, names, o)) for o in set(share)}
             read = itemgetter(*(1 + p for p in source), *(1 + n + p for p in source))
-            self._moves.append((read, [orbits[share[p]] for p in source]))
+            maps = [self._state_map(g, p) for p in source]
+            states = [Table(partial(self._renamed_state, m, p)) for m, p in zip(maps, source)] if any(maps) else None
+            self._moves.append((read, [orbits[share[p]] for p in source], states))
         # per class of more than one process, a read of its entries and
         # their field indices: each process's summary, buffer and state
         slots = [[i for q in c for i in (1 + 2 * n + q, 1 + n + q, 1 + q)] for c in group.classes if len(c) > 1]
@@ -466,6 +676,21 @@ class Canonicaliser:
         bf = 1 + coder.n + p
         renamed = tuple((names[x], v, own) for x, v, own in coder.values[bf][b])
         return coder.id(bf, renamed), coder.id(bf + coder.n, coder.summary(renamed))
+
+    def _state_map(self, g: Automorphism, p: int) -> dict | None:
+        """g's map of process p's states onto process perm[p]'s, both in
+        their interners' names; None if it keeps every name."""
+        shared, q = self._shared, g.perm[p]
+        if g.moved(p) is None and shared[p] is shared[q] is None:
+            return None
+        named = {_renamed(shared[p], s): _renamed(shared[q], g.state(p, s)) for s in self.program.processes[p].states}
+        return None if all(s == t for s, t in named.items()) else named
+
+    def _renamed_state(self, named: dict | None, p: int, s: int) -> int:
+        """Process p's state id s mapped by `named`, a _state_map, as
+        its id in the shared interner; kept if `named` is None."""
+        coder = self.coder
+        return s if named is None else coder.id(1 + p, named[coder.values[1 + p][s]])
 
     def _least_memory(self, m: int) -> tuple | None:
         """Memory id m's least image and the moves of the elements
@@ -492,7 +717,8 @@ class Canonicaliser:
             else:
                 moved = move[0](fields)
                 buffers, summaries = zip(*map(dict.__getitem__, move[1], moved[n:]))
-                image = [least, *moved[:n], *buffers, *summaries]
+                states = moved[:n] if move[2] is None else map(dict.__getitem__, move[2], moved[:n])
+                image = [least, *states, *buffers, *summaries]
             for entries, slots in self._classes:
                 ids = entries(image)
                 ordered = sorted(zip(ids[::3], ids[1::3], ids[2::3]))
@@ -504,19 +730,30 @@ class Canonicaliser:
     def element(self, raw: DtsoConfig, canonical: DtsoConfig) -> Automorphism:
         """An automorphism of the group taking raw to canonical, which
         lie in one orbit: an element's image of raw, then each class's
-        processes matched to canonical's in the order of their states
-        and buffers."""
+        processes matched to canonical's in the order of their states,
+        in their interners' names, and buffers."""
+        shared, real = self._shared, self._real
+
+        def entry(c: DtsoConfig, p: int) -> tuple:
+            return _renamed(shared[p], c.states[p]), c.buffers[p]
+
         for g in self.elements:
             image = g.config(raw, self.program)
             if image.mem != canonical.mem:
                 continue
             perm = list(range(len(image.states)))
             for c in self.group.classes:
-                mine = sorted(c, key=lambda q: (image.states[q], image.buffers[q]))
-                theirs = sorted(c, key=lambda p: (canonical.states[p], canonical.buffers[p]))
+                mine = sorted(c, key=partial(entry, image))
+                theirs = sorted(c, key=partial(entry, canonical))
                 for q, p in zip(mine, theirs):
                     perm[q] = p
-            sorter = Automorphism(tuple(perm), tuple(range(len(image.mem))))
+            states = ()
+            if self.coder.names is not None:
+                states = tuple(
+                    {s: _renamed(real[p], _renamed(shared[q], s)) for s in auto.states}
+                    for q, (auto, p) in enumerate(zip(self.program.processes, perm))
+                )
+            sorter = Automorphism(tuple(perm), tuple(range(len(image.mem))), states)
             if sorter.config(image, self.program) == canonical:
                 return sorter.compose(g)
         raise ValueError("no automorphism takes the candidate to its representative")

@@ -28,16 +28,31 @@ interned.  A move depends only on the entry it changes (or the fresh
 process it adds) and the memory, so the search tables each entry id's
 moves once and places a candidate's new entry into the minor's sorted
 other entries by one bisection.
+
+The template may be symmetric beyond process order: an automorphism
+(backward.automorphisms, the template searched as one process mapped
+to itself) renames its states and the variables, mapping its
+transitions onto themselves and the target multiset onto itself.  The
+induced transition system, the liveness cut and the seeds are
+invariant under it, and the initial configuration is fixed by it, so,
+as with process order, the verdict is unchanged when a minor is
+replaced by its image.  The search keeps one representative per orbit
+(ParamCanonicaliser), seeds included, and turns the chain of
+representatives back into a witness of real states and variables once,
+at the end (Ip and Dill, "Better Verification Through Symmetry", FMSD
+9, 1996).
 """
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
+from functools import partial
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .backward import (
     BackwardStats,
+    automorphisms,
     buffer_preds,
     fixpoint,
     live_kernel,
@@ -289,9 +304,100 @@ def canonical(alpha: ParamConfig) -> ParamConfig:
     permutation; keeping one sorted representative per orbit collapses
     the symmetric copies the position-sensitive ordering would retain.
     The engine reaches this form by bisection; the sort is the
-    reference the tests compare that with.
+    reference the tests compare that with.  A template's own
+    automorphisms reduce the search further (ParamCanonicaliser).
     """
     return ParamConfig(tuple(sorted(alpha.procs)), alpha.mem)
+
+
+class ParamCanonicaliser:
+    """One representative minor per orbit of `group`, a template's
+    automorphisms (backward.automorphisms), over `coder`'s minors, for
+    one search to own.
+
+    An element renames the template's states and the variables; its
+    image of a minor maps each entry (state, buffer) to (its state's
+    image, its buffer renamed), re-sorted by entry, and permutes the
+    memory.  Per element but the identity, a Table holds an entry id's
+    image id.  The representative is the least, by (memory, entries),
+    of the minor and its images: the images of two minors in one orbit
+    are the orbit, so the least is a function of the orbit."""
+
+    def __init__(self, program: ParamProgram, group, coder: ParamCoder):
+        self.program = program
+        self.coder = coder
+        self.elements = group.elements
+        self._images = []  # per element but the identity: entry id Table, memory read
+        for g in self.elements[1:]:
+            source = sorted(range(len(g.renaming)), key=g.renaming.__getitem__)  # source[renaming[i]] = i
+            self._images.append((Table(partial(self._entry, g)), source))
+
+    def _entry(self, g, e: int) -> int:
+        """Entry id e's image id under g."""
+        return self.coder.id(_entry_image(g, self.coder.entries[e], self.program))
+
+    def _image(self, i: int, minor) -> tuple:
+        """Element i's image of minor, its ids in the order of their entries."""
+        if i == 0:
+            return minor
+        table, source = self._images[i - 1]
+        ids, mem = minor
+        image = sorted(map(table.__getitem__, ids), key=self.coder.entries.__getitem__)
+        return tuple(image), tuple(map(mem.__getitem__, source))
+
+    def rep(self, minor) -> tuple:
+        """minor's orbit representative; an image whose memory is
+        above the least so far is never sorted."""
+        entries = self.coder.entries
+        best = minor
+        ids, mem = minor
+        for table, source in self._images:
+            m = tuple(map(mem.__getitem__, source))
+            if m > best[1]:
+                continue
+            image = sorted(map(table.__getitem__, ids), key=entries.__getitem__)
+            if m < best[1] or list(map(entries.__getitem__, image)) < list(map(entries.__getitem__, best[0])):
+                best = tuple(image), m
+        return best
+
+    def unwind(self, chain: tuple, witness: tuple) -> tuple[tuple, tuple]:
+        """The chain of representatives and a witness of (action,
+        candidate minor) pairs as a decoded real chain and witness.
+
+        witness[i]'s candidate was taken to chain[i] by some element
+        g_i; composing h_i = g_0 ... g_i, the real chain is chain[0]
+        (it covers the initial configuration, which every element
+        fixes), then h_i's image of chain[i + 1], re-sorted, and the
+        real witness h_i's image of each action, naming the first
+        position of the acting entry's image there."""
+        coder, program = self.coder, self.program
+        h = self.elements[0]
+        real, actions = [coder.decode(chain[0])], []
+        for i, (action, raw) in enumerate(witness):
+            g = next(g for k, g in enumerate(self.elements) if self._image(k, raw) == chain[i])
+            h = h.compose(g)
+            entry = _entry_image(h, coder.entries[raw[0][action.proc]], program)
+            moved = h.action(action._replace(proc=0), program)  # the template is process 0
+            actions.append(moved._replace(proc=real[i].procs.index(entry)))
+            real.append(_config_image(h, coder.decode(chain[i + 1]), program))
+        return tuple(real), tuple(actions)
+
+
+def _entry_image(h, entry: tuple, program: ParamProgram) -> tuple:
+    """The image of one (state, buffer) entry under the automorphism h
+    of a template."""
+    names = h.names(program)
+    state, buf = entry
+    return h.state(0, state), tuple((names[x], v, own) for x, v, own in buf)
+
+
+def _config_image(h, alpha: ParamConfig, program: ParamProgram) -> ParamConfig:
+    """The image of alpha under the automorphism h of a template, its
+    processes sorted."""
+    mem = [None] * len(alpha.mem)
+    for i, j in enumerate(h.renaming):
+        mem[j] = alpha.mem[i]
+    return ParamConfig(tuple(sorted(_entry_image(h, e, program) for e in alpha.procs)), tuple(mem))
 
 
 def param_backward_reach(
@@ -308,6 +414,16 @@ def param_backward_reach(
     seeds, the sorted targets with empty buffers over each
     seed_memories memory in its order, go encoded straight into the
     param_antichain the search saturates.
+
+    When the template and targets have automorphisms other than the
+    identity (backward.automorphisms), each seed and live candidate
+    goes into the antichain as its orbit's representative
+    (ParamCanonicaliser.rep), so seeds whose memories are renamings of
+    each other are one.  Each candidate's action is kept with its minor
+    as generated; unwinding recovers the automorphism that took it to
+    its representative and composes them, so the chain and witness
+    name real states and variables.  With the identity alone, no
+    canonicaliser is built.
 
     The search runs over the minors of a ParamCoder it owns, (entry ids,
     memory), under its own coded_param_leq; the antichain's dominance
@@ -334,8 +450,11 @@ def param_backward_reach(
     coder = ParamCoder(program)
     entries, intern = coder.entries, coder.id
     minors = param_antichain(coded_param_leq(coder), coder.dominance)
+    group = automorphisms(program, targets)
+    canon = ParamCanonicaliser(program, group, coder) if len(group.elements) > 1 else None
     for mem in seed_memories(program, max_nodes):
-        minors.insert(coder.encode(ParamConfig(at_target, mem)))
+        seed = coder.encode(ParamConfig(at_target, mem))
+        minors.insert(seed if canon is None else canon.rep(seed))
     own_ok = removable_own(program.template)
     live = live_kernel(program)
     transitions = program.template.transitions
@@ -400,7 +519,16 @@ def param_backward_reach(
                     out.append((cls(i, *args), (rest[:i] + (e,) + rest[i:], m)))
         return out
 
+    if canon is not None:
+        rep, moves = canon.rep, preds
+
+        def preds(minor) -> list:
+            return [(a, None) if d is None else ((a, d), rep(d)) for a, d in moves(minor)]
+
     stats = fixpoint(minors, preds, coder.covers_initial, coder.weight, max_nodes)
     if stats.chain is not None:
-        stats.chain = tuple(map(coder.decode, stats.chain))
+        if canon is None:
+            stats.chain = tuple(map(coder.decode, stats.chain))
+        else:
+            stats.chain, stats.witness = canon.unwind(stats.chain, stats.witness)
     return stats

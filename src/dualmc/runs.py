@@ -139,6 +139,11 @@ class Table(dict):
 FIELD_BITS = 32  # width of one Coder field
 
 
+def _renamed(names: dict | None, state: str) -> str:
+    """state by its name in `names`, or as it is without."""
+    return state if names is None else names[state]
+
+
 class Coder:
     """Configurations (states, buffers, mem) of one program as ints,
     owned by one search.
@@ -171,15 +176,27 @@ class Coder:
     With `share`, one process index per process, process p's state,
     buffer and summary fields use process share[p]'s interners, so
     equal parts of the processes sharing them have equal ids; they must
-    start in equal states.
+    start in equal states.  With `names`, per process a dict from its
+    local states to the names its interner holds them by, or None to
+    keep them, the coder translates states as it interns them and back
+    as it decodes or lists moves; so processes whose states are named
+    apart can share interners, in the names of the process they share.
     """
 
-    def __init__(self, init, summary: Callable | None = None, share: tuple[int, ...] | None = None):
+    def __init__(
+        self,
+        init,
+        summary: Callable | None = None,
+        share: tuple[int, ...] | None = None,
+        names: tuple[dict | None, ...] | None = None,
+    ):
         n = self.n = len(init.states)
         self.make = type(init)
         self.summary = summary
         self.width = FIELD_BITS
         self.field = field = (1 << FIELD_BITS) - 1
+        self.names = names
+        self.real = None if names is None else [None if d is None else {v: s for s, v in d.items()} for d in names]
         self.values = [[v] for v in self._parts(init)]
         self.ids = [{vals[0]: 0} for vals in self.values]
         if share is not None:
@@ -201,9 +218,10 @@ class Coder:
 
     def _parts(self, c) -> tuple:
         """c's interned parts, in field order."""
+        states = c.states if self.names is None else map(_renamed, self.names, c.states)
         if self.summary is None:
-            return (c.mem, *c.states, *c.buffers)
-        return (c.mem, *c.states, *c.buffers, *map(self.summary, c.buffers))
+            return (c.mem, *states, *c.buffers)
+        return (c.mem, *states, *c.buffers, *map(self.summary, c.buffers))
 
     def _top(self, c) -> int:
         """c's top field, in place: its total buffer length, or 0 without a summary."""
@@ -238,7 +256,8 @@ class Coder:
     def decode(self, code: int):
         n = self.n
         parts = [vals[code >> self._shift(f) & self.field] for f, vals in enumerate(self.values[: 2 * n + 1])]
-        return self.make(tuple(parts[1 : n + 1]), tuple(parts[n + 1 :]), parts[0])
+        states = parts[1 : n + 1] if self.real is None else map(_renamed, self.real, parts[1 : n + 1])
+        return self.make(tuple(states), tuple(parts[n + 1 :]), parts[0])
 
     def moves(self, p: int, key: int, fill: Callable) -> list[tuple]:
         """Process p's moves at `key`, a code masked by keymask[p], from
@@ -247,7 +266,7 @@ class Coder:
         where its memory is None.  With a summary, a move that changes
         the buffer also changes p's summary field and the top field;
         the old buffer's summary id, interned with the key, is read
-        once."""
+        once.  fill reads and lists p's states by their own names."""
         sf, bf, df = 1 + p, 1 + self.n + p, 1 + 2 * self.n + p
         s_shift, b_shift = self._shift(sf), self._shift(bf)
         m_id, s_id, b_id = key & self.field, key >> s_shift & self.field, key >> b_shift & self.field
@@ -255,14 +274,16 @@ class Coder:
         summary = self.summary
         if summary is not None:
             d_id = self.id(df, summary(buf))
+        names = None if self.names is None else self.names[p]
+        state = self.values[sf][s_id] if names is None else self.real[p][self.values[sf][s_id]]
         out: list[tuple] = []
-        for action, s, b, m in fill(p, self.values[sf][s_id], buf, self.values[0][m_id]):
+        for action, s, b, m in fill(p, state, buf, self.values[0][m_id]):
             if m is None:
                 out.append((action, None))
                 continue
             delta = self.id(0, m) - m_id
             if s is not None:
-                delta += (self.id(sf, s) - s_id) << s_shift
+                delta += (self.id(sf, s if names is None else names[s]) - s_id) << s_shift
             if b is not None:
                 delta += (self.id(bf, b) - b_id) << b_shift
                 if summary is not None:

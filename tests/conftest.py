@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
+from contextlib import contextmanager
 from itertools import combinations, product
 from pathlib import Path
 
@@ -109,6 +110,42 @@ def engine_seeds(monkeypatch, search) -> list:
         with pytest.raises(_Seeded):
             search()
     return [coders[-1].decode(c) for c in seeds]
+
+
+@contextmanager
+def unreduced(monkeypatch):
+    """Within the block, both engines search by the identity group
+    alone, each process its own class: backward_reach and
+    param_backward_reach then search unreduced, as they did before any
+    symmetry reduction."""
+    import dualmc.backward
+    import dualmc.param
+
+    identity = lambda program, target: dualmc.backward._identity(program)
+    with monkeypatch.context() as m:
+        m.setattr(dualmc.backward, "automorphisms", identity)
+        m.setattr(dualmc.param, "automorphisms", identity)
+        yield
+
+
+def check_param_chain(prog: ParamProgram, targets, s) -> None:
+    """s's chain and witness are a parameterized witness to `targets`:
+    chain[0] covers the initial configuration, chain[-1] holds the
+    sorted targets with empty buffers, and every step is a canonical
+    one-rule predecessor of the next minor under the recorded action,
+    which names the first position of its process's entry."""
+    from dualmc.oracle import param_covers_initial
+    from dualmc.param import canonical, predecessor_candidates
+
+    assert param_covers_initial(s.chain[0], prog)
+    assert s.chain[-1].procs == tuple((state, ()) for state in sorted(targets))
+    assert len(s.witness) == len(s.chain) - 1
+    for i, action in enumerate(s.witness):
+        assert any(
+            canonical(pred) == s.chain[i]
+            and a._replace(proc=s.chain[i].procs.index(pred.procs[a.proc])) == action
+            for a, pred in predecessor_candidates(s.chain[i + 1], prog)
+        ), i
 
 
 def random_program(

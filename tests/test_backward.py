@@ -47,12 +47,14 @@ from dualmc.param import param_backward_reach
 
 from conftest import (
     all_global_states,
+    check_param_chain,
     config_down,
     corpus_program,
     engine_seeds,
     pad_with_plains,
     random_dtso_config,
     random_program,
+    unreduced,
 )
 
 own = lambda x, v: (x, v, True)
@@ -314,8 +316,9 @@ def test_worklist_generation_indices_are_distinct(monkeypatch):
     live seeds are built: the 5 dead ones are missing from
     configs_generated, inserted and minors (582, 277 and 237 with them),
     and the search is otherwise the same.  The program is symmetric, so
-    its states are renamed apart (`unreduced`) to search it unreduced."""
-    s, seqs = _spied_search(monkeypatch, unreduced(parse_program(TIE_BREAK)))
+    it is searched by the identity group (`unreduced`)."""
+    with unreduced(monkeypatch):
+        s, seqs = _spied_search(monkeypatch, parse_program(TIE_BREAK))
     assert len(seqs) > 100 and len(set(seqs)) == len(seqs)
     assert s.verdict == "Reachable"
     assert (s.configs_generated, s.inserted, s.minors, s.iterations) == (577, 272, 232, 186)
@@ -590,25 +593,6 @@ def test_monotonicity_recipe():
         checked += 1
 
 
-def unreduced(prog: ConcurrentProgram) -> ConcurrentProgram:
-    """prog with process p's local states renamed to f"{p}.{state}",
-    its target too, and with process 0 given a read of each variable
-    from a state no transition enters to a state of that variable's
-    own.  The same semantics up to state names, and the same search:
-    no configuration the engine builds holds the new states.  But no
-    two processes share a state, and no renaming maps process 0's new
-    reads onto themselves, so the program's one automorphism is the
-    identity and backward_reach searches it unreduced."""
-    procs = []
-    for p, a in enumerate(prog.processes):
-        rename = f"{p}.{{}}".format
-        transitions = tuple(Transition(rename(t.src), t.op, rename(t.dst)) for t in a.transitions)
-        if p == 0:
-            transitions += tuple(Transition("0.unused", Op("r", x, 0), f"0.{x}") for x in prog.vars)
-        procs.append(Automaton(a.name, rename(a.init), transitions))
-    return ConcurrentProgram(prog.vars, prog.values, tuple(procs), tuple(f"{p}.{s}" for p, s in enumerate(prog.target)))
-
-
 def _rotations(n: int, variables: tuple) -> list:
     """Each rotation of n processes in a ring with the variables, as
     (perm, the variables' new names)."""
@@ -618,24 +602,38 @@ def _rotations(n: int, variables: tuple) -> list:
     ]
 
 
+def _kept(n: int) -> tuple:
+    """The state maps of an element that renames no state of n processes."""
+    return ({},) * n
+
+
 # per fixed corpus file with a nontrivial group: its order, its classes
 # of more than one identical process and its elements, one per coset of
 # the permutations within those classes, each as (perm, the variables'
-# new names); the other fixed files have the identity alone
+# new names, per process the states it renames); the other fixed files
+# have the identity alone, and no element of a fixed file renames a state
 EXPECTED_GROUPS = {
-    "sb.lit": (5, (), _rotations(5, ("x1", "x2", "x3", "x4", "x5"))),
-    "lb.lit": (3, (), _rotations(3, ("x1", "x2", "x3"))),
-    "rwc.lit": (6, ((1, 2, 3),), [((0, 1, 2, 3, 4), ("x", "y"))]),
-    "iriw.lit": (2, (), [((0, 1, 2, 3), ("x", "y")), ((1, 0, 3, 2), ("y", "x"))]),
-    "dekker-simple.lit": (2, (), [((0, 1), ("f0", "f1")), ((1, 0), ("f1", "f0"))]),
+    "sb.lit": (5, (), [(*r, _kept(5)) for r in _rotations(5, ("x1", "x2", "x3", "x4", "x5"))]),
+    "lb.lit": (3, (), [(*r, _kept(3)) for r in _rotations(3, ("x1", "x2", "x3"))]),
+    "rwc.lit": (6, ((1, 2, 3),), [((0, 1, 2, 3, 4), ("x", "y"), _kept(5))]),
+    "iriw.lit": (2, (), [((0, 1, 2, 3), ("x", "y"), _kept(4)), ((1, 0, 3, 2), ("y", "x"), _kept(4))]),
+    "dekker-simple.lit": (2, (), [((0, 1), ("f0", "f1"), _kept(2)), ((1, 0), ("f1", "f0"), _kept(2))]),
 }
 TRIVIAL_GROUPS = ["dekker.lit", "isa2.lit", "mp.lit", "peterson.lit", "peterson-repeat.lit", "wrc.lit", "wrwc.lit"]
 
 
-def _group(prog) -> tuple:
-    """automorphisms(prog) in the form of EXPECTED_GROUPS."""
-    g = automorphisms(prog, prog.target)
-    named = [(a.perm, tuple(prog.vars[j] for j in a.renaming)) for a in g.elements]
+def _group(prog, target=None) -> tuple:
+    """automorphisms(prog) in the form of EXPECTED_GROUPS, at prog's
+    target unless another is given."""
+    g = automorphisms(prog, prog.target if target is None else target)
+    named = [
+        (
+            a.perm,
+            tuple(prog.vars[j] for j in a.renaming),
+            tuple({s: t for s, t in (a.moved(p) or {}).items() if s != t} for p in range(len(a.perm))),
+        )
+        for a in g.elements
+    ]
     return g.order, tuple(c for c in g.classes if len(c) > 1), named
 
 
@@ -644,9 +642,79 @@ def test_corpus_groups(name):
     """Each fixed corpus file gets its expected group; its order is the
     number of elements times the classes' sizes' factorials."""
     prog = corpus_program(name)
-    expected = EXPECTED_GROUPS.get(name, (1, (), [(tuple(range(prog.n)), prog.vars)]))
+    expected = EXPECTED_GROUPS.get(name, (1, (), [(tuple(range(prog.n)), prog.vars, _kept(prog.n))]))
     assert _group(prog) == expected
     assert expected[0] == len(expected[2]) * math.prod(math.factorial(len(c)) for c in expected[1])
+
+
+# per parameterized corpus file with a nontrivial group, its elements
+# as (the variables' new names, the template states it renames): each
+# swaps x and y with the roles that use them; the other param files
+# have the identity alone
+EXPECTED_PARAM_GROUPS = {
+    "sb-param.lit": [("a0", "b0"), ("a1", "b1"), ("a2", "b2")],
+    "lb-param.lit": [("a0", "b0"), ("a1", "b1"), ("a2", "b2")],
+    "iriw-param.lit": [("a0", "b0"), ("a1", "b1"), ("c0", "d0"), ("c1", "d1"), ("c2", "d2")],
+}
+TRIVIAL_PARAM_GROUPS = ["isa2-param.lit", "mp-param.lit", "rwc-param.lit", "wrc-param.lit", "wrwc-param.lit"]
+
+
+def _swapped(pairs: list) -> dict:
+    """The state map that swaps each pair."""
+    return {s: t for a, b in pairs for s, t in ((a, b), (b, a))}
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_PARAM_GROUPS) + TRIVIAL_PARAM_GROUPS)
+def test_param_corpus_groups(name, monkeypatch):
+    """A template is one process mapped to itself: sb-param, lb-param
+    and iriw-param have order 2, the identity and x<->y with their
+    roles' states swapped, which fixes each target multiset; the other
+    five have the identity alone, and their searches build no
+    canonicaliser."""
+    prog = corpus_program(name)
+    expected = [((0,), prog.vars, _kept(1))]
+    if name in EXPECTED_PARAM_GROUPS:
+        expected.append(((0,), ("y", "x"), (_swapped(EXPECTED_PARAM_GROUPS[name]),)))
+    assert _group(prog) == (len(expected), (), expected)
+    built = []
+    make = dualmc.param.ParamCanonicaliser
+    monkeypatch.setattr(dualmc.param, "ParamCanonicaliser", lambda *args: built.append(make(*args)) or built[-1])
+    param_backward_reach(prog)
+    assert len(built) == (name in EXPECTED_PARAM_GROUPS)
+
+
+def _renamed_apart(prog: ConcurrentProgram) -> ConcurrentProgram:
+    """prog with process p's local states renamed to f"p{p + 1}_{state}",
+    its target too."""
+    procs = []
+    for p, a in enumerate(prog.processes):
+        transitions = tuple(t._replace(src=f"p{p + 1}_{t.src}", dst=f"p{p + 1}_{t.dst}") for t in a.transitions)
+        procs.append(Automaton(a.name, f"p{p + 1}_{a.init}", transitions))
+    target = tuple(f"p{p + 1}_{s}" for p, s in enumerate(prog.target))
+    return ConcurrentProgram(prog.vars, prog.values, tuple(procs), target)
+
+
+def test_states_renamed_apart_keep_the_ring():
+    """SB with each process's states renamed apart has SB's five
+    rotations, each mapping process p's states onto its image's.  The
+    processes of the one orbit share interners in p1's state names, so
+    the search is SB's, to every pinned counter, and its witness, which
+    names each process's own states, concretises and replays under both
+    semantics."""
+    sb = corpus_program("sb.lit")
+    prog = _renamed_apart(sb)
+    order, classes, elements = _group(prog)
+    assert (order, classes) == (5, ())
+    assert [(perm, names) for perm, names, _states in elements] == _rotations(5, ("x1", "x2", "x3", "x4", "x5"))
+    for perm, _names, states in elements:
+        for p, moved in enumerate(states):
+            if perm[p] != p:
+                assert moved == {f"p{p + 1}_{s}": f"p{perm[p] + 1}_{s}" for s in ("q0", "q1", "q2")}
+    s, expected = backward_reach(prog, prog.target), backward_reach(sb, sb.target)
+    counters = lambda r: (r.verdict, r.configs_generated, r.iterations, r.frontier_peak, r.minors, r.dead, r.subsumed)
+    assert counters(s) == counters(expected) == ("Reachable", 31_221, 5_259, 6_462, 11_220, 2_496, 16_116)
+    assert [c.mem for c in s.chain] == [c.mem for c in expected.chain]
+    _check_witness(prog, prog.target, s)
 
 
 def test_one_changed_transition_breaks_the_ring():
@@ -659,7 +727,7 @@ def test_one_changed_transition_breaks_the_ring():
     transitions = tuple(t._replace(op=Op("r", "x2", 1)) if t == read else t for t in p1.transitions)
     changed = Automaton(p1.name, p1.init, transitions)
     prog = ConcurrentProgram(sb.vars, sb.values, (changed,) + sb.processes[1:], sb.target)
-    assert _group(prog) == (1, (), [(tuple(range(5)), sb.vars)])
+    assert _group(prog) == (1, (), [(tuple(range(5)), sb.vars, _kept(5))])
 
 
 def _identical(n: int) -> ConcurrentProgram:
@@ -761,24 +829,65 @@ def _many_variables(n: int) -> str:
     return f"vars {variables}\nvalues 0 1\nprocess p\n init s0\n{reads}end\ntarget p=s{n}\n"
 
 
+def _nop_roles(n: int) -> str:
+    """The text of a template with n roles, each entered by a nop out
+    of q0, that each write a variable of their own, and a target at
+    the end of every role."""
+    roles = "".join(f" trans q0 r{i} nop\n trans r{i} s{i} w x{i} 1\n" for i in range(n))
+    variables = " ".join(f"x{i}" for i in range(n))
+    targets = " ".join(f"s{i}" for i in range(n))
+    return f"vars {variables}\nvalues 0 1\nprocess proc\n init q0\n{roles}end\nptarget {targets}\n"
+
+
+def test_nop_guarded_roles_are_not_enumerated(monkeypatch):
+    """A template of sixty nop-guarded roles, each writing a variable of
+    its own, has every permutation of the roles, with their states and
+    variables, as an automorphism that fixes the target.  The state map
+    branches at each of q0's nops, and those branches count against
+    the budget; the search gives up once it holds more than 2 ** 2
+    elements, within one call of _renamings, and keeps the identity."""
+    calls = 0
+    renaming = dualmc.backward._renamings
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return renaming(*args)
+
+    monkeypatch.setattr(dualmc.backward, "_renamings", counted)
+    prog = parse_program(_nop_roles(60))
+    group = automorphisms(prog, prog.target)
+    assert (group.order, group.classes, calls) == (1, ((0,),), 1)
+    assert group.elements[0] == Automorphism((0,), tuple(range(60)))
+    assert automorphisms(parse_program(_nop_roles(2)), ("s0", "s1")).order == 2
+
+
 @pytest.mark.parametrize(
-    "text", [_many_processes(1100), _many_variables(1100), _private_variables(60)],
-    ids=["1100-processes", "1100-variables", "60-private-variables"],
+    "mode, text",
+    [
+        ("check", _many_processes(1100)),
+        ("check", _many_variables(1100)),
+        ("check", _private_variables(60)),
+        ("param", _nop_roles(60)),
+    ],
+    ids=["1100-processes", "1100-variables", "60-private-variables", "60-nop-roles"],
 )
-def test_large_group_searches_end_at_the_node_limit(text, capsys, tmp_path):
-    """The group search holds no Python frame per class or per renamed
-    variable, and bounds its work: on a thousand classes, a thousand
-    variables or sixty interchangeable processes, `check` stops at
-    --max-nodes with exit 3 and one error line, no traceback."""
+def test_large_group_searches_end_at_the_node_limit(mode, text, capsys, tmp_path):
+    """The group search holds no Python frame per class, per renamed
+    variable or per mapped state, and bounds its work: on a thousand
+    processes alike up to their state names, a thousand variables,
+    sixty interchangeable processes or a template of sixty
+    interchangeable roles, `check` or `param` stops at --max-nodes with
+    exit 3 and one error line, no traceback."""
     path = tmp_path / "probe.lit"
     path.write_text(text)
-    code = run(["check", str(path), "--max-nodes", "1000"])
+    code = run([mode, str(path), "--max-nodes", "1000"])
     out, err = capsys.readouterr()
     assert (code, out) == (3, "")
     assert err.splitlines() == ["dualmc: backward search exceeded 1000 configurations"]
 
 
-def test_one_process_symmetric_in_its_variables():
+def test_one_process_symmetric_in_its_variables(monkeypatch):
     """A single process that writes x or y alike has the renaming of x
     and y as its one other automorphism; the reduced search agrees with
     the unreduced one, and its witness names the real variable."""
@@ -786,15 +895,115 @@ def test_one_process_symmetric_in_its_variables():
         "vars x y\nvalues 0 1\nprocess P\n  init q0\n  trans q0 q1 w x 1\n  trans q0 q1 w y 1\n"
         "  trans q1 q2 r y 1\n  trans q1 q2 r x 1\nend\ntarget P=q2\n"
     )
-    assert _group(prog) == (2, (), [((0,), ("x", "y")), ((0,), ("y", "x"))])
-    plain = unreduced(prog)
-    assert automorphisms(plain, plain.target).order == 1
+    assert _group(prog) == (2, (), [((0,), ("x", "y"), _kept(1)), ((0,), ("y", "x"), _kept(1))])
     s = backward_reach(prog, prog.target)
-    assert s.verdict == backward_reach(plain, plain.target).verdict == "Reachable"
+    with unreduced(monkeypatch):
+        assert automorphisms(prog, prog.target).order == 2  # the engine's binding alone is replaced
+        assert s.verdict == backward_reach(prog, prog.target).verdict == "Reachable"
     _check_witness(prog, prog.target, s)
 
 
-def _random_element(rng, group) -> Automorphism:
+ROLES = """
+vars x y
+values 0 1
+process P
+  init q0
+  trans q0 a0 nop
+  trans a0 a1 w x 1
+  trans a1 a2 r y 0
+  trans q0 b0 nop
+  trans b0 b1 w y 1
+  trans b1 b2 r x 0
+end
+process Q
+  init q0
+  trans q0 a0 nop
+  trans a0 a1 w x 1
+  trans a1 a2 r y 0
+  trans q0 b0 nop
+  trans b0 b1 w y 1
+  trans b1 b2 r x 0
+end
+target P=a2 Q=b2
+"""
+
+# two identical processes whose two roles, one the other's mirror with x
+# and y swapped, meet in one final state: the mirror maps each process
+# onto itself
+MIRROR = """
+vars x y
+values 0 1
+process P
+  init q0
+  trans q0 a0 nop
+  trans a0 a1 w x 1
+  trans a1 z r y 0
+  trans q0 b0 nop
+  trans b0 b1 w y 1
+  trans b1 z r x 0
+end
+process Q
+  init q0
+  trans q0 a0 nop
+  trans a0 a1 w x 1
+  trans a1 z r y 0
+  trans q0 b0 nop
+  trans b0 b1 w y 1
+  trans b1 z r x 0
+end
+target P=z Q=z
+"""
+
+
+def test_roles_symmetric_in_their_states(monkeypatch):
+    """A process with two roles, one the other's mirror with x and y
+    swapped, is not symmetric at the target a2 alone.  Two copies of
+    it, at a2 and b2, have one other automorphism: it swaps the copies,
+    x with y, and each copy's roles' states.  The reduced search agrees
+    with the unreduced one from fewer candidates, and its witness,
+    naming real states and variables, replays under both semantics."""
+    symmetric = parse_program(ROLES)
+    alone = ConcurrentProgram(symmetric.vars, symmetric.values, symmetric.processes[:1], ("a2",))
+    assert _group(alone) == (1, (), [((0,), ("x", "y"), _kept(1))])
+    swap = _swapped([("a0", "b0"), ("a1", "b1"), ("a2", "b2")])
+    assert _group(symmetric) == (
+        2, (), [((0, 1), ("x", "y"), _kept(2)), ((1, 0), ("y", "x"), (swap, swap))]
+    )
+    s = backward_reach(symmetric, symmetric.target)
+    with unreduced(monkeypatch):
+        u = backward_reach(symmetric, symmetric.target)
+    assert s.verdict == u.verdict == "Reachable" and s.configs_generated < u.configs_generated
+    _check_witness(symmetric, symmetric.target, s)
+
+
+def test_mirror_maps_each_process_onto_itself(monkeypatch):
+    """In MIRROR the swap of x and y with each process's roles keeps
+    every process in place, so the canonicaliser maps state ids within
+    a process; with the class {P, Q}, the group has order 4.  The
+    reduced search agrees with the unreduced one from fewer
+    candidates, and its witness replays under both semantics."""
+    prog = parse_program(MIRROR)
+    swap = _swapped([("a0", "b0"), ("a1", "b1")])
+    assert _group(prog) == (4, ((0, 1),), [((0, 1), ("x", "y"), _kept(2)), ((0, 1), ("y", "x"), (swap, swap))])
+    s = backward_reach(prog, prog.target)
+    with unreduced(monkeypatch):
+        u = backward_reach(prog, prog.target)
+    assert s.verdict == u.verdict == "Reachable" and s.configs_generated < u.configs_generated
+    _check_witness(prog, prog.target, s)
+
+
+def _within_classes(prog, group, perm: list) -> Automorphism:
+    """The element of N that moves process p to perm[p] within its
+    class, its states through the class head's names (group.to_head)."""
+    states = []
+    for p, auto in enumerate(prog.processes):
+        into, q = group.to_head[p] or {}, perm[p]
+        back = {t: s for s, t in (group.to_head[q] or {}).items()}
+        states.append({s: back.get(into.get(s, s), into.get(s, s)) for s in auto.states})
+    return Automorphism(tuple(perm), tuple(range(len(prog.vars))), tuple(states))
+
+
+def _random_element(rng, prog, group) -> Automorphism:
     """A random element of group: a coset element after a random
     permutation within each class."""
     perm = list(range(sum(map(len, group.classes))))
@@ -803,8 +1012,7 @@ def _random_element(rng, group) -> Automorphism:
         rng.shuffle(images)
         for p, q in zip(c, images):
             perm[p] = q
-    g = rng.choice(group.elements)
-    return g.compose(Automorphism(tuple(perm), tuple(range(len(g.renaming)))))
+    return rng.choice(group.elements).compose(_within_classes(prog, group, perm))
 
 
 # two pairs of identical store-buffering processes, one pair the other's
@@ -835,23 +1043,38 @@ end
 target a1=q2 a2=q2 b1=q2 b2=q2
 """
 
+# programs whose groups rename states: PAIRS and SB with each process's
+# states renamed apart, and ROLES, two copies of a process with two
+# roles, one the other's mirror with x and y swapped
+SYMMETRIC = {
+    "pairs": lambda: parse_program(PAIRS),
+    "pairs-apart": lambda: _renamed_apart(parse_program(PAIRS)),
+    "sb-apart": lambda: _renamed_apart(corpus_program("sb.lit")),
+    "roles": lambda: parse_program(ROLES),
+    "mirror": lambda: parse_program(MIRROR),
+    "identical": lambda: _identical(4),
+}
 
-@pytest.mark.parametrize("name", ["sb.lit", "rwc.lit", "iriw.lit", "pairs"])
+
+@pytest.mark.parametrize(
+    "name", ["sb.lit", "rwc.lit", "iriw.lit", "pairs", "pairs-apart", "sb-apart", "roles", "mirror"]
+)
 def test_representative_is_one_per_orbit(name):
     """A configuration and any image of it under the group have one
     representative, and the canonicaliser names an element taking the
     configuration to its representative's decoding."""
-    prog = parse_program(PAIRS) if name == "pairs" else corpus_program(name)
+    prog = SYMMETRIC.get(name, lambda: corpus_program(name))()
     group = automorphisms(prog, prog.target)
-    if name == "pairs":
+    if name.startswith("pairs"):
         assert (group.order, group.classes, len(group.elements)) == (8, ((0, 1), (2, 3)), 2)
+        assert any(group.to_head) == (name == "pairs-apart")
     coder = backward_coder(prog, group)
     canon = Canonicaliser(prog, group, coder)
     rng = random.Random(11)
     for _ in range(200):
         c = random_dtso_config(rng, prog, max_buf=3)
         rep = canon.rep(coder.encode(c))
-        assert canon.rep(coder.encode(_random_element(rng, group).config(c, prog))) == rep
+        assert canon.rep(coder.encode(_random_element(rng, prog, group).config(c, prog))) == rep
         assert canon.element(c, coder.decode(rep)).config(c, prog) == coder.decode(rep)
 
 
@@ -874,7 +1097,7 @@ def _least_image(prog, group, coder, code: int) -> int:
         for cls, image in zip(group.classes, perms):
             for p, q in zip(cls, image):
                 perm[p] = q
-        sigmas.append(Automorphism(tuple(perm), tuple(range(len(prog.vars)))))
+        sigmas.append(_within_classes(prog, group, perm))
     winners = []
     for g in group.elements:
         coset = []
@@ -887,16 +1110,14 @@ def _least_image(prog, group, coder, code: int) -> int:
     return min(winners)[1]
 
 
-@pytest.mark.parametrize("name", sorted(EXPECTED_GROUPS) + ["pairs", "identical"])
+@pytest.mark.parametrize("name", sorted(EXPECTED_GROUPS) + sorted(SYMMETRIC))
 def test_representative_is_the_least_image(name):
     """rep agrees with _least_image on random configurations, so a
     short cut that consistently returned another member of the orbit
     would fail here, where orbit invariance alone would not.  Where
     the group has a class to sort, the memory table never lets a code
     stand for itself; on SB, with none, some random code does."""
-    prog = {"pairs": lambda: parse_program(PAIRS), "identical": lambda: _identical(4)}.get(
-        name, lambda: corpus_program(name)
-    )()
+    prog = SYMMETRIC.get(name, lambda: corpus_program(name))()
     group = automorphisms(prog, prog.target)
     coder = backward_coder(prog, group)
     canon = Canonicaliser(prog, group, coder)
@@ -909,17 +1130,20 @@ def test_representative_is_the_least_image(name):
             assert canon.rep(code) == code
             own += 1
     has_class = any(len(c) > 1 for c in group.classes)
-    assert own == 0 if has_class else name != "sb.lit" or own > 0
+    assert own == 0 if has_class else name not in ("sb.lit", "sb-apart") or own > 0
 
 
 # (configs_generated, iterations, minors) of each symmetric corpus file
-# searched unreduced, with its states renamed apart
+# searched unreduced, by the identity group alone
 UNREDUCED = {
     "sb.lit": (156_905, 26_411, 56_060),
     "lb.lit": (2_115, 613, 514),
     "rwc.lit": (4_872, 1_173, 1_186),
     "iriw.lit": (1_426, 365, 325),
     "dekker-simple.lit": (860, 258, 330),
+    "sb-param.lit": (568, 134, 154),
+    "lb-param.lit": (530, 121, 104),
+    "iriw-param.lit": (6_420, 1_086, 1_048),
 }
 
 
@@ -934,19 +1158,24 @@ def _check_witness(prog, target, s) -> None:
 
 
 @pytest.mark.parametrize("name", sorted(UNREDUCED))
-def test_reduced_search_agrees_with_unreduced_on_corpus(name):
+def test_reduced_search_agrees_with_unreduced_on_corpus(name, monkeypatch):
     """Each symmetric corpus file gets the unreduced search's verdict
     from fewer candidates, and a reachable witness, naming real
-    processes, replays under both semantics."""
+    processes and states, replays under both semantics, or for a
+    template is a chain of one-rule predecessors (check_param_chain)."""
     prog = corpus_program(name)
-    plain = unreduced(prog)
-    assert automorphisms(plain, plain.target).order == 1
-    s = backward_reach(prog, prog.target)
-    u = backward_reach(plain, plain.target)
+    param = isinstance(prog, ParamProgram)
+    search = (lambda: param_backward_reach(prog)) if param else lambda: backward_reach(prog, prog.target)
+    s = search()
+    with unreduced(monkeypatch):
+        u = search()
     assert (u.configs_generated, u.iterations, u.minors) == UNREDUCED[name]
     assert s.verdict == u.verdict and s.configs_generated < u.configs_generated
     if s.verdict == "Reachable":
-        _check_witness(prog, prog.target, s)
+        if param:
+            check_param_chain(prog, prog.target, s)
+        else:
+            _check_witness(prog, prog.target, s)
 
 
 def random_symmetric_program(rng: random.Random, n_procs: int, kind: str) -> ConcurrentProgram:
@@ -970,12 +1199,12 @@ def random_symmetric_program(rng: random.Random, n_procs: int, kind: str) -> Con
     return ConcurrentProgram(variables, base.values, tuple(procs), tuple(auto.init for _ in procs))
 
 
-def test_reduced_search_agrees_with_unreduced_on_random_symmetric_programs():
+def test_reduced_search_agrees_with_unreduced_on_random_symmetric_programs(monkeypatch):
     """On random rings, classes of identical processes and pairs of
     classes, at every target where each process is in one state, the
-    reduced search and the unreduced one (states renamed apart) agree,
-    and every reachable witness replays under both semantics to the
-    target."""
+    reduced search and the unreduced one (the identity group alone)
+    agree, and every reachable witness replays under both semantics to
+    the target."""
     rng = random.Random(2029)
     checked = reachable = reduced = 0
     for k in range(60):
@@ -984,14 +1213,13 @@ def test_reduced_search_agrees_with_unreduced_on_random_symmetric_programs():
         for state in sorted(prog.processes[0].states):
             target = (state,) * prog.n
             prog = ConcurrentProgram(prog.vars, prog.values, prog.processes, target)
-            plain = unreduced(prog)
             try:
                 s = backward_reach(prog, target, max_nodes=20_000)
-                u = backward_reach(plain, plain.target, max_nodes=20_000)
+                with unreduced(monkeypatch):
+                    u = backward_reach(prog, target, max_nodes=20_000)
             except ResourceLimitError:
                 continue
             assert s.verdict == u.verdict, (prog, target)
-            assert automorphisms(plain, plain.target).order == 1
             reduced += automorphisms(prog, target).order > 1
             if s.verdict == "Reachable":
                 _check_witness(prog, target, s)

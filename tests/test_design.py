@@ -138,6 +138,17 @@ def test_each_engine_builds_the_one_antichain_it_searches():
     assert found == {"backward.backward_reach", "oracle.minpre_config", "param.param_antichain"}
 
 
+def test_one_group_search_serves_both_engines():
+    """Only backward.automorphisms, the one group search, matches
+    automata under renamings (_renamings), and both engines take their
+    group from it."""
+    tree = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    found = {f"{stem}.{name}" for stem, t in tree.items() for name in _callers(t, "_renamings")}
+    assert found == {"backward.automorphisms", "backward.automorphisms.options"}
+    found = {f"{stem}.{name}" for stem, t in tree.items() for name in _callers(t, "automorphisms")}
+    assert found == {"backward.backward_reach", "param.param_backward_reach"}
+
+
 def _imported(tree: ast.AST) -> set[str]:
     """The package modules tree imports, by their name in the package:
     `from .m import x`, `from . import m`, `import dualmc.m`, `from

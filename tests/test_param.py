@@ -18,10 +18,11 @@ from dualmc import (
     subword,
 )
 from dualmc.model import Automaton, Op, ParamProgram, Transition
-from dualmc.backward import removable_own
+from dualmc.backward import automorphisms, removable_own
 from dualmc.oracle import param_covers_initial, param_minpre
 from dualmc.param import (
     FIELD_BITS,
+    ParamCanonicaliser,
     ParamCoder,
     canonical,
     coded_param_leq,
@@ -33,12 +34,15 @@ from dualmc.param import (
 from conftest import (
     CORPUS,
     canonical_step,
+    check_param_chain,
     corpus_program,
     engine_seeds,
     param_down,
     param_successors,
     random_param_config,
     random_param_program,
+    random_program,
+    unreduced,
 )
 
 own = lambda x, v: (x, v, True)
@@ -593,7 +597,9 @@ def spy_searches(monkeypatch) -> list:
     """Each param_backward_reach's final antichain and preds, decoded by
     the search's own ParamCoder, appended as (minors, preds, coder) when
     its fixpoint returns: minors as a list of ParamConfigs, and preds
-    taking and listing ParamConfigs."""
+    taking and listing ParamConfigs.  A reduced search lists each live
+    candidate as ((action, candidate), representative); preds lists its
+    (action, candidate), as the move tables give them."""
     searches = []
     fixpoint = dualmc.param.fixpoint
     coders = []
@@ -607,7 +613,8 @@ def spy_searches(monkeypatch) -> list:
         coder = coders[-1]
 
         def decoded(alpha):
-            return [(a, None if c is None else coder.decode(c)) for a, c in preds(coder.encode(alpha))]
+            listed = [a if type(a) is tuple else (a, c) for a, c in preds(coder.encode(alpha))]
+            return [(a, None if c is None else coder.decode(c)) for a, c in listed]
 
         try:
             return fixpoint(minors, preds, *rest)
@@ -700,15 +707,25 @@ ptarget q2 q4
 """
 
 
-def test_dead_seeds_are_never_built():
+def test_dead_seeds_are_never_built(monkeypatch):
     """As in fixed mode, only the 4 live seeds are built: the 5 dead
     ones are missing from configs_generated, inserted and minors (600,
     148 and 120 with them), and every other counter and the witness
-    length are what a search from all 9 seeds gives."""
-    s = param_backward_reach(parse_program(SB_WRITES_TWO))
+    length are what a search from all 9 seeds gives.  The template is
+    symmetric under x<->y with its two roles, so these are the counters
+    of the unreduced search; the reduced one keeps 3 seeds, one per
+    orbit of the 4 live memories."""
+    prog = parse_program(SB_WRITES_TWO)
+    with unreduced(monkeypatch):
+        s = param_backward_reach(prog)
     assert s.verdict == "Reachable" and len(s.chain) == 9
     assert (s.configs_generated, s.inserted, s.minors) == (595, 143, 115)
     assert (s.iterations, s.frontier_peak, s.dead, s.subsumed, s.evicted) == (102, 50, 199, 253, 28)
+    seeds = engine_seeds(monkeypatch, lambda: param_backward_reach(prog))
+    assert [alpha.mem for alpha in seeds] == [(0, 0), (0, 2), (2, 2)]
+    reduced = param_backward_reach(prog)
+    assert reduced.verdict == "Reachable" and reduced.configs_generated < s.configs_generated
+    check_param_chain(prog, prog.target, reduced)
 
 
 def test_move_tables_fill_each_key_once(monkeypatch):
@@ -716,7 +733,9 @@ def test_move_tables_fill_each_key_once(monkeypatch):
     per-process kernel both engines share, runs exactly once per
     distinct (state, buffer, memory) entry, as process 0 of the
     template; a second search of the same program makes the same calls
-    again and returns equal stats, so no table outlives its search."""
+    again and returns equal stats, so no table outlives its search.
+    The unreduced searches fill 663 entries, and the reduced ones,
+    which expand fewer minors of the three symmetric templates, 620."""
     keys = []
     local_preds = dualmc.param.local_preds
 
@@ -726,18 +745,24 @@ def test_move_tables_fill_each_key_once(monkeypatch):
         return local_preds(program, removable, live, p, state, buf, mem)
 
     monkeypatch.setattr(dualmc.param, "local_preds", counting)
-    fills = 0
-    for path in sorted(CORPUS.glob("*-param.lit")):
-        prog = corpus_program(path.name)
-        runs = []
-        for _ in range(2):
-            keys.clear()
-            stats = param_backward_reach(prog)
-            assert len(keys) == len(set(keys)) > 0, path.name
-            runs.append((stats, keys[:]))
-        assert runs[0] == runs[1], path.name
-        fills += len(keys)
-    assert fills == 663
+
+    def filled() -> int:
+        fills = 0
+        for path in sorted(CORPUS.glob("*-param.lit")):
+            prog = corpus_program(path.name)
+            runs = []
+            for _ in range(2):
+                keys.clear()
+                stats = param_backward_reach(prog)
+                assert len(keys) == len(set(keys)) > 0, path.name
+                runs.append((stats, keys[:]))
+            assert runs[0] == runs[1], path.name
+            fills += len(keys)
+        return fills
+
+    with unreduced(monkeypatch):
+        assert filled() == 663
+    assert filled() == 620
 
 
 def wide_writer(n: int) -> str:
@@ -766,3 +791,81 @@ def test_fresh_writer_words_count_against_max_nodes(monkeypatch):
     with pytest.raises(ResourceLimitError):
         param_backward_reach(parse_program(wide_writer(12)), max_nodes=10_000)
     assert listed == 10_001
+
+
+def random_mirrored_template(rng: random.Random) -> ParamProgram:
+    """A template of one random role and its mirror, each entered by a
+    nop out of q0: the role's states prefixed "a.", the mirror's "b."
+    with x and y swapped.  The target holds some role states and their
+    mirrors, so swapping x and y with the roles is an automorphism."""
+    base = random_program(rng, n_procs=1, max_states=3, n_vars=2, n_vals=1)
+    role = base.processes[0]
+    swap = {"x": "y", "y": "x"}
+    transitions = [Transition("q0", Op("nop"), f"{side}.{role.init}") for side in "ab"]
+    for t in role.transitions:
+        mirrored = t.op if t.op.var is None else t.op._replace(var=swap[t.op.var])
+        transitions.append(Transition(f"a.{t.src}", t.op, f"a.{t.dst}"))
+        transitions.append(Transition(f"b.{t.src}", mirrored, f"b.{t.dst}"))
+    states = sorted(role.states)
+    picked = rng.sample(states, rng.randint(1, min(2, len(states))))
+    target = tuple(f"{side}.{s}" for s in picked for side in "ab")
+    return ParamProgram(base.vars, base.values, Automaton("proc", "q0", tuple(transitions)), target)
+
+
+def test_reduced_search_agrees_with_unreduced_on_random_mirrored_templates(monkeypatch):
+    """On random templates of a role and its x<->y mirror, each of
+    order at least 2, the reduced search and the unreduced one (the
+    identity group alone) give one verdict, and every reachable
+    reduced witness is a chain of canonical one-rule predecessors from
+    a minor covering the initial configuration to the targets
+    (check_param_chain)."""
+    rng = random.Random(2033)
+    checked = reachable = fewer = 0
+    for _ in range(150):
+        prog = random_mirrored_template(rng)
+        assert automorphisms(prog, prog.target).order >= 2
+        try:
+            s = param_backward_reach(prog, max_nodes=20_000)
+            with unreduced(monkeypatch):
+                u = param_backward_reach(prog, max_nodes=20_000)
+        except ResourceLimitError:
+            continue
+        assert s.verdict == u.verdict, prog
+        if s.verdict == "Reachable":
+            check_param_chain(prog, prog.target, s)
+            reachable += 1
+        fewer += s.configs_generated < u.configs_generated
+        checked += 1
+    assert checked > 100 and reachable > 20 and fewer > checked // 2, (checked, reachable, fewer)
+
+
+@pytest.mark.parametrize("name", ["sb-param.lit", "iriw-param.lit"])
+def test_param_representative_is_the_least_image(name):
+    """A minor and its image under the template's group have one
+    representative, the least of the two by (memory, entries), each
+    image's processes sorted: computed here from the element's state
+    map and variable names alone."""
+    prog = corpus_program(name)
+    group = automorphisms(prog, prog.target)
+    assert group.order == 2
+    coder = ParamCoder(prog)
+    canon = ParamCanonicaliser(prog, group, coder)
+    g = group.elements[1]
+    names = g.names(prog)
+
+    def image(alpha: ParamConfig) -> ParamConfig:
+        procs = [(g.states[0][s], tuple((names[x], v, own) for x, v, own in b)) for s, b in alpha.procs]
+        mem = [None] * len(alpha.mem)
+        for i, j in enumerate(g.renaming):
+            mem[j] = alpha.mem[i]
+        return canonical(ParamConfig(tuple(procs), tuple(mem)))
+
+    rng = random.Random(7)
+    kept = 0
+    for _ in range(300):
+        alpha = canonical(random_param_config(rng, prog, rng.randint(0, 3), max_buf=2))
+        least = min(alpha, image(alpha), key=lambda a: (a.mem, a.procs))
+        for member in (alpha, image(alpha)):
+            assert coder.decode(canon.rep(coder.encode(member))) == least, alpha
+        kept += least == alpha
+    assert 0 < kept < 300

@@ -34,11 +34,11 @@ def test_digest_lines_pin_two_small_files(capsys):
 CORPUS_DIGEST = [
     "dekker-simple.lit 2536de3b9238bcc9",
     "dekker.lit bb6aa31679e1142b",
-    "iriw-param.lit bf397dc14bed8ae0",
+    "iriw-param.lit 5c9ca1eb6279842d",
     "iriw.lit e8a33a1b31bd6756",
     "isa2-param.lit d7e2c02cf07823d4",
     "isa2.lit 142ea7ebb757c731",
-    "lb-param.lit efec0bd4f70d36f4",
+    "lb-param.lit 44ecf3bd856bdea4",
     "lb.lit ff6e398a6ee20bf7",
     "mp-param.lit 43b81ed0d9a3f0ac",
     "mp.lit dec4fda9d81c5f09",
@@ -46,14 +46,14 @@ CORPUS_DIGEST = [
     "peterson.lit 19f796c0628be906",
     "rwc-param.lit a2cfb809d5f45a6b",
     "rwc.lit 46a50627dc118943",
-    "sb-param.lit 96710e7c2638197c",
+    "sb-param.lit 758a20ea40707410",
     "sb.lit 1a6c647898c24932",
     "wrc-param.lit 8ac9a667770b1756",
     "wrc.lit 1ff7723571148038",
     "wrwc-param.lit 5d018731e24f77da",
     "wrwc.lit 207d7ba98dbab3fc",
     "fixed e3cc84c7e747f316",
-    "param 39160716572b6c34",
+    "param 675c2c7fd58f8d06",
 ]
 
 
