@@ -20,6 +20,11 @@ median and quartiles, and, per metric, the number of pairs the working
 tree won (a strictly better value, in the direction
 BENCHMARK.json gives for it).  Standard library only; run it from the
 repository root on an otherwise idle machine.
+
+On SIGTERM or SIGINT it stops the running perfbench/run.py and that
+run's worker (each run is started in a session of its own, and its
+process group is killed), removes its temporary directory, writes no
+output file and exits with 128 plus the signal's number.
 """
 from __future__ import annotations
 
@@ -29,6 +34,7 @@ import json
 import os
 import shlex
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -74,10 +80,18 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         sys.executable, "perfbench/run.py",
         "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
     ]
-    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
+    proc = subprocess.Popen(
+        cmd, cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True
+    )
+    try:
+        out, err = proc.communicate()
+    finally:
+        if proc.returncode is None:  # interrupted: stop the run and its worker
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
     if proc.returncode != 0:
-        raise SystemExit(f"ab_bench: {' '.join(cmd)} in {tree} exited {proc.returncode}:\n{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+        raise SystemExit(f"ab_bench: {' '.join(cmd)} in {tree} exited {proc.returncode}:\n{err}")
+    return json.loads(out.strip().splitlines()[-1])
 
 
 def spread(values: list[float]) -> dict:
@@ -120,6 +134,12 @@ def compare(workload: str, trees: dict, pairs: int, seed: int, seconds: float, b
     return out
 
 
+def stop(signum, frame) -> None:
+    """Unwind the script on a signal, so that the running child is
+    stopped and the temporary directory removed on the way out."""
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--workload", action="append", required=True, help="repeat for several workloads")
@@ -146,14 +166,19 @@ def main(argv=None) -> int:
         "seed": args.seed,
         "workloads": {},
     }
-    with tempfile.TemporaryDirectory(prefix="ab_bench-") as tmp:
-        trees = {"base": Path(tmp) / "base", "change": Path(tmp) / "change"}
-        extract(base, trees["base"])
-        snapshot(trees["change"])
-        for tree in trees.values():
-            compile_sources(tree)
-        for workload in args.workload:
-            record["workloads"][workload] = compare(workload, trees, args.pairs, args.seed, seconds, better)
+    handlers = {sig: signal.signal(sig, stop) for sig in (signal.SIGTERM, signal.SIGINT)}
+    try:
+        with tempfile.TemporaryDirectory(prefix="ab_bench-") as tmp:
+            trees = {"base": Path(tmp) / "base", "change": Path(tmp) / "change"}
+            extract(base, trees["base"])
+            snapshot(trees["change"])
+            for tree in trees.values():
+                compile_sources(tree)
+            for workload in args.workload:
+                record["workloads"][workload] = compare(workload, trees, args.pairs, args.seed, seconds, better)
+    finally:
+        for sig, handler in handlers.items():
+            signal.signal(sig, handler)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     for workload, result in record["workloads"].items():
         sides = result["sides"]

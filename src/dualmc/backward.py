@@ -28,11 +28,11 @@ the initial configuration is fixed by it (values are never renamed,
 and initial states go to initial states), so any member of a
 candidate's orbit stands for the candidate exactly, and the wqo still
 ends the search.
-The search keeps one representative per orbit (`Canonicaliser`), seeds
-included, and turns the chain of representatives back into a witness
-of real processes once, at the end (Emerson and Sistla, "Symmetry and
-Model Checking", and Ip and Dill, "Better Verification Through
-Symmetry", FMSD 9, 1996).
+`fixpoint`, handed a `Canonicaliser`, keeps one representative per
+orbit, seeds included, and turns the chain of representatives back
+into a witness of real processes once, at the end (Emerson and Sistla,
+"Symmetry and Model Checking", and Ip and Dill, "Better Verification
+Through Symmetry", FMSD 9, 1996).
 """
 from __future__ import annotations
 
@@ -280,17 +280,28 @@ class Automorphism(NamedTuple):
         """Each variable's new name."""
         return {x: program.vars[j] for x, j in zip(program.vars, self.renaming)}
 
-    def config(self, c: DtsoConfig, program) -> DtsoConfig:
-        """The image of c: process p's renamed state and buffer at
-        perm[p], and variable i's value at renaming[i]."""
-        names = self.names(program)
-        states, buffers, mem = [None] * len(self.perm), [None] * len(self.perm), [None] * len(self.renaming)
-        for p, q in enumerate(self.perm):
-            states[q] = self.state(p, c.states[p])
-            buffers[q] = tuple((names[x], v, own) for x, v, own in c.buffers[p])
+    def memory(self, mem: tuple) -> tuple:
+        """The image of a memory: variable i's value at renaming[i]."""
+        out = [None] * len(mem)
         for i, j in enumerate(self.renaming):
-            mem[j] = c.mem[i]
-        return DtsoConfig(tuple(states), tuple(buffers), tuple(mem))
+            out[j] = mem[i]
+        return tuple(out)
+
+    def entry(self, p: int, entry: tuple, program) -> tuple:
+        """The image of process p's (state, buffer) entry, an entry of
+        process perm[p]: the state's image and the buffer with each
+        message's variable renamed."""
+        names = self.names(program)
+        state, buf = entry
+        return self.state(p, state), tuple((names[x], v, own) for x, v, own in buf)
+
+    def config(self, c: DtsoConfig, program) -> DtsoConfig:
+        """The image of c: process p's entry's image at perm[p], and the
+        memory's image."""
+        states, buffers = [None] * len(self.perm), [None] * len(self.perm)
+        for p, q in enumerate(self.perm):
+            states[q], buffers[q] = self.entry(p, (c.states[p], c.buffers[p]), program)
+        return DtsoConfig(tuple(states), tuple(buffers), self.memory(c.mem))
 
     def action(self, action, program):
         """The image of action: the same rule taken by process
@@ -658,8 +669,7 @@ class Canonicaliser:
         self._moves = [None]
         for g in self.elements[1:]:
             source = sorted(range(n), key=g.perm.__getitem__)  # source[perm[p]] = p
-            names = g.names(program)
-            orbits = {o: Table(partial(self._renamed_buffer, names, o)) for o in set(share)}
+            orbits = {o: Table(partial(self._renamed_buffer, g, o)) for o in set(share)}
             read = itemgetter(*(1 + p for p in source), *(1 + n + p for p in source))
             maps = [self._state_map(g, p) for p in source]
             states = [Table(partial(self._renamed_state, m, p)) for m, p in zip(maps, source)] if any(maps) else None
@@ -669,12 +679,12 @@ class Canonicaliser:
         slots = [[i for q in c for i in (1 + 2 * n + q, 1 + n + q, 1 + q)] for c in group.classes if len(c) > 1]
         self._classes = [(itemgetter(*s), s) for s in slots]
 
-    def _renamed_buffer(self, names: dict, p: int, b: int) -> tuple:
-        """Process p's buffer id b renamed by `names`, as its buffer id
-        and summary id."""
+    def _renamed_buffer(self, g: Automorphism, p: int, b: int) -> tuple:
+        """Process p's buffer id b renamed by g (read as an entry at p's
+        initial state), as its buffer id and summary id."""
         coder = self.coder
         bf = 1 + coder.n + p
-        renamed = tuple((names[x], v, own) for x, v, own in coder.values[bf][b])
+        _, renamed = g.entry(p, (self.program.processes[p].init, coder.values[bf][b]), self.program)
         return coder.id(bf, renamed), coder.id(bf + coder.n, coder.summary(renamed))
 
     def _state_map(self, g: Automorphism, p: int) -> dict | None:
@@ -696,7 +706,7 @@ class Canonicaliser:
         """Memory id m's least image and the moves of the elements
         reaching it; None for the identity alone and no class."""
         mem = self.coder.values[0][m]
-        images = [self.coder.id(0, tuple(v for _, v in sorted(zip(g.renaming, mem)))) for g in self.elements]
+        images = [self.coder.id(0, g.memory(mem)) for g in self.elements]
         least = min(images)
         moves = [move for move, i in zip(self._moves, images) if i == least]
         return None if moves == [None] and not self._classes else (least, moves)
@@ -759,19 +769,19 @@ class Canonicaliser:
         raise ValueError("no automorphism takes the candidate to its representative")
 
     def unwind(self, chain: tuple, witness: tuple) -> tuple[tuple, tuple]:
-        """The decoded chain of representatives and a witness of
-        (action, candidate code) pairs as a real chain and witness.
+        """The chain of representative codes and a witness of (action,
+        candidate code) pairs as a decoded real chain and witness.
 
         witness[i]'s candidate was taken to chain[i] by some element
         g_i; composing h_i = g_0 ... g_i, the real chain is chain[0]
         (the initial configuration, which every element fixes), then
         h_i's image of chain[i + 1], and the real witness h_i's image of
         each action, since every automorphism maps a step to a step."""
-        program = self.program
-        h = Automorphism(tuple(range(program.n)), tuple(range(len(program.vars))))
-        real_chain, actions = [chain[0]], []
+        program, decode = self.program, self.coder.decode
+        chain = list(map(decode, chain))
+        h, real_chain, actions = self.elements[0], [chain[0]], []
         for i, (action, raw) in enumerate(witness):
-            h = h.compose(self.element(self.coder.decode(raw), chain[i]))
+            h = h.compose(self.element(decode(raw), chain[i]))
             actions.append(h.action(action, program))
             real_chain.append(h.config(chain[i + 1], program))
         return tuple(real_chain), tuple(actions)
@@ -879,27 +889,40 @@ def live_filter(program: ConcurrentProgram, own_ok):
 
 def fixpoint(
     minors: MinorSet,
+    seeds,
     preds: Callable,
     covers: Callable,
     weight: Callable,
     max_nodes: int | None,
+    decode: Callable,
+    canon=None,
 ) -> BackwardStats:
-    """Backward fixpoint from the seed minors, with early exit on the
-    first configuration covering initial.
+    """Backward fixpoint from `seeds`, inserted in their order into the
+    empty antichain `minors`, with early exit on the first
+    configuration covering initial.
 
     The worklist is a priority queue on `weight` (smaller configurations,
     closer to the empty-buffer initial one, expand first) with generation
-    index as the tie break; every seed is queued, the engines building
-    live ones only (seed_memories).  `preds(c)` yields (action, element)
-    pairs ready for the antichain, the action opaque here and kept in
-    the witness, or (action, None) for a dead candidate, one that
-    cannot cover the initial configuration; a dead candidate counts
-    toward configs_generated and max_nodes in its place and toward
-    `dead`.  These choices leave the verdict unchanged and are
-    deterministic.  Each queued minor carries its provenance link
-    (runs.unwind), which outlives its eviction.  The seeds count as
+    index as the tie break; every seed in the antichain is queued, the
+    engines building live ones only (seed_memories).  `preds(c)` yields
+    (action, candidate) pairs, the action opaque here and kept in the
+    witness, or (action, None) for a dead candidate, one that cannot
+    cover the initial configuration; a dead candidate counts toward
+    configs_generated and max_nodes in its place and toward `dead`.
+    These choices leave the verdict unchanged and are deterministic.
+    Each queued minor carries its provenance link (runs.unwind), which
+    outlives its eviction.  The seeds the antichain keeps count as
     generated and inserted.
+
+    This is the one place a search reduces by symmetry: with `canon`, a
+    Canonicaliser or param.ParamCanonicaliser, each seed and live
+    candidate goes in as canon.rep of it, its link keeping (action,
+    candidate), and canon.unwind gives the real chain and witness;
+    without it, the chain is mapped through `decode`.
     """
+    rep = None if canon is None else canon.rep
+    for seed in seeds:
+        minors.insert(seed if rep is None else rep(seed))
     generated = inserted = len(minors)
     iterations = 0
     peak = 0
@@ -914,6 +937,7 @@ def fixpoint(
 
     def reachable(link) -> BackwardStats:
         chain, actions = unwind(link)
+        chain, actions = (tuple(map(decode, chain)), actions) if canon is None else canon.unwind(chain, actions)
         return stats("Reachable", actions, chain)
 
     work: list = []
@@ -937,6 +961,8 @@ def fixpoint(
             if pred is None:
                 dead += 1
                 continue
+            if rep is not None:
+                action, pred = (action, pred), rep(pred)
             if not minors.insert(pred):
                 subsumed += 1
                 continue
@@ -968,19 +994,16 @@ def backward_reach(
     field.  A configuration covers the initial one, code 0, only if it
     is the initial one, since word_leq(w, ()) only for w == ().  The
     seeds, one empty-buffer configuration at the target per
-    seed_memories memory, go into that antichain encoded, in that order;
-    their memories differ, so each is inserted.  The witness chain is
-    decoded once, at the end.  A target that does not name one state of
-    each process raises ValueError.
+    seed_memories memory, go to fixpoint encoded, in that order; their
+    memories differ, so each is inserted.  The witness chain is decoded
+    once, at the end.  A target that does not name one state of each
+    process raises ValueError.
 
     When the program and target have automorphisms other than the
     identity, the processes of one orbit share their interners, and
-    each seed and live candidate goes into the antichain as its orbit's
-    representative (Canonicaliser.rep), so seeds whose memories are
-    renamings of each other are one.  Each candidate's action is kept
-    with its code as generated; unwinding recovers the automorphism
-    that took it to its representative and composes them, so the chain
-    and witness name real processes and variables."""
+    fixpoint gets a Canonicaliser of the group: seeds whose memories
+    are renamings of each other are then one, and the chain and
+    witness still name real processes and variables."""
     target = check_target(program, target)
     own_ok = [removable_own(auto) for auto in program.processes]
     group = automorphisms(program, target)
@@ -989,25 +1012,12 @@ def backward_reach(
         coded_leq(coder), key=coder.memory_and_states_mask.__and__, sig=coder.summaries_mask.__and__
     )
     preds = coded_preds(coder, partial(local_preds, program, own_ok, live_kernel(program)))
-    rep = None
-    if group.order > 1:
-        canon = Canonicaliser(program, group, coder)
-        rep, moves = canon.rep, preds
-
-        def preds(code: int) -> list:
-            return [(a, None) if d is None else ((a, d), rep(d)) for a, d in moves(code)]
-
-    buffers = tuple(() for _ in program.processes)
-    for mem in seed_memories(program, max_nodes):
-        code = coder.encode(DtsoConfig(target, buffers, mem))
-        minors.insert(code if rep is None else rep(code))
+    canon = Canonicaliser(program, group, coder) if group.order > 1 else None
+    seeds = (coder.encode(DtsoConfig(target, ((),) * program.n, mem)) for mem in seed_memories(program, max_nodes))
     top = coder.top_shift
-    stats = fixpoint(minors, preds, lambda code: code == 0, lambda code: code >> top, max_nodes)
-    if stats.chain is not None:
-        stats.chain = tuple(map(coder.decode, stats.chain))
-        if rep is not None:
-            stats.chain, stats.witness = canon.unwind(stats.chain, stats.witness)
-    return stats
+    return fixpoint(
+        minors, seeds, preds, lambda code: code == 0, lambda code: code >> top, max_nodes, coder.decode, canon
+    )
 
 
 def concretize_witness(program: ConcurrentProgram, stats: BackwardStats) -> Run:

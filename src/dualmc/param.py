@@ -16,10 +16,10 @@ variant misses minimal predecessors (the one-step oracle tests show
 them).
 
 The search is backward.fixpoint from the live seeds
-(backward.seed_memories), built straight into the param_antichain it
-saturates, under the parameterized ordering, with every
-minor kept with its processes sorted (`canonical`), which the symmetry
-of identical processes allows.  It runs over coded configurations
+(backward.seed_memories), which it inserts into the param_antichain it
+saturates, under the parameterized ordering, with every minor kept
+with its processes sorted (`canonical`), which the symmetry of
+identical processes allows.  It runs over coded configurations
 from a ParamCoder it owns: each (state, buffer) entry is interned to a
 small id, a minor is (entry ids, memory), and the ordering
 (coded_param_leq), the dominance pre-filter, the worklist weight and
@@ -36,11 +36,11 @@ transitions onto themselves and the target multiset onto itself.  The
 induced transition system, the liveness cut and the seeds are
 invariant under it, and the initial configuration is fixed by it, so,
 as with process order, the verdict is unchanged when a minor is
-replaced by its image.  The search keeps one representative per orbit
-(ParamCanonicaliser), seeds included, and turns the chain of
-representatives back into a witness of real states and variables once,
-at the end (Ip and Dill, "Better Verification Through Symmetry", FMSD
-9, 1996).
+replaced by its image.  backward.fixpoint, handed a ParamCanonicaliser,
+keeps one representative per orbit, seeds included, and turns the
+chain of representatives back into a witness of real states and
+variables once, at the end (Ip and Dill, "Better Verification Through
+Symmetry", FMSD 9, 1996).
 """
 from __future__ import annotations
 
@@ -334,16 +334,7 @@ class ParamCanonicaliser:
 
     def _entry(self, g, e: int) -> int:
         """Entry id e's image id under g."""
-        return self.coder.id(_entry_image(g, self.coder.entries[e], self.program))
-
-    def _image(self, i: int, minor) -> tuple:
-        """Element i's image of minor, its ids in the order of their entries."""
-        if i == 0:
-            return minor
-        table, source = self._images[i - 1]
-        ids, mem = minor
-        image = sorted(map(table.__getitem__, ids), key=self.coder.entries.__getitem__)
-        return tuple(image), tuple(map(mem.__getitem__, source))
+        return self.coder.id(g.entry(0, self.coder.entries[e], self.program))
 
     def rep(self, minor) -> tuple:
         """minor's orbit representative; an image whose memory is
@@ -369,35 +360,25 @@ class ParamCanonicaliser:
         (it covers the initial configuration, which every element
         fixes), then h_i's image of chain[i + 1], re-sorted, and the
         real witness h_i's image of each action, naming the first
-        position of the acting entry's image there."""
+        position of the acting entry's image there; g_i is found by
+        comparing each element's image (_config_image) with chain[i]."""
         coder, program = self.coder, self.program
-        h = self.elements[0]
-        real, actions = [coder.decode(chain[0])], []
+        chain = list(map(coder.decode, chain))
+        h, real, actions = self.elements[0], [chain[0]], []
         for i, (action, raw) in enumerate(witness):
-            g = next(g for k, g in enumerate(self.elements) if self._image(k, raw) == chain[i])
-            h = h.compose(g)
-            entry = _entry_image(h, coder.entries[raw[0][action.proc]], program)
-            moved = h.action(action._replace(proc=0), program)  # the template is process 0
+            alpha = coder.decode(raw)
+            h = h.compose(next(g for g in self.elements if _config_image(g, alpha, program) == chain[i]))
+            entry = h.entry(0, alpha.procs[action.proc], program)  # the template is process 0
+            moved = h.action(action._replace(proc=0), program)
             actions.append(moved._replace(proc=real[i].procs.index(entry)))
-            real.append(_config_image(h, coder.decode(chain[i + 1]), program))
+            real.append(_config_image(h, chain[i + 1], program))
         return tuple(real), tuple(actions)
-
-
-def _entry_image(h, entry: tuple, program: ParamProgram) -> tuple:
-    """The image of one (state, buffer) entry under the automorphism h
-    of a template."""
-    names = h.names(program)
-    state, buf = entry
-    return h.state(0, state), tuple((names[x], v, own) for x, v, own in buf)
 
 
 def _config_image(h, alpha: ParamConfig, program: ParamProgram) -> ParamConfig:
     """The image of alpha under the automorphism h of a template, its
     processes sorted."""
-    mem = [None] * len(alpha.mem)
-    for i, j in enumerate(h.renaming):
-        mem[j] = alpha.mem[i]
-    return ParamConfig(tuple(sorted(_entry_image(h, e, program) for e in alpha.procs)), tuple(mem))
+    return ParamConfig(tuple(sorted(h.entry(0, e, program) for e in alpha.procs)), h.memory(alpha.mem))
 
 
 def param_backward_reach(
@@ -410,19 +391,16 @@ def param_backward_reach(
     predecessor_candidates(alpha, program, False, removable_own) order,
     a dead one as (action, None) and a live one in canonical form,
     its action renamed to its entry's first position there, so that
-    every minor is in canonical process order.  The
-    seeds, the sorted targets with empty buffers over each
-    seed_memories memory in its order, go encoded straight into the
+    every minor is in canonical process order.  The seeds, the sorted
+    targets with empty buffers over each seed_memories memory in its
+    order, go to fixpoint encoded, which inserts them into the
     param_antichain the search saturates.
 
     When the template and targets have automorphisms other than the
-    identity (backward.automorphisms), each seed and live candidate
-    goes into the antichain as its orbit's representative
-    (ParamCanonicaliser.rep), so seeds whose memories are renamings of
-    each other are one.  Each candidate's action is kept with its minor
-    as generated; unwinding recovers the automorphism that took it to
-    its representative and composes them, so the chain and witness
-    name real states and variables.  With the identity alone, no
+    identity (backward.automorphisms), fixpoint gets a
+    ParamCanonicaliser of the group: seeds whose memories are renamings
+    of each other are then one, and the chain and witness still name
+    real states and variables.  With the identity alone, no
     canonicaliser is built.
 
     The search runs over the minors of a ParamCoder it owns, (entry ids,
@@ -451,10 +429,8 @@ def param_backward_reach(
     entries, intern = coder.entries, coder.id
     minors = param_antichain(coded_param_leq(coder), coder.dominance)
     group = automorphisms(program, targets)
-    canon = ParamCanonicaliser(program, group, coder) if len(group.elements) > 1 else None
-    for mem in seed_memories(program, max_nodes):
-        seed = coder.encode(ParamConfig(at_target, mem))
-        minors.insert(seed if canon is None else canon.rep(seed))
+    canon = ParamCanonicaliser(program, group, coder) if group.order > 1 else None
+    seeds = (coder.encode(ParamConfig(at_target, mem)) for mem in seed_memories(program, max_nodes))
     own_ok = removable_own(program.template)
     live = live_kernel(program)
     transitions = program.template.transitions
@@ -519,16 +495,4 @@ def param_backward_reach(
                     out.append((cls(i, *args), (rest[:i] + (e,) + rest[i:], m)))
         return out
 
-    if canon is not None:
-        rep, moves = canon.rep, preds
-
-        def preds(minor) -> list:
-            return [(a, None) if d is None else ((a, d), rep(d)) for a, d in moves(minor)]
-
-    stats = fixpoint(minors, preds, coder.covers_initial, coder.weight, max_nodes)
-    if stats.chain is not None:
-        if canon is None:
-            stats.chain = tuple(map(coder.decode, stats.chain))
-        else:
-            stats.chain, stats.witness = canon.unwind(stats.chain, stats.witness)
-    return stats
+    return fixpoint(minors, seeds, preds, coder.covers_initial, coder.weight, max_nodes, coder.decode, canon)

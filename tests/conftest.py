@@ -79,10 +79,11 @@ class _Seeded(Exception):
 
 
 def engine_seeds(monkeypatch, search) -> list:
-    """The seeds search() hands backward.fixpoint, in their order; the
-    search stops there.  They are decoded by the search's own coder, a
-    fixed-size search's backward_coder or a parameterized one's
-    ParamCoder."""
+    """The seeds search() hands backward.fixpoint, inserted into its
+    antichain as fixpoint inserts them (through the canonicaliser's rep
+    when there is one) and read back in their order; the search stops
+    there.  They are decoded by the search's own coder, a fixed-size
+    search's backward_coder or a parameterized one's ParamCoder."""
     import dualmc.backward
     import dualmc.param
 
@@ -91,7 +92,9 @@ def engine_seeds(monkeypatch, search) -> list:
     real_coder = dualmc.backward.backward_coder
     real_param_coder = dualmc.param.ParamCoder
 
-    def keep_seeds(minors, preds, covers, weight, max_nodes):
+    def keep_seeds(minors, given, preds, covers, weight, max_nodes, decode, canon=None):
+        for seed in given:
+            minors.insert(seed if canon is None else canon.rep(seed))
         seeds.extend(minors.elements())
         raise _Seeded
 

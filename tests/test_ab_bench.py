@@ -2,7 +2,11 @@
 working-tree copy is checked against a real git repository."""
 import importlib.util
 import json
+import os
+import signal
 import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -153,3 +157,83 @@ def test_snapshot_copies_the_working_tree(monkeypatch, tmp_path):
         "src/edited.py": "edited\n",
         "src/new.py": "untracked\n",
     }
+
+
+# A perfbench/run.py stand-in: it starts one worker, as perfbench's
+# does, writes "run-pid worker-pid" to the file named by its template,
+# then waits.
+FAKE_RUN = """
+import os, subprocess, sys, time
+worker = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(120)"])
+with open({pids!r} + ".part", "w") as f:
+    f.write(f"{{os.getpid()}} {{worker.pid}}")
+os.replace({pids!r} + ".part", {pids!r})
+time.sleep(120)
+"""
+
+# The script with git stubbed, both trees holding FAKE_RUN and nothing
+# compiled; argv: the fake run.py, the --out path.
+RUNNER = """
+import importlib.util, shutil, sys
+from pathlib import Path
+spec = importlib.util.spec_from_file_location("ab_bench", {script!r})
+module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(module)
+module.git = lambda *args: {{"rev-parse": b"0" * 40, "status": b""}}[args[0]]
+
+def tree(dest):
+    (dest / "perfbench").mkdir(parents=True)
+    shutil.copy(sys.argv[1], dest / "perfbench" / "run.py")
+
+module.extract = lambda rev, dest: tree(dest)
+module.snapshot = tree
+module.compile_sources = lambda tree: None
+sys.exit(module.main(["--workload", "w", "--pairs", "1", "--out", sys.argv[2]]))
+"""
+
+
+def _alive(pid: int) -> bool:
+    """pid names a process that is neither gone nor a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT], ids=["SIGTERM", "SIGINT"])
+def test_a_signal_stops_the_run_and_its_worker_and_cleans_up(signum, tmp_path):
+    """Stopped mid-run, the script kills the perfbench run and its
+    worker, removes its ab_bench-* directory, writes no --out file and
+    exits non-zero.  Three processes at most: the script, the run and
+    its worker."""
+    pids_file, out, tmp = tmp_path / "pids", tmp_path / "r.json", tmp_path / "tmp"
+    tmp.mkdir()
+    fake = tmp_path / "run.py"
+    fake.write_text(FAKE_RUN.format(pids=str(pids_file)))
+    runner = tmp_path / "runner.py"
+    runner.write_text(RUNNER.format(script=str(SCRIPT)))
+    env = {**os.environ, "TMPDIR": str(tmp)}
+    proc = subprocess.Popen([sys.executable, str(runner), str(fake), str(out)], env=env, stderr=subprocess.PIPE)
+    pids: list[int] = []
+    try:
+        deadline = time.monotonic() + 60
+        while not pids_file.exists():
+            assert proc.poll() is None, proc.stderr.read()
+            assert time.monotonic() < deadline, "the fake run never started"
+            time.sleep(0.05)
+        pids = [int(pid) for pid in pids_file.read_text().split()]
+        assert list(tmp.glob("ab_bench-*")) != []
+        proc.send_signal(signum)
+        assert proc.wait(timeout=30) == 128 + signum
+        deadline = time.monotonic() + 10
+        while any(map(_alive, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert [pid for pid in pids if _alive(pid)] == []
+        assert list(tmp.iterdir()) == [] and not out.exists()
+    finally:
+        for pid in [proc.pid, *pids]:
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)
+        proc.wait(timeout=30)
+        proc.stderr.close()

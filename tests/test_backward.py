@@ -1,3 +1,4 @@
+import dataclasses
 import heapq
 import itertools
 import math
@@ -43,9 +44,10 @@ from dualmc.backward import (
 from dualmc.cli import run
 from dualmc.model import Automaton, ConcurrentProgram, Op, ParamProgram, Transition, parse_program
 from dualmc.oracle import minpre_config
-from dualmc.param import param_backward_reach
+from dualmc.param import ParamCanonicaliser, param_backward_reach
 
 from conftest import (
+    CORPUS,
     all_global_states,
     check_param_chain,
     config_down,
@@ -1176,6 +1178,50 @@ def test_reduced_search_agrees_with_unreduced_on_corpus(name, monkeypatch):
             check_param_chain(prog, prog.target, s)
         else:
             _check_witness(prog, prog.target, s)
+
+
+def test_identity_canonicaliser_changes_no_field_of_the_stats(monkeypatch):
+    """fixpoint's two branches agree: on every corpus file searched by
+    the identity group alone, handing fixpoint a real Canonicaliser or
+    ParamCanonicaliser over that group gives, field by field, the
+    BackwardStats of the run with canon=None (counters, verdict, chain
+    and witness)."""
+    coders: list = []
+    fixpoint = dualmc.backward.fixpoint
+
+    def keep(make):
+        def made(*args):
+            coders.append(make(*args))
+            return coders[-1]
+
+        return made
+
+    monkeypatch.setattr(dualmc.backward, "backward_coder", keep(dualmc.backward.backward_coder))
+    monkeypatch.setattr(dualmc.param, "ParamCoder", keep(dualmc.param.ParamCoder))
+    names = sorted(path.name for path in CORPUS.glob("*.lit"))
+    reachable = 0
+    for name in names:
+        prog = corpus_program(name)
+        param = isinstance(prog, ParamProgram)
+        search = (lambda: param_backward_reach(prog)) if param else lambda: backward_reach(prog, prog.target)
+        make = ParamCanonicaliser if param else Canonicaliser
+
+        def with_identity(minors, seeds, preds, covers, weight, max_nodes, decode, canon=None):
+            assert canon is None, name
+            canon = make(prog, dualmc.backward._identity(prog), coders[-1])
+            return fixpoint(minors, seeds, preds, covers, weight, max_nodes, decode, canon)
+
+        with unreduced(monkeypatch):
+            plain_stats = search()
+            monkeypatch.setattr(dualmc.backward, "fixpoint", with_identity)
+            monkeypatch.setattr(dualmc.param, "fixpoint", with_identity)
+            identity_stats = search()
+            monkeypatch.setattr(dualmc.backward, "fixpoint", fixpoint)
+            monkeypatch.setattr(dualmc.param, "fixpoint", fixpoint)
+        for field in dataclasses.fields(plain_stats):
+            assert getattr(identity_stats, field.name) == getattr(plain_stats, field.name), (name, field.name)
+        reachable += plain_stats.verdict == "Reachable"
+    assert len(names) == 20 and reachable > 5
 
 
 def random_symmetric_program(rng: random.Random, n_procs: int, kind: str) -> ConcurrentProgram:

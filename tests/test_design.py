@@ -149,6 +149,40 @@ def test_one_group_search_serves_both_engines():
     assert found == {"backward.backward_reach", "param.param_backward_reach"}
 
 
+def _defined(tree: ast.AST, name: str, scope: str = "") -> dict[str, ast.AST]:
+    """The functions in tree called `name`, by dotted name as _scopes
+    gives it, each with its node."""
+    found = {}
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            dotted = f"{scope}.{node.name}" if scope else node.name
+            if node.name == name and not isinstance(node, ast.ClassDef):
+                found[dotted] = node
+            found |= _defined(node, name, dotted)
+        else:
+            found |= _defined(node, name, scope)
+    return found
+
+
+def test_definition_scan_names_nested_functions():
+    text = "def preds(): pass\ndef a():\n    def preds(): pass\nclass K:\n    def preds(self): pass\n"
+    assert sorted(_defined(ast.parse(text), "preds")) == ["K.preds", "a.preds", "preds"]
+
+
+def test_fixpoint_is_the_one_reduction_seam():
+    """backward.fixpoint is the only function that calls a
+    canonicaliser's rep, and each engine's preds, coded_preds' for the
+    fixed-size one and param_backward_reach's own, is defined once and
+    reads no canonicaliser: no engine wraps its moves to reduce them."""
+    tree = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    found = {f"{stem}.{name}" for stem, t in tree.items() for name in _callers(t, "rep")}
+    assert found == {"backward.fixpoint"}
+    defined = {f"{stem}.{name}": node for stem, t in tree.items() for name, node in _defined(t, "preds").items()}
+    assert sorted(defined) == ["backward.coded_preds.preds", "param.param_backward_reach.preds"]
+    canonicalisers = {"rep", "canon", "Canonicaliser", "ParamCanonicaliser"}
+    assert all(_users(node, canonicalisers) == set() for node in defined.values())
+
+
 def _imported(tree: ast.AST) -> set[str]:
     """The package modules tree imports, by their name in the package:
     `from .m import x`, `from . import m`, `import dualmc.m`, `from

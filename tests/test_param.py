@@ -597,9 +597,9 @@ def spy_searches(monkeypatch) -> list:
     """Each param_backward_reach's final antichain and preds, decoded by
     the search's own ParamCoder, appended as (minors, preds, coder) when
     its fixpoint returns: minors as a list of ParamConfigs, and preds
-    taking and listing ParamConfigs.  A reduced search lists each live
-    candidate as ((action, candidate), representative); preds lists its
-    (action, candidate), as the move tables give them."""
+    taking and listing ParamConfigs: each live candidate as (action,
+    candidate), as the move tables give them, before fixpoint takes it
+    to its representative in a reduced search."""
     searches = []
     fixpoint = dualmc.param.fixpoint
     coders = []
@@ -609,15 +609,14 @@ def spy_searches(monkeypatch) -> list:
         coders.append(make(program))
         return coders[-1]
 
-    def spy(minors, preds, *rest):
+    def spy(minors, seeds, preds, *rest):
         coder = coders[-1]
 
         def decoded(alpha):
-            listed = [a if type(a) is tuple else (a, c) for a, c in preds(coder.encode(alpha))]
-            return [(a, None if c is None else coder.decode(c)) for a, c in listed]
+            return [(a, None if c is None else coder.decode(c)) for a, c in preds(coder.encode(alpha))]
 
         try:
-            return fixpoint(minors, preds, *rest)
+            return fixpoint(minors, seeds, preds, *rest)
         finally:
             searches.append(([coder.decode(c) for c in minors], decoded, coder))
 
