@@ -236,10 +236,11 @@ def coded_preds(coder: Coder, fill: Callable) -> Callable[[int], list]:
     tables = coder.tables(fill)
 
     def preds(code: int) -> list:
-        out: list = []
-        for mask, table in tables:
-            out += [(action, None if delta is None else code + delta) for action, delta in table[code & mask]]
-        return out
+        return [
+            (action, None if delta is None else code + delta)
+            for mask, table in tables
+            for action, delta in table[code & mask]
+        ]
 
     return preds
 
@@ -921,8 +922,10 @@ def fixpoint(
     without it, the chain is mapped through `decode`.
     """
     rep = None if canon is None else canon.rep
+    insert, push, pop = minors.insert, heapq.heappush, heapq.heappop
+    limit = math.inf if max_nodes is None else max_nodes
     for seed in seeds:
-        minors.insert(seed if rep is None else rep(seed))
+        insert(seed if rep is None else rep(seed))
     generated = inserted = len(minors)
     iterations = 0
     peak = 0
@@ -949,21 +952,21 @@ def fixpoint(
     peak = seq = len(work)
 
     while work:
-        link = heapq.heappop(work)[2]
+        link = pop(work)[2]
         c = link[0]
         if c not in minors:
             continue  # subsumed after being queued
         iterations += 1
         for action, pred in preds(c):
             generated += 1
-            if max_nodes is not None and generated > max_nodes:
+            if generated > limit:
                 raise ResourceLimitError(f"backward search exceeded {max_nodes} configurations")
             if pred is None:
                 dead += 1
                 continue
             if rep is not None:
                 action, pred = (action, pred), rep(pred)
-            if not minors.insert(pred):
+            if not insert(pred):
                 subsumed += 1
                 continue
             inserted += 1
@@ -971,8 +974,9 @@ def fixpoint(
             if covers(pred):
                 return reachable(step)
             seq += 1
-            heapq.heappush(work, (weight(pred), seq, step))
-            peak = max(peak, len(work))
+            push(work, (weight(pred), seq, step))
+            if len(work) > peak:
+                peak = len(work)
     return stats("Unreachable")
 
 

@@ -406,17 +406,21 @@ def param_backward_reach(
     The search runs over the minors of a ParamCoder it owns, (entry ids,
     memory), under its own coded_param_leq; the antichain's dominance
     pre-filter, the worklist weight and the covers-initial test sum or
-    test what each id got when it was interned.  It owns three
+    test what each id got when it was interned.  It owns four
     runs.Tables: per (entry id, memory), the entry's local_preds, split
     into its rule moves per transition index and its propagate and
     delete moves; per memory, the fresh processes each transition adds,
     a write's or an atomic read-write's; per state, a fresh writer's
-    words.  A move is (action class, arguments, new entry id, memory),
-    the id None if the move is dead, which the tables decide from the
-    memory and the entry alone: every expanded minor is live, the seeds
-    by seed_memories.  One loop places every live entry by bisection on
-    the entries into the minor's other ids (all of them for a fresh
-    process) and names the action there.  More than max_nodes words of
+    words; per (action class, arguments), a move's action table, a
+    Table from position i to cls(i, *arguments) that every move with
+    that action shares.  A move is (action table, new entry id,
+    memory), the id None if the move is dead, which the tables decide
+    from the memory and the entry alone: every expanded minor is live,
+    the seeds by seed_memories.  A dead move's action names the process
+    p it changes, acts[p].  One loop places every live entry by
+    bisection on the entries into the minor's other ids (all of them
+    for a fresh process) and reads the action naming that position i,
+    acts[i].  More than max_nodes words of
     one state's fresh writers raise the resource limit, since each is at
     least one candidate of that expansion.  The witness chain is decoded
     once, at the end.
@@ -436,6 +440,12 @@ def param_backward_reach(
     transitions = program.template.transitions
     index = {t: ti for ti, t in enumerate(transitions)}
 
+    def fill_named(key) -> Table:
+        cls, args = key
+        return Table(lambda i: cls(i, *args))
+
+    named = Table(fill_named)  # (action class, arguments) -> its action table
+
     def fill_words(state) -> list:
         cap = None if max_nodes is None else max_nodes + 1
         found = list(itertools.islice(_fresh_writer_buffers(program, own_ok[state]), cap))
@@ -450,7 +460,7 @@ def param_backward_reach(
         local: list = []
         for action, src, b, m in local_preds(program, [own_ok], live, 0, state, buf, mem):
             e2 = None if m is None else intern((state if src is None else src, buf if b is None else b))
-            move = (type(action), action[1:], e2, m)
+            move = (named[type(action), action[1:]], e2, m)
             if type(action) is Step:
                 rules[index[action.t]].append(move)
             else:
@@ -465,7 +475,8 @@ def param_backward_reach(
             pairs = [((), _set(mem, xi, op.val))]
         elif op.kind == "w" and mem[xi] == op.val:
             pairs = [(b, _set(mem, xi, prior)) for prior in program.values for b in writer_words[t.src]]
-        return [(Step, (t,), intern((t.src, b)) if live(m, t.src, b, own_ok) else None, m) for b, m in pairs]
+        acts = named[Step, (t,)]
+        return [(acts, intern((t.src, b)) if live(m, t.src, b, own_ok) else None, m) for b, m in pairs]
 
     writer_words, entry_moves = Table(fill_words), Table(fill_entry)
     fresh_moves = Table(lambda mem: [fill_fresh(t, mem) for t in transitions])
@@ -487,12 +498,12 @@ def param_backward_reach(
         groups += [(p, rests[p], local) for p, (_rules, local) in enumerate(tables)]
         out: list = []
         for p, rest, moves in groups:
-            for cls, args, e, m in moves:
+            for acts, e, m in moves:
                 if e is None:
-                    out.append((cls(p, *args), None))
+                    out.append((acts[p], None))
                 else:
                     i = bisect_left(rest, entries[e], key=entries.__getitem__)
-                    out.append((cls(i, *args), (rest[:i] + (e,) + rest[i:], m)))
+                    out.append((acts[i], (rest[:i] + (e,) + rest[i:], m)))
         return out
 
     return fixpoint(minors, seeds, preds, coder.covers_initial, coder.weight, max_nodes, coder.decode, canon)

@@ -351,9 +351,13 @@ def bounded_bfs(
     decodes nothing until it is read.
     The result counts the configurations expanded and the successors
     generated, and the successors after a hit are not looked at.
+    `max_nodes` caps the explored configurations, the initial one
+    included.
     """
     if bound < 0:
         raise ValueError(f"buffer bound must be non-negative, got {bound}")
+    if max_nodes is not None and max_nodes < 1:  # the initial configuration counts
+        raise ResourceLimitError(f"bounded search exceeded {max_nodes} configurations")
     coder = Coder(init)
     tables = coder.tables(partial(local, program, bound))
     mask = coder.states_and_buffers_mask

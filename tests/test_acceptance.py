@@ -10,6 +10,8 @@ import pytest
 
 import dualmc
 from dualmc import (
+    MinorSet,
+    ParamProgram,
     Run,
     backward_reach,
     concretize_witness,
@@ -241,6 +243,36 @@ def test_max_nodes_boundary(name):
     assert _pinned(backward_reach(prog, prog.target, max_nodes=generated)) == PINNED_COUNTERS[name]
     with pytest.raises(ResourceLimitError):
         backward_reach(prog, prog.target, max_nodes=generated - 1)
+
+
+def test_no_cap_searches_as_the_default_cap(fixed_stats, param_stats):
+    """max_nodes=None, no cap at all, gives every BackwardStats field of
+    the default-cap search on every corpus file."""
+    for name, s in fixed_stats.items():
+        prog = corpus_program(name)
+        assert backward_reach(prog, prog.target, max_nodes=None) == s, name
+    for name, s in param_stats.items():
+        assert param_backward_reach(corpus_program(name), max_nodes=None) == s, name
+
+
+@pytest.mark.parametrize("name, calls", [("mp.lit", 21_561), ("wrwc-param.lit", 7_529)])
+def test_insert_wrapper_sees_every_insert(monkeypatch, name, calls):
+    """A wrapper set on MinorSet.insert as a class attribute before the
+    search, as perfbench's tracer sets its own, sees one call per seed
+    and per live candidate: configs_generated - dead.  Neither program
+    is symmetric; a symmetric one also inserts the seeds its
+    canonicaliser refuses as equal to an earlier one."""
+    original = MinorSet.insert
+    seen = [0]
+
+    def spy(minors, elem):
+        seen[0] += 1
+        return original(minors, elem)
+
+    monkeypatch.setattr(MinorSet, "insert", spy)
+    prog = corpus_program(name)
+    s = param_backward_reach(prog) if isinstance(prog, ParamProgram) else backward_reach(prog, prog.target)
+    assert seen[0] == s.configs_generated - s.dead == calls
 
 
 def _pinned(s) -> tuple:

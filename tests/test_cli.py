@@ -10,14 +10,17 @@ import pytest
 import dualmc
 from dualmc import (
     MinorSet,
+    ResourceLimitError,
     Run,
     Step,
     Update,
     backward_reach,
     concretize_witness,
+    dtso_bounded_reach,
     format_program,
     initial_tso_config,
     parse_program,
+    tso_bounded_reach,
     tso_successors,
 )
 from dualmc.cli import SEARCH_COUNTERS, Report, emit_report, run
@@ -281,6 +284,26 @@ def test_max_nodes_caps_the_seeds(capsys, monkeypatch, tmp_path, mode):
     code, _out, err = invoke(capsys, mode, str(tmp_path / "wide.lit"), "--max-nodes", "10")
     assert code == 3 and "exceeded" in err
     assert inserts <= 11
+
+
+@pytest.mark.parametrize("mode", ["explore-tso", "explore-dtso"])
+def test_explorer_cap_counts_the_initial_configuration(capsys, tmp_path, mode):
+    """On a program whose target is its initial state, a cap of 0 stops
+    the explorer before the initial configuration (exit 3), and a cap
+    of 1 finds it reachable, explored alone."""
+    (tmp_path / "init.lit").write_text("vars x\nvalues 0 1\nprocess P\n init q0\n trans q0 q1 w x 1\nend\ntarget P=q0\n")
+    prog = parse_program((tmp_path / "init.lit").read_text())
+    reach = tso_bounded_reach if mode == "explore-tso" else dtso_bounded_reach
+    with pytest.raises(ResourceLimitError):
+        reach(prog, 1, prog.target, max_nodes=0)
+    r = reach(prog, 1, prog.target, max_nodes=1)
+    assert r.reachable and r.explored == 1
+    argv = (mode, str(tmp_path / "init.lit"), "--buffer-bound", "1", "--format", "json", "--max-nodes")
+    code, out, err = invoke(capsys, *argv, "0")
+    assert (code, out) == (3, "") and "exceeded 0 configurations" in err
+    code, out, _err = invoke(capsys, *argv, "1")
+    payload = json.loads(out)
+    assert (code, payload["verdict"], payload["explored"]) == (1, "reachable", 1)
 
 
 def test_fresh_writer_words_exit_3(capsys, tmp_path):
